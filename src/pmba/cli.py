@@ -74,6 +74,13 @@ def cmd_encode(args) -> int:
     input_path = Path(args.input)
     data = input_path.read_bytes()
     source = striping.bytes_to_source(data, params)
+    collisions = params.power_collisions()
+    if collisions:
+        groups = ", ".join("{" + ",".join(map(str, g)) + "}" for g in collisions)
+        raise ValueError(
+            f"q = {params.q} gives nodes {groups} the same (k-1)-th power, so k "
+            f"nodes holding two of them cannot reconstruct; choose another --q"
+        )
     stripes = source.shape[0]
     payloads = striping.encode_stripes(source, params)
 
@@ -193,7 +200,11 @@ def cmd_verify(args) -> int:
                 )
         for j, crc in crcs.items():
             key = f"shard{j:02d}.crc32"
-            if key in entries and entries[key] != f"{crc:08x}":
+            if key not in entries:
+                raise ShardFormatError(
+                    f"{names[j]}: manifest {args.manifest} has no {key} line"
+                )
+            if entries[key] != f"{crc:08x}":
                 raise ShardFormatError(
                     f"{names[j]}: crc32 {crc:08x} does not match manifest "
                     f"{entries[key]}"

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .field import FieldElement
 from .matrix import Matrix, build_gvm
 from .params import CodeParams
@@ -43,41 +45,46 @@ def block_fill_order(k: int):
     return [(r, c) for r in range(k - 1) for c in range(r, k - 1)]
 
 
+def message_layout(params: CodeParams):
+    """Source index held by each entry of the assembled message matrix.
+
+    Returns a (z+1)(k-1) x z(k-1) int64 array; entries off the block band
+    are -1. S_{2j} sits both below S_{2j-1} in block column j and above
+    S_{2j+1} in block column j+1, but within one column no source index
+    repeats, so the map from a stripe to one stored column has exactly one
+    coefficient per source symbol it reads.
+    """
+    k, z = params.k, params.z_delta
+    w = k - 1
+    positions = block_fill_order(k)
+    tri = np.empty((w, w), dtype=np.int64)
+    for i, (r, c) in enumerate(positions):
+        tri[r, c] = tri[c, r] = i
+    layout = np.full(((z + 1) * w, z * w), -1, dtype=np.int64)
+    for j in range(z):  # 0-based block column: S_{2j}, S_{2j+1}, S_{2j+2}
+        for b in range(max(2 * j - 1, 0), 2 * j + 2):
+            row = b - j
+            layout[row * w : (row + 1) * w, j * w : (j + 1) * w] = b * len(positions) + tri
+    return layout
+
+
 def build_message_matrix(source, params: CodeParams) -> MessageMatrix:
-    field = params.field
     vals = [int(s) % params.q for s in source]
     if len(vals) != params.file_symbols:
         raise ValueError(
             f"source must hold exactly F = {params.file_symbols} symbols, got {len(vals)}"
         )
-    k, z = params.k, params.z_delta
-    w = k - 1
-    positions = block_fill_order(k)
+    layout = message_layout(params)
+    assembled = np.where(layout >= 0, np.array(vals, dtype=np.int64)[layout], 0)
+    w = params.k - 1
     blocks = []
-    it = iter(vals)
-    for _ in range(2 * z):
-        block = [[0] * w for _ in range(w)]
-        for r, c in positions:
-            v = next(it)
-            block[r][c] = v
-            block[c][r] = v
-        blocks.append(Matrix(field, block))
-
-    assembled = [[0] * (z * w) for _ in range((z + 1) * w)]
-
-    def place(block: Matrix, block_row: int, block_col: int):
-        for r in range(w):
-            for c in range(w):
-                assembled[block_row * w + r][block_col * w + c] = int(
-                    block.data[r, c]
-                )
-
-    for j in range(1, z + 1):  # 1-based block column
-        if j >= 2:
-            place(blocks[2 * j - 3], j - 2, j - 1)  # S_{2j-2}
-        place(blocks[2 * j - 2], j - 1, j - 1)  # S_{2j-1}
-        place(blocks[2 * j - 1], j, j - 1)  # S_{2j}
-    return MessageMatrix(blocks=tuple(blocks), assembled=Matrix(field, assembled))
+    for b in range(2 * params.z_delta):  # S_{b+1}, read where block column b//2 holds it
+        row, col = b - b // 2, b // 2
+        block = assembled[row * w : (row + 1) * w, col * w : (col + 1) * w]
+        blocks.append(Matrix(params.field, block))
+    return MessageMatrix(
+        blocks=tuple(blocks), assembled=Matrix(params.field, assembled)
+    )
 
 
 def flatten_blocks(blocks, k: int) -> tuple:

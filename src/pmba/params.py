@@ -58,6 +58,17 @@ class CodeParams:
             raise ValueError(f"node index must be in 1..{self.n}, got {node_index}")
         return self.field.element(self.eval_points[node_index - 1])
 
+    def power_collisions(self) -> list:
+        """Groups of nodes whose evaluation points share a (k-1)-th power.
+
+        No k nodes holding two of a group can reconstruct, so a code with
+        any collision is not MDS.
+        """
+        by_power = {}
+        for j, e in enumerate(self.eval_points, start=1):
+            by_power.setdefault(pow(e, self.k - 1, self.q), []).append(j)
+        return [tuple(nodes) for nodes in by_power.values() if len(nodes) > 1]
+
     def describe(self) -> str:
         """Aligned key/value text of every derived quantity."""
         beta = ", ".join(f"{d}->{b}" for d, b in sorted(self.per_node_bandwidth.items()))

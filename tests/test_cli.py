@@ -81,6 +81,19 @@ def test_encode_refuses_q_too_small_for_bytes(tmp_path, capsys):
     assert "cannot carry byte payloads" in capsys.readouterr().err
 
 
+def test_encode_refuses_a_code_whose_points_share_a_power(tmp_path, capsys):
+    # 16^4 = 1 mod 257: nodes 1 and 16 (and 15 and 17) would refuse to
+    # reconstruct together, so the code is not MDS and must not be written
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"x" * 100)
+    out_dir = tmp_path / "sh"
+    rc = main(["encode", str(src), "-o", str(out_dir), "--k", "5", "--delta", "3", "--n", "17"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "q = 257" in err and "{1,16}" in err and "{15,17}" in err
+    assert not out_dir.exists()
+
+
 def test_encode_refuses_composite_q(tmp_path, capsys):
     src = tmp_path / "x.bin"
     src.write_bytes(b"x")
@@ -288,6 +301,20 @@ def test_verify_catches_a_corrupted_payload(encoded, tmp_path, capsys):
     )
     assert rc == 2
     assert "does not match manifest" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_shard_the_manifest_does_not_list(encoded, tmp_path, capsys):
+    _, _, out_dir = encoded
+    manifest = tmp_path / "data.bin.manifest"
+    lines = (out_dir / "data.bin.manifest").read_text().splitlines()
+    manifest.write_text("\n".join(line for line in lines if not line.startswith("shard02.crc32")) + "\n")
+    rc = main(
+        ["verify", *(str(shard_path(out_dir, j)) for j in (1, 2, 3)),
+         "--manifest", str(manifest)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data.bin.shard02" in err and "shard02.crc32" in err
 
 
 def test_verify_rejects_a_foreign_manifest(encoded, tmp_path, capsys):

@@ -9,6 +9,7 @@ from pmba.encoder import NodeShard, build_message_matrix, encode_all
 from pmba.matrix import Matrix, SingularMatrixError, invert, transpose
 from pmba.params import derive_params
 from pmba.reconstructor import ReconstructionSession, reconstruct
+from pmba.striping import encode_matrix
 
 WORKED = derive_params(3, 2, 7, q=11)
 
@@ -19,15 +20,6 @@ def encoded(source, params=WORKED):
 
 def pick(shards, nodes):
     return [shards[j - 1] for j in nodes]
-
-
-def power_collisions(params):
-    """Node pairs whose evaluation points share a (k-1)-th power."""
-    by_power = {}
-    for j in range(1, params.n + 1):
-        lam = (params.eval_point(j) ** (params.k - 1)).value
-        by_power.setdefault(lam, []).append(j)
-    return [tuple(nodes) for nodes in by_power.values() if len(nodes) > 1]
 
 
 def encoding_map(params):
@@ -43,6 +35,20 @@ def encoding_map(params):
         unit = [int(c == i) for c in range(f)]
         columns.append([v for s in encoded(unit, params) for v in s.symbol_values()])
     return transpose(Matrix(params.field, columns))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        WORKED,
+        derive_params(3, 2, 7),
+        derive_params(4, 3, 13, q=17),
+        derive_params(3, 5, 20),
+    ],
+    ids=["3-2-7-q11", "3-2-7", "4-3-13-q17", "3-5-20"],
+)
+def test_closed_form_encoding_map_matches_the_encoder(params):
+    assert np.array_equal(encode_matrix(params), encoding_map(params).data)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +87,7 @@ def test_subsets_with_distinct_point_powers_decode_and_the_rest_refuse():
     # Over F_11 squaring folds x and 11-x together, so with points 1..7
     # the pairs {4,7} and {5,6} share a square. Any access set holding
     # such a pair has lost information and must be refused up front.
-    collisions = power_collisions(WORKED)
+    collisions = WORKED.power_collisions()
     assert sorted(collisions) == [(4, 7), (5, 6)]
     rng = np.random.default_rng(31)
     source = [int(v) for v in rng.integers(0, 11, size=12)]
@@ -119,7 +125,7 @@ def test_all_35_subsets_decode_once_the_powers_are_distinct():
     # same seven points over F_23: squares 1,4,9,16,2,13,3 are pairwise
     # distinct, so every 3-subset decodes
     params = derive_params(3, 2, 7, q=23)
-    assert power_collisions(params) == []
+    assert params.power_collisions() == []
     rng = np.random.default_rng(33)
     source = [int(v) for v in rng.integers(0, 23, size=12)]
     shards = encoded(source, params)
@@ -130,7 +136,7 @@ def test_all_35_subsets_decode_once_the_powers_are_distinct():
 
 def test_thirteen_node_instance_decodes_from_sampled_subsets():
     params = derive_params(4, 3, 13, q=17)
-    assert power_collisions(params) == []  # cubing is a bijection mod 17
+    assert params.power_collisions() == []  # cubing is a bijection mod 17
     rng = np.random.default_rng(37)
     source = [int(v) for v in rng.integers(0, 17, size=params.file_symbols)]
     shards = encoded(source, params)

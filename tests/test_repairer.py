@@ -7,6 +7,7 @@ import pytest
 from pmba.encoder import NodeShard, build_message_matrix, encode_all, encode_node
 from pmba.params import derive_params
 from pmba.repairer import RepairBundle, make_repair_bundle, repair, session_shape
+from pmba.striping import repair_matrix
 
 WORKED = derive_params(3, 2, 7, q=11)
 
@@ -215,3 +216,43 @@ def test_repair_rejects_inconsistent_bundle_sets():
             helper_index=9, failed_index=7, d=4, symbols=good[0].symbols
         )
         repair(7, good[:3] + [alien], WORKED)
+
+
+# ---------------------------------------------------------------------------
+# the batched repair map against the stepwise decoder
+# ---------------------------------------------------------------------------
+
+
+def probed_repair_matrix(params, f, helpers):
+    """The repair map read off the stepwise decoder, one unit bundle at a time."""
+    d = len(helpers)
+    _, beta = session_shape(params, d)
+    zero, one = params.field.zero(), params.field.one()
+    decode = np.zeros((params.alpha, d * beta), dtype=np.int64)
+    for u in range(d * beta):
+        probe = [
+            RepairBundle(
+                helper_index=h,
+                failed_index=f,
+                d=d,
+                symbols=tuple(one if h_idx * beta + i == u else zero for i in range(beta)),
+            )
+            for h_idx, h in enumerate(helpers)
+        ]
+        decode[:, u] = repair(f, probe, params).symbol_values()
+    return decode
+
+
+@pytest.mark.parametrize(
+    "params", [WORKED, derive_params(4, 3, 13, q=17)], ids=["3-2-7-q11", "4-3-13-q17"]
+)
+def test_closed_form_repair_map_matches_the_stepwise_decoder(params):
+    rng = np.random.default_rng(59)
+    for d in params.helper_counts:
+        for _ in range(2):
+            f = int(rng.integers(1, params.n + 1))
+            others = [h for h in range(1, params.n + 1) if h != f]
+            helpers = sorted(int(h) for h in rng.choice(others, size=d, replace=False))
+            assert np.array_equal(
+                repair_matrix(params, f, helpers), probed_repair_matrix(params, f, helpers)
+            ), (d, f, helpers)

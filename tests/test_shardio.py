@@ -280,25 +280,33 @@ def test_source_to_bytes_guards():
 # ---------------------------------------------------------------------------
 
 
-def batch_fixture(stripes=3, seed=43):
+# Byte-safe codes across the grid. The first and last block columns of
+# each encoding read only 2(k-1) source symbols, so band edges show on
+# every stripe, not only on the stripe-0 cross-check.
+BYTE_GRID = [BYTE_PARAMS, derive_params(4, 3, 13), derive_params(3, 5, 20)]
+GRID_IDS = ["3-2-7", "4-3-13", "3-5-20"]
+
+
+def batch_fixture(stripes=3, seed=43, params=BYTE_PARAMS):
     from pmba.encoder import build_message_matrix, encode_all
 
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, 256, size=stripes * BYTE_PARAMS.file_symbols - 5).astype(
+    data = rng.integers(0, 256, size=stripes * params.file_symbols - 5).astype(
         np.uint8
     ).tobytes()
-    source = bytes_to_source(data, BYTE_PARAMS)
-    coded = encode_stripes(source, BYTE_PARAMS)
+    source = bytes_to_source(data, params)
+    coded = encode_stripes(source, params)
     stepwise = []
     for s in range(source.shape[0]):
-        m = build_message_matrix([int(v) for v in source[s]], BYTE_PARAMS)
-        stepwise.append(encode_all(m, BYTE_PARAMS))
+        m = build_message_matrix([int(v) for v in source[s]], params)
+        stepwise.append(encode_all(m, params))
     return data, source, coded, stepwise
 
 
-def test_batched_encoding_matches_stepwise_on_every_stripe():
-    _, source, coded, stepwise = batch_fixture()
-    assert coded.shape == (7, source.shape[0], BYTE_PARAMS.alpha)
+@pytest.mark.parametrize("params", BYTE_GRID, ids=GRID_IDS)
+def test_batched_encoding_matches_stepwise_on_every_stripe(params):
+    _, source, coded, stepwise = batch_fixture(params=params)
+    assert coded.shape == (params.n, source.shape[0], params.alpha)
     for s, shards in enumerate(stepwise):
         for shard in shards:
             assert tuple(int(v) for v in coded[shard.node_index - 1, s]) == (
@@ -306,37 +314,44 @@ def test_batched_encoding_matches_stepwise_on_every_stripe():
             )
 
 
-def test_batched_reconstruction_matches_stepwise_on_every_stripe():
+@pytest.mark.parametrize("params", BYTE_GRID, ids=GRID_IDS)
+def test_batched_reconstruction_matches_stepwise_on_every_stripe(params):
     from pmba.reconstructor import reconstruct
 
-    data, source, coded, stepwise = batch_fixture()
-    for nodes in ((1, 2, 4), (3, 6, 7)):
+    data, source, coded, stepwise = batch_fixture(params=params)
+    rng = np.random.default_rng(45)
+    sampled = sorted(int(j) for j in rng.choice(params.n, size=params.k, replace=False) + 1)
+    for nodes in (tuple(range(1, params.k + 1)), tuple(sampled)):
         payloads = {j: coded[j - 1] for j in nodes}
-        decoded = reconstruct_stripes(payloads, BYTE_PARAMS)
+        decoded = reconstruct_stripes(payloads, params)
         assert np.array_equal(decoded, source)
         for s, shards in enumerate(stepwise):
             picked = [sh for sh in shards if sh.node_index in nodes]
-            reference = tuple(v.value for v in reconstruct(picked, BYTE_PARAMS))
+            reference = tuple(v.value for v in reconstruct(picked, params))
             assert tuple(int(v) for v in decoded[s]) == reference
         assert source_to_bytes(decoded, len(data)) == data
 
 
-def test_batched_repair_matches_stepwise_on_every_stripe():
+@pytest.mark.parametrize("params", BYTE_GRID, ids=GRID_IDS)
+def test_batched_repair_matches_stepwise_on_every_stripe(params):
     from pmba.repairer import make_repair_bundle, repair
 
-    _, _, coded, stepwise = batch_fixture()
-    f = 5
-    for helpers in ((1, 2, 3, 4), (1, 2, 3, 4, 6, 7)):
+    _, _, coded, stepwise = batch_fixture(params=params)
+    rng = np.random.default_rng(47)
+    f = int(rng.integers(1, params.n + 1))
+    others = [h for h in range(1, params.n + 1) if h != f]
+    for d in params.helper_counts:
+        helpers = sorted(int(h) for h in rng.choice(others, size=d, replace=False))
         payloads = {h: coded[h - 1] for h in helpers}
-        rebuilt = repair_stripes(payloads, f, BYTE_PARAMS)
+        rebuilt = repair_stripes(payloads, f, params)
         assert np.array_equal(rebuilt, coded[f - 1])
         for s, shards in enumerate(stepwise):
             bundles = [
-                make_repair_bundle(sh, f, len(helpers), BYTE_PARAMS)
+                make_repair_bundle(sh, f, d, params)
                 for sh in shards
                 if sh.node_index in helpers
             ]
-            reference = repair(f, bundles, BYTE_PARAMS).symbol_values()
+            reference = repair(f, bundles, params).symbol_values()
             assert tuple(int(v) for v in rebuilt[s]) == reference
 
 

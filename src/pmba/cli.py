@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data or verification error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -34,19 +35,16 @@ def _read_shard_set(paths):
     """Read several shard files and demand mutually decodable headers."""
     if not paths:
         raise ValueError("no shard files given")
-    headers = {}
     payloads = {}
     names = {}
-    key = None
-    key_owner = None
+    first = first_path = None
     for p in paths:
         header, symbols = shardio.read_shard(p)
-        if key is None:
-            key = header.code_key()
-            key_owner = p
-        elif header.code_key() != key:
+        if first is None:
+            first, first_path = header, p
+        elif header.code_key() != first.code_key():
             raise ShardFormatError(
-                f"{p}: header disagrees with {key_owner}; shards are not from "
+                f"{p}: header disagrees with {first_path}; shards are not from "
                 f"the same encoding"
             )
         j = header.node_index
@@ -56,21 +54,13 @@ def _read_shard_set(paths):
                     f"{p} and {names[j]} both claim node {j} but differ"
                 )
             continue
-        headers[j] = header
         payloads[j] = symbols
         names[j] = str(p)
-    any_header = next(iter(headers.values()))
-    params = shardio.shard_params(any_header)
-    return params, any_header, headers, payloads, names
+    return shardio.shard_params(first), first, payloads, names
 
 
 def cmd_encode(args) -> int:
     params = derive_params(args.k, args.delta, args.n, q=args.q)
-    if params.q > shardio.MAX_HEADER_Q:
-        raise ValueError(
-            f"q = {params.q} does not fit the two-byte shard header field "
-            f"(max {shardio.MAX_HEADER_Q})"
-        )
     input_path = Path(args.input)
     data = input_path.read_bytes()
     source = striping.bytes_to_source(data, params)
@@ -82,22 +72,22 @@ def cmd_encode(args) -> int:
             f"nodes holding two of them cannot reconstruct; choose another --q"
         )
     stripes = source.shape[0]
+    headers = [
+        shardio.header_for(params, j, stripes, len(data)) for j in range(1, params.n + 1)
+    ]
     payloads = striping.encode_stripes(source, params)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header0 = None
     entries = []
-    for j in range(1, params.n + 1):
-        header = shardio.header_for(params, j, stripes, len(data))
-        header0 = header0 or header
+    for j, header in enumerate(headers, start=1):
         name = _shard_file_name(input_path.name, j)
         shardio.write_shard(out_dir / name, header, payloads[j - 1])
         crc = shardio.payload_crc(payloads[j - 1])
         entries.append((j, name, crc))
         print(f"wrote {out_dir / name} ({payloads[j - 1].size} symbols)")
     manifest = out_dir / _manifest_file_name(input_path.name)
-    shardio.write_manifest(manifest, input_path.name, params, header0, entries)
+    shardio.write_manifest(manifest, input_path.name, params, headers[0], entries)
     print(f"wrote {manifest}")
     print(
         f"encoded {len(data)} bytes into {params.n} shards "
@@ -107,7 +97,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    params, header, headers, payloads, names = _read_shard_set(args.shards)
+    params, header, payloads, names = _read_shard_set(args.shards)
     available = sorted(payloads)
     if args.nodes:
         chosen = sorted({int(t) for t in args.nodes.split(",")})
@@ -135,12 +125,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    params, header, headers, payloads, names = _read_shard_set(args.shards)
+    params, header, payloads, names = _read_shard_set(args.shards)
     f = args.failed
     if not 1 <= f <= params.n:
         raise ValueError(f"failed index must be in 1..{params.n}, got {f}")
-    if f in payloads:
-        raise ValueError(f"node {f} cannot appear among its own helpers")
     rebuilt = striping.repair_stripes(payloads, f, params)
 
     if args.out:
@@ -154,18 +142,8 @@ def cmd_repair(args) -> int:
             )
         out_dir = Path(args.out_dir) if args.out_dir else Path(args.shards[0]).parent
         out_path = out_dir / f"{m.group('stem')}{f:02d}"
-    new_header = shardio.ShardHeader(
-        q=header.q,
-        n=header.n,
-        k=header.k,
-        delta=header.delta,
-        node_index=f,
-        stripe_count=header.stripe_count,
-        original_length=header.original_length,
-        eval_points=header.eval_points,
-    )
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    shardio.write_shard(out_path, new_header, rebuilt)
+    shardio.write_shard(out_path, dataclasses.replace(header, node_index=f), rebuilt)
     print(
         f"repaired node {f} from {len(payloads)} helpers "
         f"({sorted(payloads)}) into {out_path}"
@@ -174,16 +152,12 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params, header, headers, payloads, names = _read_shard_set(args.shards)
+    params, header, payloads, names = _read_shard_set(args.shards)
     print(
         f"code: q={params.q} n={params.n} k={params.k} delta={params.delta} "
         f"stripes={header.stripe_count} length={header.original_length}"
     )
-    crcs = {}
-    for j in sorted(payloads):
-        crc = shardio.payload_crc(payloads[j])
-        crcs[j] = crc
-        print(f"node {j:2d}  {names[j]}  crc32={crc:08x}  ok")
+    crcs = {j: shardio.payload_crc(payloads[j]) for j in sorted(payloads)}
     if args.manifest:
         entries = shardio.read_manifest(args.manifest)
         if int(entries.get("length_bytes", -1)) != header.original_length:
@@ -209,6 +183,9 @@ def cmd_verify(args) -> int:
                     f"{names[j]}: crc32 {crc:08x} does not match manifest "
                     f"{entries[key]}"
                 )
+    for j, crc in crcs.items():
+        print(f"node {j:2d}  {names[j]}  crc32={crc:08x}  ok")
+    if args.manifest:
         print(f"manifest {args.manifest}: consistent")
     print(f"verify: OK ({len(payloads)} shards)")
     return 0

@@ -66,7 +66,7 @@ class LedgerEntry:
     failed: int
     d: int
     helpers: tuple
-    symbols_moved: int  # measured per stripe; equals d * beta(d)
+    symbols_moved: int  # per stripe; checked to equal gamma(d) = d * beta(d)
 
 
 CSV_HEADER = "stripe_count,f,d,helpers,symbols_moved"
@@ -150,21 +150,19 @@ class Cluster:
         rng = np.random.default_rng(rng_seed)
         helpers = tuple(sorted(int(h) for h in rng.choice(alive, size=d, replace=False)))
 
+        gamma = self.params.total_bandwidth[d]
         rebuilt = []
-        moved_per_stripe = None
         for s in range(self.stripes):
             bundles = [
                 make_repair_bundle(self.node_shard(h, s), f, d, self.params)
                 for h in helpers
             ]
             moved = sum(len(b.symbols) for b in bundles)
-            if moved_per_stripe is None:
-                moved_per_stripe = moved
-            elif moved != moved_per_stripe:
-                raise AssertionError("repair traffic varied between stripes")
+            if moved != gamma:
+                raise AssertionError(
+                    f"stripe {s}: helpers sent {moved} symbols, gamma({d}) = {gamma}"
+                )
             rebuilt.append(repair(f, bundles, self.params).symbol_values())
-        if moved_per_stripe is None:  # no stripes stored yet
-            moved_per_stripe = d * self.params.per_node_bandwidth[d]
 
         self._stored[f] = rebuilt
         entry = LedgerEntry(
@@ -172,7 +170,7 @@ class Cluster:
             failed=f,
             d=d,
             helpers=helpers,
-            symbols_moved=moved_per_stripe,
+            symbols_moved=gamma,
         )
         self.traffic_ledger.append(entry)
         return entry

@@ -100,15 +100,7 @@ def flatten_blocks(blocks, k: int) -> tuple:
 def encode_node(m: MessageMatrix, params: CodeParams, node_index: int) -> NodeShard:
     if not 1 <= node_index <= params.n:
         raise ValueError(f"node index must be in 1..{params.n}, got {node_index}")
-    psi = coefficient_matrix(params)
-    row = psi.submatrix(row_indices=[node_index - 1])
-    product = row @ m.assembled
-    symbols = tuple(product.entry(0, j) for j in range(params.alpha))
-    return NodeShard(
-        node_index=node_index,
-        eval_point=params.eval_point(node_index),
-        symbols=symbols,
-    )
+    return encode_all(m, params)[node_index - 1]
 
 
 def encode_all(m: MessageMatrix, params: CodeParams) -> tuple:

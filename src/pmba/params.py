@@ -9,9 +9,10 @@ quantities follow from those two choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .field import PrimeField, smallest_prime_geq
+from .field import PrimeField, is_prime, smallest_prime_geq
 
 BYTE_SAFE_MIN_Q = 257  # one byte per symbol stays injective from here up
 
@@ -37,20 +38,45 @@ def comparison_subpacketization(n: int, delta: int) -> int:
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Immutable bundle of the derived code parameters."""
+    """The five inputs of a code; every other quantity is derived and cached."""
 
     n: int
     k: int
     delta: int
     q: int
-    z_delta: int
-    alpha: int
-    file_symbols: int
-    helper_counts: tuple
-    per_node_bandwidth: dict
-    total_bandwidth: dict
     eval_points: tuple
-    field: PrimeField = dc_field(repr=False, compare=False, default=None)
+
+    @cached_property
+    def field(self) -> PrimeField:
+        return PrimeField(self.q)
+
+    @cached_property
+    def z_delta(self) -> int:
+        return lcm_upto(self.delta)
+
+    @cached_property
+    def alpha(self) -> int:
+        return (self.k - 1) * self.z_delta
+
+    @cached_property
+    def file_symbols(self) -> int:
+        return self.k * self.alpha
+
+    @cached_property
+    def helper_counts(self) -> tuple:
+        return tuple((i + 1) * (self.k - 1) for i in range(1, self.delta + 1))
+
+    @cached_property
+    def per_node_bandwidth(self) -> dict:
+        beta = {d: self.alpha // (d - self.k + 1) for d in self.helper_counts}
+        for d, b in beta.items():
+            if b * (d - self.k + 1) != self.alpha:
+                raise AssertionError(f"alpha = {self.alpha} not divisible at d = {d}")
+        return beta
+
+    @cached_property
+    def total_bandwidth(self) -> dict:
+        return {d: d * b for d, b in self.per_node_bandwidth.items()}
 
     def eval_point(self, node_index: int):
         """Evaluation point of 1-based node node_index, as a FieldElement."""
@@ -73,6 +99,7 @@ class CodeParams:
         """Aligned key/value text of every derived quantity."""
         beta = ", ".join(f"{d}->{b}" for d, b in sorted(self.per_node_bandwidth.items()))
         gamma = ", ".join(f"{d}->{g}" for d, g in sorted(self.total_bandwidth.items()))
+        groups = ["{" + ",".join(map(str, g)) + "}" for g in self.power_collisions()]
         lines = [
             ("nodes (n)", self.n),
             ("reconstruction threshold (k)", self.k),
@@ -85,6 +112,7 @@ class CodeParams:
             ("per-helper symbols (beta)", "{" + beta + "}"),
             ("repair traffic (gamma)", "{" + gamma + "}"),
             ("evaluation points", ", ".join(map(str, self.eval_points))),
+            ("colliding nodes", ", ".join(groups) or "none"),
         ]
         width = max(len(name) for name, _ in lines)
         return "\n".join(f"{name:<{width}}  {value}" for name, value in lines)
@@ -111,12 +139,9 @@ def derive_params(
         )
     if q is None:
         q = smallest_prime_geq(max(n + 1, BYTE_SAFE_MIN_Q))
-        fq = PrimeField(q)
     else:
-        try:
-            fq = PrimeField(q)
-        except ValueError:
-            raise ValueError(f"q must be prime, got {q}") from None
+        if not is_prime(q):
+            raise ValueError(f"q must be prime, got {q}")
         if q < n + 1:
             raise ValueError(
                 f"q must satisfy q >= n+1 = {n + 1} for n distinct nonzero "
@@ -134,25 +159,4 @@ def derive_params(
         if len(set(points)) != n:
             raise ValueError("evaluation points must be pairwise distinct")
 
-    z = lcm_upto(delta)
-    alpha = (k - 1) * z
-    helper_counts = tuple((i + 1) * (k - 1) for i in range(1, delta + 1))
-    beta = {d: alpha // (d - k + 1) for d in helper_counts}
-    for d in helper_counts:
-        if beta[d] * (d - k + 1) != alpha:
-            raise AssertionError(f"alpha = {alpha} not divisible at d = {d}")
-    gamma = {d: d * beta[d] for d in helper_counts}
-    return CodeParams(
-        n=n,
-        k=k,
-        delta=delta,
-        q=q,
-        z_delta=z,
-        alpha=alpha,
-        file_symbols=k * alpha,
-        helper_counts=helper_counts,
-        per_node_bandwidth=beta,
-        total_bandwidth=gamma,
-        eval_points=points,
-        field=fq,
-    )
+    return CodeParams(n=n, k=k, delta=delta, q=q, eval_points=points)

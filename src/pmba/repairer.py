@@ -33,8 +33,7 @@ def session_shape(params: CodeParams, d: int):
         valid = "{" + ", ".join(map(str, params.helper_counts)) + "}"
         raise ValueError(f"d = {d} is not a supported helper count; valid D = {valid}")
     seg = d - params.k + 1  # segment length, = m(k-1)
-    beta = params.alpha // seg
-    return seg, beta
+    return seg, params.per_node_bandwidth[d]
 
 
 def make_repair_bundle(

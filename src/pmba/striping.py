@@ -157,11 +157,11 @@ def repair_matrix(params: CodeParams, f: int, helpers) -> np.ndarray:
 
 def repair_stripes(payloads: dict, f: int, params: CodeParams) -> np.ndarray:
     """Rebuild node f's payload for all stripes from d helper payloads."""
+    if f in payloads:
+        raise ValueError(f"node {f} cannot appear among its own helpers")
     helpers = sorted(payloads)
     d = len(helpers)
     seg, beta = session_shape(params, d)
-    if f in payloads:
-        raise ValueError(f"node {f} cannot appear among its own helpers")
     stripes = next(iter(payloads.values())).shape[0]
 
     e_f = params.eval_point(f)

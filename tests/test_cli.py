@@ -70,6 +70,16 @@ def test_encode_refuses_q_too_large_for_the_header(tmp_path, capsys):
     assert "does not fit the two-byte shard header field" in capsys.readouterr().err
 
 
+def test_encode_refuses_a_wide_q_before_writing_anything(tmp_path, capsys):
+    src = tmp_path / "x.bin"
+    src.write_bytes(b"x" * 100)
+    out_dir = tmp_path / "sh"
+    rc = main(["encode", str(src), "-o", str(out_dir), *CODE_FLAGS, "--q", "65537"])
+    assert rc == 1
+    assert "does not fit the two-byte shard header field" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_encode_refuses_q_too_small_for_bytes(tmp_path, capsys):
     src = tmp_path / "x.bin"
     src.write_bytes(b"x")
@@ -300,7 +310,9 @@ def test_verify_catches_a_corrupted_payload(encoded, tmp_path, capsys):
          "--manifest", str(work / "data.bin.manifest")]
     )
     assert rc == 2
-    assert "does not match manifest" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "does not match manifest" in captured.err
+    assert not [line for line in captured.out.splitlines() if "shard02" in line and "ok" in line]
 
 
 def test_verify_refuses_a_shard_the_manifest_does_not_list(encoded, tmp_path, capsys):
@@ -352,6 +364,18 @@ def test_params_show_prints_every_derived_quantity(capsys):
     assert "{4, 6}" in out
     assert "{4->2, 6->1}" in out
     assert "{4->8, 6->6}" in out
+
+
+def test_params_show_names_the_colliding_nodes(capsys):
+    rc = main(["params", "show", "--k", "5", "--delta", "3", "--n", "17"])
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("colliding nodes")]
+    assert rc == 0
+    assert line and line[0].split()[-2:] == ["{1,16},", "{15,17}"]
+
+    rc = main(["params", "show", *CODE_FLAGS])
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("colliding nodes")]
+    assert rc == 0
+    assert line and line[0].split()[-1] == "none"
 
 
 def test_params_compare_table(capsys):

@@ -1,9 +1,13 @@
 # tests/test_cluster.py
+import dataclasses
+
 import numpy as np
 import pytest
 
+import pmba.cluster
 from pmba.cluster import CSV_HEADER, Cluster, HelperPolicy, LedgerEntry
 from pmba.params import derive_params
+from pmba.repairer import make_repair_bundle
 
 WORKED = derive_params(3, 2, 7, q=11)
 
@@ -197,6 +201,20 @@ def test_repair_on_an_empty_cluster_books_nominal_traffic():
     entry = c.run_repair(4, HelperPolicy.parse("max-d"), rng_seed=11)
     assert entry.stripe_count == 0
     assert entry.symbols_moved == 6
+
+
+def test_repair_traffic_must_equal_gamma(monkeypatch):
+    def short_bundle(*args):
+        bundle = make_repair_bundle(*args)
+        return dataclasses.replace(bundle, symbols=bundle.symbols[:-1])
+
+    c, _ = loaded_cluster()
+    c.fail_node(5)
+    monkeypatch.setattr(pmba.cluster, "make_repair_bundle", short_bundle)
+    with pytest.raises(AssertionError, match=r"stripe 0: .* gamma\(6\) = 6"):
+        c.run_repair(5, HelperPolicy.parse("max-d"), rng_seed=3)
+    assert c.failed_nodes() == (5,)
+    assert c.traffic_ledger == []
 
 
 # ---------------------------------------------------------------------------

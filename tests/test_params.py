@@ -1,4 +1,5 @@
 # tests/test_params.py
+import dataclasses
 import math
 from functools import reduce
 
@@ -96,9 +97,11 @@ def test_alpha_and_file_symbols_follow_the_design_law():
             assert p.helper_counts == tuple(
                 (i + 1) * (k - 1) for i in range(1, delta + 1)
             )
+            assert p.field.modulus == p.q
             for d in p.helper_counts:
                 # per-helper load divides evenly: alpha = (d-k+1) * beta
                 assert p.per_node_bandwidth[d] * (d - k + 1) == p.alpha
+                assert p.total_bandwidth[d] == d * p.per_node_bandwidth[d]
 
 
 def test_total_repair_traffic_strictly_decreases_with_helper_count():
@@ -165,6 +168,19 @@ def test_eval_point_accessor_is_one_based():
             p.eval_point(bad)
 
 
+def test_params_hold_only_the_five_inputs():
+    names = [f.name for f in dataclasses.fields(CodeParams)]
+    assert names == ["n", "k", "delta", "q", "eval_points"]
+
+
+def test_equal_inputs_give_equal_hashable_params():
+    a = derive_params(4, 3, 13, q=17)
+    assert a.total_bandwidth  # cached on a only; must not enter == or hash
+    b = derive_params(4, 3, 13, q=17)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, derive_params(4, 3, 13)}) == 2
+
+
 def test_params_are_immutable():
     p = derive_params(3, 2, 7, q=11)
     with pytest.raises(AttributeError):
@@ -179,6 +195,7 @@ def test_describe_lists_every_derived_quantity():
     assert "{4->2, 6->1}" in text
     assert "{4->8, 6->6}" in text
     assert "1, 2, 3, 4, 5, 6, 7" in text
+    assert "colliding nodes" in text and "{4,7}, {5,6}" in text  # squares mod 11
 
 
 # ---------------------------------------------------------------------------

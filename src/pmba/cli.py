@@ -7,8 +7,12 @@ Exit codes: 0 success, 1 usage error, 2 data or verification error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -31,133 +35,192 @@ def _manifest_file_name(original_name: str) -> str:
     return f"{original_name}.manifest"
 
 
-def _read_shard_set(paths):
-    """Read several shard files and demand mutually decodable headers."""
+@contextlib.contextmanager
+def _open_shard_set(paths):
+    """Open several shard files and demand mutually decodable headers.
+
+    Yields (params, header, readers, batches): the code, the first file's
+    header, the first reader of each node, and an iterator that reads every
+    file in step, one batch of whole stripes at a time, giving
+    {node: payload bytes} and requiring files that claim the same node to
+    hold the same payload.
+    """
     if not paths:
         raise ValueError("no shard files given")
-    payloads = {}
-    names = {}
-    first = first_path = None
-    for p in paths:
-        header, symbols = shardio.read_shard(p)
-        if first is None:
-            first, first_path = header, p
-        elif header.code_key() != first.code_key():
-            raise ShardFormatError(
-                f"{p}: header disagrees with {first_path}; shards are not from "
-                f"the same encoding"
-            )
-        j = header.node_index
-        if j in payloads:
-            if not np.array_equal(payloads[j], symbols):
+    with contextlib.ExitStack() as stack:
+        opened = []
+        for p in paths:
+            reader = stack.enter_context(shardio.ShardReader(p))
+            if opened and reader.header.code_key() != opened[0].header.code_key():
                 raise ShardFormatError(
-                    f"{p} and {names[j]} both claim node {j} but differ"
+                    f"{p}: header disagrees with {opened[0].path}; shards are not from "
+                    f"the same encoding"
                 )
-            continue
-        payloads[j] = symbols
-        names[j] = str(p)
-    return shardio.shard_params(first), first, payloads, names
+            opened.append(reader)
+        header = opened[0].header
+        params = shardio.shard_params(header)
+        readers = {}
+        for reader in opened:
+            readers.setdefault(reader.header.node_index, reader)
+
+        def batches():
+            per_batch = striping.batch_stripes(params)
+            for start in range(0, header.stripe_count, per_batch):
+                count = min(per_batch, header.stripe_count - start)
+                batch = {}
+                for reader in opened:
+                    j = reader.header.node_index
+                    payload = reader.read(count)
+                    if j not in batch:
+                        batch[j] = payload
+                    elif payload != batch[j]:
+                        raise ShardFormatError(
+                            f"{reader.path} and {readers[j].path} both claim node {j} "
+                            f"but differ"
+                        )
+                yield batch
+
+        yield params, header, readers, batches()
+
+
+def _symbols(batch: dict, params) -> dict:
+    return {j: shardio.symbols_from_payload(p, params.alpha) for j, p in batch.items()}
+
+
+def _source_batches(src, length: int, params):
+    """Yield the source batches of an open file of `length` bytes, read into
+    one reused buffer; an empty file gives one empty batch."""
+    per_batch = striping.batch_stripes(params) * params.file_symbols
+    view = memoryview(bytearray(min(per_batch, length)))
+    done = 0
+    while True:
+        want = min(per_batch, length - done)
+        got = src.readinto(view[:want])
+        if got != want:
+            raise OSError(f"{src.name}: shrank to {done + got} bytes while being read")
+        done += got
+        yield striping.bytes_to_source(view[:got], params)
+        if done == length:
+            return
 
 
 def cmd_encode(args) -> int:
     params = derive_params(args.k, args.delta, args.n, q=args.q)
     input_path = Path(args.input)
-    data = input_path.read_bytes()
-    source = striping.bytes_to_source(data, params)
-    collisions = params.power_collisions()
-    if collisions:
-        groups = ", ".join("{" + ",".join(map(str, g)) + "}" for g in collisions)
-        raise ValueError(
-            f"q = {params.q} gives nodes {groups} the same (k-1)-th power, so k "
-            f"nodes holding two of them cannot reconstruct; choose another --q"
-        )
-    stripes = source.shape[0]
-    headers = [
-        shardio.header_for(params, j, stripes, len(data)) for j in range(1, params.n + 1)
-    ]
-    payloads = striping.encode_stripes(source, params)
-
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for j, header in enumerate(headers, start=1):
-        name = _shard_file_name(input_path.name, j)
-        shardio.write_shard(out_dir / name, header, payloads[j - 1])
-        crc = shardio.payload_crc(payloads[j - 1])
-        entries.append((j, name, crc))
-        print(f"wrote {out_dir / name} ({payloads[j - 1].size} symbols)")
+    names = [_shard_file_name(input_path.name, j) for j in range(1, params.n + 1)]
+    with open(input_path, "rb") as src:
+        st = os.fstat(src.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise ValueError(f"{input_path}: not a regular file, so its length is unknown")
+        length = st.st_size
+        batches = _source_batches(src, length, params)
+        first = next(batches)  # refuses a q that cannot carry bytes
+        collisions = params.power_collisions()
+        if collisions:
+            groups = ", ".join("{" + ",".join(map(str, g)) + "}" for g in collisions)
+            raise ValueError(
+                f"q = {params.q} gives nodes {groups} the same (k-1)-th power, so k "
+                f"nodes holding two of them cannot reconstruct; choose another --q"
+            )
+        stripes = -(-length // params.file_symbols)
+        headers = [
+            shardio.header_for(params, j, stripes, length) for j in range(1, params.n + 1)
+        ]
+        encode = striping.stripe_encoder(params)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with contextlib.ExitStack() as stack:
+            writers = [
+                stack.enter_context(shardio.ShardWriter(out_dir / name, header))
+                for name, header in zip(names, headers)
+            ]
+            for source in itertools.chain([first], batches):
+                for writer, payload in zip(writers, encode(source)):
+                    writer.write(payload)
+    for name in names:
+        print(f"wrote {out_dir / name} ({stripes * params.alpha} symbols)")
     manifest = out_dir / _manifest_file_name(input_path.name)
+    entries = [(j, name, w.crc) for j, (name, w) in enumerate(zip(names, writers), start=1)]
     shardio.write_manifest(manifest, input_path.name, params, headers[0], entries)
     print(f"wrote {manifest}")
     print(
-        f"encoded {len(data)} bytes into {params.n} shards "
+        f"encoded {length} bytes into {params.n} shards "
         f"({stripes} stripes, alpha = {params.alpha})"
     )
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    params, header, payloads, names = _read_shard_set(args.shards)
-    available = sorted(payloads)
-    if args.nodes:
-        chosen = sorted({int(t) for t in args.nodes.split(",")})
-        missing = [j for j in chosen if j not in payloads]
-        if missing:
-            raise ValueError(
-                f"requested nodes {missing} are not among the given shards "
-                f"{available}"
-            )
-        if len(chosen) != params.k:
-            raise ValueError(f"pick exactly k = {params.k} nodes, got {len(chosen)}")
-    else:
-        if len(available) < params.k:
-            raise ValueError(
-                f"need at least k = {params.k} shard files, got {len(available)}"
-            )
-        chosen = available[: params.k]
-    source = striping.reconstruct_stripes(
-        {j: payloads[j] for j in chosen}, params
+    with _open_shard_set(args.shards) as (params, header, readers, batches):
+        available = sorted(readers)
+        if args.nodes:
+            chosen = sorted({int(t) for t in args.nodes.split(",")})
+            missing = [j for j in chosen if j not in readers]
+            if missing:
+                raise ValueError(
+                    f"requested nodes {missing} are not among the given shards "
+                    f"{available}"
+                )
+            if len(chosen) != params.k:
+                raise ValueError(f"pick exactly k = {params.k} nodes, got {len(chosen)}")
+        else:
+            if len(available) < params.k:
+                raise ValueError(
+                    f"need at least k = {params.k} shard files, got {len(available)}"
+                )
+            chosen = available[: params.k]
+        decode = striping.stripe_decoder(params, chosen)
+        sources = (decode(_symbols(batch, params)) for batch in batches)
+        with shardio.AtomicFile(args.out) as out:
+            for data in striping.batches_to_bytes(sources, header.original_length):
+                out.write(data)
+    print(
+        f"reconstructed {header.original_length} bytes from nodes {chosen} "
+        f"into {args.out}"
     )
-    data = striping.source_to_bytes(source, header.original_length)
-    shardio.atomic_write_bytes(args.out, data)
-    print(f"reconstructed {len(data)} bytes from nodes {chosen} into {args.out}")
     return 0
 
 
 def cmd_repair(args) -> int:
-    params, header, payloads, names = _read_shard_set(args.shards)
-    f = args.failed
-    if not 1 <= f <= params.n:
-        raise ValueError(f"failed index must be in 1..{params.n}, got {f}")
-    rebuilt = striping.repair_stripes(payloads, f, params)
+    with _open_shard_set(args.shards) as (params, header, readers, batches):
+        f = args.failed
+        if not 1 <= f <= params.n:
+            raise ValueError(f"failed index must be in 1..{params.n}, got {f}")
+        rebuild = striping.stripe_repairer(params, f, sorted(readers))
 
-    if args.out:
-        out_path = Path(args.out)
-    else:
-        m = _SHARD_NAME.match(Path(args.shards[0]).name)
-        if not m:
-            raise ValueError(
-                "cannot derive an output name from the helper file names; "
-                "pass --out explicitly"
-            )
-        out_dir = Path(args.out_dir) if args.out_dir else Path(args.shards[0]).parent
-        out_path = out_dir / f"{m.group('stem')}{f:02d}"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    shardio.write_shard(out_path, dataclasses.replace(header, node_index=f), rebuilt)
+        if args.out:
+            out_path = Path(args.out)
+        else:
+            m = _SHARD_NAME.match(Path(args.shards[0]).name)
+            if not m:
+                raise ValueError(
+                    "cannot derive an output name from the helper file names; "
+                    "pass --out explicitly"
+                )
+            out_dir = Path(args.out_dir) if args.out_dir else Path(args.shards[0]).parent
+            out_path = out_dir / f"{m.group('stem')}{f:02d}"
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_header = dataclasses.replace(header, node_index=f)
+        with shardio.ShardWriter(out_path, out_header) as writer:
+            for batch in batches:
+                writer.write(rebuild(_symbols(batch, params)))
     print(
-        f"repaired node {f} from {len(payloads)} helpers "
-        f"({sorted(payloads)}) into {out_path}"
+        f"repaired node {f} from {len(readers)} helpers "
+        f"({sorted(readers)}) into {out_path}"
     )
     return 0
 
 
 def cmd_verify(args) -> int:
-    params, header, payloads, names = _read_shard_set(args.shards)
+    with _open_shard_set(args.shards) as (params, header, readers, batches):
+        for _ in batches:  # reads every payload, checking its length and symbols
+            pass
     print(
         f"code: q={params.q} n={params.n} k={params.k} delta={params.delta} "
         f"stripes={header.stripe_count} length={header.original_length}"
     )
-    crcs = {j: shardio.payload_crc(payloads[j]) for j in sorted(payloads)}
+    crcs = {j: readers[j].crc for j in sorted(readers)}
+    names = {j: str(readers[j].path) for j in crcs}
     if args.manifest:
         entries = shardio.read_manifest(args.manifest)
         if int(entries.get("length_bytes", -1)) != header.original_length:
@@ -187,7 +250,7 @@ def cmd_verify(args) -> int:
         print(f"node {j:2d}  {names[j]}  crc32={crc:08x}  ok")
     if args.manifest:
         print(f"manifest {args.manifest}: consistent")
-    print(f"verify: OK ({len(payloads)} shards)")
+    print(f"verify: OK ({len(readers)} shards)")
     return 0
 
 

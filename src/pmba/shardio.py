@@ -4,12 +4,20 @@ A shard file is a fixed header (magic, version, code parameters, node
 identity, stripe count, original byte length, evaluation points) followed
 by stripe_count * alpha symbols of two little-endian bytes each. Any k
 shard files whose headers match except for the node index are mutually
-decodable. Writes go through a temp file and an atomic rename.
+decodable.
+
+`ShardReader` checks a file's header and payload length on open and then
+reads the payload in batches of whole stripes; `ShardWriter` writes the
+header and then appended batches. Both keep a running CRC-32 of the
+payload bytes, so a file is never held in memory whole. Every write goes
+to a temp file in the target directory that is synced to disk and renamed
+into place, so a crash never leaves a truncated file behind.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import tempfile
 import zlib
@@ -103,74 +111,198 @@ def pack_header(header: ShardHeader) -> bytes:
     return fixed + points
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+def _fsync_dir(directory) -> None:
+    fd = os.open(directory, os.O_RDONLY)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class AtomicFile:
+    """A binary file that replaces `path` only once it is complete.
+
+    Data go to a temp file in the target directory. `commit` gives it the
+    mode open() would give a new file under the current umask, syncs it to
+    disk, renames it into place and syncs the directory; `discard` removes
+    it. As a context manager it commits on a clean exit and discards on an
+    exception.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
+        self._fh = os.fdopen(fd, "wb")
+
+    def write(self, data) -> None:
+        self._fh.write(data)
+
+    def commit(self) -> None:
+        try:
+            self._fh.flush()
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(self._fh.fileno(), 0o666 & ~umask)
+            os.fsync(self._fh.fileno())
+            self._fh.close()
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self.discard()
+            raise
+        _fsync_dir(self.path.parent)
+
+    def discard(self) -> None:
+        self._fh.close()
+        if os.path.exists(self._tmp):
+            os.unlink(self._tmp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.commit()
+        else:
+            self.discard()
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    with AtomicFile(path) as fh:
+        fh.write(data)
+
+
+def symbols_from_payload(payload, alpha: int) -> np.ndarray:
+    """(stripes, alpha) int64 symbols from payload bytes of whole stripes."""
+    return np.frombuffer(payload, dtype="<u2").astype(np.int64).reshape(-1, alpha)
+
+
+class ShardWriter(AtomicFile):
+    """A shard file written as its header, then appended (stripes, alpha)
+    payload batches, each checked for shape and range.
+
+    `crc` is the running CRC-32 of the payload written so far. The file is
+    committed on a clean exit only once the batches add up to the header's
+    stripe count.
+    """
+
+    def __init__(self, path, header: ShardHeader):
+        self.header = header
+        self.alpha = shard_params(header).alpha
+        self.stripes = self.crc = 0
+        super().__init__(path)
+        super().write(pack_header(header))
+
+    def write(self, symbols: np.ndarray) -> None:
+        expected = (self.header.stripe_count - self.stripes, self.alpha)
+        if symbols.ndim != 2 or symbols.shape[0] > expected[0] or symbols.shape[1] != expected[1]:
+            raise ValueError(f"payload shape {symbols.shape} does not match {expected}")
+        if symbols.size and int(symbols.max()) >= self.header.q:
+            raise ValueError(f"payload symbol >= q = {self.header.q}")
+        payload = np.ascontiguousarray(symbols, dtype="<u2")
+        self.crc = zlib.crc32(payload, self.crc)
+        super().write(payload)
+        self.stripes += symbols.shape[0]
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None and self.stripes != self.header.stripe_count:
+            self.discard()
+            raise ValueError(
+                f"payload shape {(self.stripes, self.alpha)} does not match "
+                f"{(self.header.stripe_count, self.alpha)}"
+            )
+        super().__exit__(exc_type, exc, tb)
 
 
 def write_shard(path, header: ShardHeader, symbols: np.ndarray) -> None:
     """symbols: (stripe_count, alpha) array of values < q."""
-    params = shard_params(header)
-    expected = (header.stripe_count, params.alpha)
-    if symbols.shape != expected:
-        raise ValueError(f"payload shape {symbols.shape} does not match {expected}")
-    if symbols.size and int(symbols.max()) >= header.q:
-        raise ValueError(f"payload symbol >= q = {header.q}")
-    payload = symbols.astype("<u2").tobytes()
-    atomic_write_bytes(path, pack_header(header) + payload)
+    with ShardWriter(path, header) as writer:
+        writer.write(symbols)
+
+
+class ShardReader:
+    """An open shard file whose header and payload length have been checked.
+
+    The payload is read in batches of whole stripes; each batch is checked
+    symbol by symbol against q, and `crc` is the running CRC-32 of the
+    payload read so far.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self.header = self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+        self.alpha = shard_params(self.header).alpha
+        self.crc = 0
+
+    def _read_header(self) -> ShardHeader:
+        path = self.path
+        fixed = self._fh.read(_FIXED.size)
+        if len(fixed) < _FIXED.size:
+            raise ShardFormatError(f"{path}: too short to be a shard file")
+        magic, version, q, n, k, delta, node_index, stripe_count, original_length = (
+            _FIXED.unpack(fixed)
+        )
+        if magic != MAGIC:
+            raise ShardFormatError(f"{path}: not a shard file (bad magic)")
+        if version != FORMAT_VERSION:
+            raise ShardFormatError(f"{path}: unsupported format version {version}")
+        points = self._fh.read(2 * n)
+        if len(points) < 2 * n:
+            raise ShardFormatError(f"{path}: truncated evaluation-point table")
+        header = ShardHeader(
+            q=q,
+            n=n,
+            k=k,
+            delta=delta,
+            node_index=node_index,
+            stripe_count=stripe_count,
+            original_length=original_length,
+            eval_points=struct.unpack(f"<{n}H", points),
+        )
+        params = shard_params(header)
+        if not 1 <= node_index <= n:
+            raise ShardFormatError(f"{path}: node index {node_index} outside 1..{n}")
+        st = os.fstat(self._fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise ShardFormatError(f"{path}: not a regular file, so its length is unknown")
+        payload = st.st_size - _FIXED.size - 2 * n
+        expected = stripe_count * params.alpha * 2
+        if payload != expected:
+            raise ShardFormatError(
+                f"{path}: payload holds {payload} bytes, header promises {expected}"
+            )
+        return header
+
+    def read(self, stripes: int) -> bytes:
+        """The next `stripes` stripes of payload, as little-endian bytes."""
+        want = stripes * self.alpha * 2
+        payload = self._fh.read(want)
+        if len(payload) != want:
+            raise ShardFormatError(f"{self.path}: payload shrank while being read")
+        if payload and int(np.frombuffer(payload, dtype="<u2").max()) >= self.header.q:
+            raise ShardFormatError(f"{self.path}: payload symbol >= q = {self.header.q}")
+        self.crc = zlib.crc32(payload, self.crc)
+        return payload
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 def read_shard(path):
     """Returns (header, symbols) after validating the whole file."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _FIXED.size:
-        raise ShardFormatError(f"{path}: too short to be a shard file")
-    magic, version, q, n, k, delta, node_index, stripe_count, original_length = (
-        _FIXED.unpack_from(blob)
-    )
-    if magic != MAGIC:
-        raise ShardFormatError(f"{path}: not a shard file (bad magic)")
-    if version != FORMAT_VERSION:
-        raise ShardFormatError(f"{path}: unsupported format version {version}")
-    points_end = _FIXED.size + 2 * n
-    if len(blob) < points_end:
-        raise ShardFormatError(f"{path}: truncated evaluation-point table")
-    eval_points = struct.unpack_from(f"<{n}H", blob, _FIXED.size)
-    header = ShardHeader(
-        q=q,
-        n=n,
-        k=k,
-        delta=delta,
-        node_index=node_index,
-        stripe_count=stripe_count,
-        original_length=original_length,
-        eval_points=eval_points,
-    )
-    params = shard_params(header)
-    if not 1 <= node_index <= n:
-        raise ShardFormatError(f"{path}: node index {node_index} outside 1..{n}")
-    payload = blob[points_end:]
-    expected = stripe_count * params.alpha * 2
-    if len(payload) != expected:
-        raise ShardFormatError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    symbols = (
-        np.frombuffer(payload, dtype="<u2")
-        .astype(np.int64)
-        .reshape(stripe_count, params.alpha)
-    )
-    if symbols.size and int(symbols.max()) >= q:
-        raise ShardFormatError(f"{path}: payload symbol >= q = {q}")
-    return header, symbols
+    with ShardReader(path) as reader:
+        payload = reader.read(reader.header.stripe_count)
+        return reader.header, symbols_from_payload(payload, reader.alpha)
 
 
 def payload_crc(symbols: np.ndarray) -> int:

@@ -6,12 +6,16 @@ linear over the field, and each path derives its linear map in closed form
 from the construction: the encoding map places each node's Vandermonde
 row into the banded message-matrix layout, the decoding map inverts the
 accessed nodes' rows of it, and the repair map runs the segment peel of
-the repairer on all unit bundles at once. Every map is applied to all
-stripes in integer matrix products; encoding reads, for each stored
-column, only the at most 3(k-1) source symbols of its band. Stripe zero of
-every batch is additionally pushed through the stepwise codec and
-compared, so the fast path can never drift from the reference one
-unnoticed.
+the repairer on all unit bundles at once. Each of `stripe_encoder`,
+`stripe_decoder` and `stripe_repairer` builds its map once and returns a
+function that applies it to one batch of stripes in integer matrix
+products; encoding reads, for each stored column, only the at most 3(k-1)
+source symbols of its band. Stripe zero of the first batch is also pushed
+through the stepwise codec and compared, so the fast path can never drift
+from the reference one unnoticed. `encode_stripes`, `reconstruct_stripes`
+and `repair_stripes` are the same functions applied to one batch holding
+every stripe; the CLI streams files through them in batches of
+BATCH_SYMBOLS source symbols.
 """
 
 from __future__ import annotations
@@ -31,13 +35,21 @@ from .reconstructor import reconstruct
 from .repairer import make_repair_bundle, repair, session_shape
 
 
-def bytes_to_source(data: bytes, params: CodeParams) -> np.ndarray:
+BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
+
+
+def batch_stripes(params: CodeParams) -> int:
+    """Stripes per streamed batch: BATCH_SYMBOLS source symbols, at least one."""
+    return max(1, BATCH_SYMBOLS // params.file_symbols)
+
+
+def bytes_to_source(data, params: CodeParams) -> np.ndarray:
     """Map bytes one-to-one onto symbols, zero-padded to whole stripes."""
     if params.q < BYTE_SAFE_MIN_Q:
         raise ValueError(
             f"q = {params.q} cannot carry byte payloads; need q >= {BYTE_SAFE_MIN_Q}"
         )
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    arr = np.frombuffer(data, dtype=np.uint8)
     f_sym = params.file_symbols
     stripes = (len(arr) + f_sym - 1) // f_sym
     padded = np.zeros(stripes * f_sym, dtype=np.int64)
@@ -45,17 +57,27 @@ def bytes_to_source(data: bytes, params: CodeParams) -> np.ndarray:
     return padded.reshape(stripes, f_sym)
 
 
-def source_to_bytes(source: np.ndarray, original_length: int) -> bytes:
-    flat = source.reshape(-1)
-    if original_length > flat.size:
+def batches_to_bytes(batches, original_length: int):
+    """Yield the bytes of decoded source batches in order, trimmed to
+    original_length symbols; raises once the batches end short of it."""
+    remaining, held = original_length, 0
+    for source in batches:
+        flat = source.reshape(-1)
+        head = flat[:remaining]
+        if head.size and int(head.max()) > 255:
+            raise InconsistencyError("decoded symbol exceeds byte range; data is corrupt")
+        remaining -= head.size
+        held += flat.size
+        yield head.astype(np.uint8).tobytes()
+    if remaining:
         raise ValueError(
-            f"decoded stripes hold {flat.size} symbols, fewer than the "
+            f"decoded stripes hold {held} symbols, fewer than the "
             f"recorded length {original_length}"
         )
-    head = flat[:original_length]
-    if head.size and int(head.max()) > 255:
-        raise InconsistencyError("decoded symbol exceeds byte range; data is corrupt")
-    return head.astype(np.uint8).tobytes()
+
+
+def source_to_bytes(source: np.ndarray, original_length: int) -> bytes:
+    return b"".join(batches_to_bytes([source], original_length))
 
 
 def _node_shards_from_rows(rows, nodes, params: CodeParams):
@@ -81,29 +103,55 @@ def encode_matrix(params: CodeParams) -> np.ndarray:
     return out.reshape(params.n * params.alpha, params.file_symbols)
 
 
-def encode_stripes(source: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Encode every stripe; result indexed [node-1, stripe, symbol]."""
+def stripe_encoder(params: CodeParams):
+    """Build the encoding map once; returns a function that encodes one batch.
+
+    The function maps a (stripes, F) source batch to an array indexed
+    [node-1, stripe, symbol]. Stripe 0 of the first batch that holds a
+    stripe is checked against the stepwise encoder.
+    """
     enc = encode_matrix(params).reshape(params.n, params.alpha, params.file_symbols)
-    out = np.empty((params.n, source.shape[0], params.alpha), dtype=np.int64)
+    bands = []
     for c in range(params.alpha):
         # Stored column c reads only the source symbols of its block band.
         support = np.flatnonzero(enc[:, c].any(axis=0))
-        coded = source[:, support] @ enc[:, c, support].T  # (stripes, n)
-        coded %= params.q
-        out[:, :, c] = coded.T
-    if source.shape[0]:
-        m = build_message_matrix([int(v) for v in source[0]], params)
-        for shard in encode_all(m, params):
-            if tuple(int(v) for v in out[shard.node_index - 1, 0]) != shard.symbol_values():
-                raise InconsistencyError(
-                    "batched and stepwise encoders disagree on stripe 0"
-                )
-    return out
+        bands.append((support, enc[:, c, support].T))
+    checked = False
+
+    def encode(source: np.ndarray) -> np.ndarray:
+        nonlocal checked
+        out = np.empty((params.n, source.shape[0], params.alpha), dtype=np.int64)
+        for c, (support, coefficients) in enumerate(bands):
+            coded = source[:, support] @ coefficients  # (stripes, n)
+            coded %= params.q
+            out[:, :, c] = coded.T
+        if not checked and source.shape[0]:
+            m = build_message_matrix([int(v) for v in source[0]], params)
+            for shard in encode_all(m, params):
+                if tuple(int(v) for v in out[shard.node_index - 1, 0]) != shard.symbol_values():
+                    raise InconsistencyError(
+                        "batched and stepwise encoders disagree on stripe 0"
+                    )
+            checked = True
+        return out
+
+    return encode
 
 
-def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
-    """Decode all stripes from exactly k node payloads of shape (stripes, alpha)."""
-    nodes = sorted(payloads)
+def encode_stripes(source: np.ndarray, params: CodeParams) -> np.ndarray:
+    """Encode every stripe; result indexed [node-1, stripe, symbol]."""
+    return stripe_encoder(params)(source)
+
+
+def stripe_decoder(params: CodeParams, nodes):
+    """Invert the k given nodes' rows of the encoding map once; returns a
+    function that decodes one batch.
+
+    The function maps a dict of (stripes, alpha) payloads, holding at least
+    those nodes, to the (stripes, F) source. Stripe 0 of the first batch
+    that holds a stripe is checked against the stepwise decoder.
+    """
+    nodes = sorted(nodes)
     if len(nodes) != params.k:
         raise ValueError(f"need exactly k = {params.k} node payloads, got {len(nodes)}")
     enc = encode_matrix(params)
@@ -111,15 +159,27 @@ def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
     for j in nodes:
         rows.append(enc[(j - 1) * params.alpha : j * params.alpha])
     subset = np.concatenate(rows, axis=0)  # (k*alpha, F), square since alpha = F/k
-    decode = invert(Matrix(params.field, subset)).data
-    observed = np.concatenate([payloads[j] for j in nodes], axis=1)
-    source = (observed @ decode.T) % params.q
-    if source.shape[0]:
-        shards = _node_shards_from_rows((payloads[j][0] for j in nodes), nodes, params)
-        reference = tuple(s.value for s in reconstruct(shards, params))
-        if tuple(int(v) for v in source[0]) != reference:
-            raise InconsistencyError("batched and stepwise decoders disagree on stripe 0")
-    return source
+    decode_t = invert(Matrix(params.field, subset)).data.T
+    checked = False
+
+    def decode(payloads: dict) -> np.ndarray:
+        nonlocal checked
+        observed = np.concatenate([payloads[j] for j in nodes], axis=1)
+        source = (observed @ decode_t) % params.q
+        if not checked and source.shape[0]:
+            shards = _node_shards_from_rows((payloads[j][0] for j in nodes), nodes, params)
+            reference = tuple(s.value for s in reconstruct(shards, params))
+            if tuple(int(v) for v in source[0]) != reference:
+                raise InconsistencyError("batched and stepwise decoders disagree on stripe 0")
+            checked = True
+        return source
+
+    return decode
+
+
+def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
+    """Decode all stripes from exactly k node payloads of shape (stripes, alpha)."""
+    return stripe_decoder(params, payloads)(payloads)
 
 
 def repair_matrix(params: CodeParams, f: int, helpers) -> np.ndarray:
@@ -155,33 +215,48 @@ def repair_matrix(params: CodeParams, f: int, helpers) -> np.ndarray:
     return decode
 
 
-def repair_stripes(payloads: dict, f: int, params: CodeParams) -> np.ndarray:
-    """Rebuild node f's payload for all stripes from d helper payloads."""
-    if f in payloads:
+def stripe_repairer(params: CodeParams, f: int, helpers):
+    """Build the repair map for node f from the given helpers once; returns
+    a function that rebuilds one batch.
+
+    The function maps a dict of the helpers' (stripes, alpha) payloads to
+    node f's (stripes, alpha) payload. Stripe 0 of the first batch that
+    holds a stripe is checked against the stepwise repairer.
+    """
+    if f in helpers:
         raise ValueError(f"node {f} cannot appear among its own helpers")
-    helpers = sorted(payloads)
+    helpers = sorted(helpers)
     d = len(helpers)
     seg, beta = session_shape(params, d)
-    stripes = next(iter(payloads.values())).shape[0]
-
     e_f = params.eval_point(f)
     psi_f = np.array([(e_f**t).value for t in range(params.alpha)], dtype=np.int64)
     psi_seg = psi_f.reshape(beta, seg)
-    stacked_helpers = np.stack([payloads[h] for h in helpers])  # (d, stripes, alpha)
-    bundles = (
-        np.einsum("hsbt,bt->hsb", stacked_helpers.reshape(d, stripes, beta, seg), psi_seg)
-        % params.q
-    )
+    decode_t = repair_matrix(params, f, helpers).T
+    checked = False
 
-    decode = repair_matrix(params, f, helpers)
-    flat = bundles.transpose(1, 0, 2).reshape(stripes, d * beta)
-    rebuilt = (flat @ decode.T) % params.q
-    if stripes:
-        shards = _node_shards_from_rows(
-            (payloads[h][0] for h in helpers), helpers, params
-        )
-        reference_bundles = [make_repair_bundle(s, f, d, params) for s in shards]
-        reference = repair(f, reference_bundles, params).symbol_values()
-        if tuple(int(v) for v in rebuilt[0]) != reference:
-            raise InconsistencyError("batched and stepwise repair disagree on stripe 0")
-    return rebuilt
+    def rebuild(payloads: dict) -> np.ndarray:
+        nonlocal checked
+        stripes = payloads[helpers[0]].shape[0]
+        bundles = np.empty((stripes, d, beta), dtype=np.int64)
+        for i, h in enumerate(helpers):
+            segments = payloads[h].reshape(stripes, beta, seg)
+            np.einsum("sbt,bt->sb", segments, psi_seg, out=bundles[:, i])
+        bundles %= params.q
+        rebuilt = (bundles.reshape(stripes, d * beta) @ decode_t) % params.q
+        if not checked and stripes:
+            shards = _node_shards_from_rows(
+                (payloads[h][0] for h in helpers), helpers, params
+            )
+            reference_bundles = [make_repair_bundle(s, f, d, params) for s in shards]
+            reference = repair(f, reference_bundles, params).symbol_values()
+            if tuple(int(v) for v in rebuilt[0]) != reference:
+                raise InconsistencyError("batched and stepwise repair disagree on stripe 0")
+            checked = True
+        return rebuilt
+
+    return rebuild
+
+
+def repair_stripes(payloads: dict, f: int, params: CodeParams) -> np.ndarray:
+    """Rebuild node f's payload for all stripes from d helper payloads."""
+    return stripe_repairer(params, f, payloads)(payloads)

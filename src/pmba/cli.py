@@ -42,11 +42,9 @@ def _open_shard_set(paths):
     Yields (params, header, readers, batches): the code, the first file's
     header, the first reader of each node, and an iterator that reads every
     file in step, one batch of whole stripes at a time, giving
-    {node: payload bytes} and requiring files that claim the same node to
-    hold the same payload.
+    {node: (stripes, alpha) symbols} and requiring files that claim the same
+    node to hold the same payload.
     """
-    if not paths:
-        raise ValueError("no shard files given")
     with contextlib.ExitStack() as stack:
         opened = []
         for p in paths:
@@ -73,7 +71,7 @@ def _open_shard_set(paths):
                     payload = reader.read(count)
                     if j not in batch:
                         batch[j] = payload
-                    elif payload != batch[j]:
+                    elif not np.array_equal(payload, batch[j]):
                         raise ShardFormatError(
                             f"{reader.path} and {readers[j].path} both claim node {j} "
                             f"but differ"
@@ -81,10 +79,6 @@ def _open_shard_set(paths):
                 yield batch
 
         yield params, header, readers, batches()
-
-
-def _symbols(batch: dict, params) -> dict:
-    return {j: shardio.symbols_from_payload(p, params.alpha) for j, p in batch.items()}
 
 
 def _source_batches(src, length: int, params):
@@ -129,19 +123,17 @@ def cmd_encode(args) -> int:
         ]
         encode = striping.stripe_encoder(params)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with contextlib.ExitStack() as stack:
-            writers = [
-                stack.enter_context(shardio.ShardWriter(out_dir / name, header))
-                for name, header in zip(names, headers)
-            ]
+        with shardio.atomic_set() as files:  # the n shards, then the manifest
+            for name, header in zip(names, headers):
+                files.append(shardio.ShardWriter(out_dir / name, header))
             for source in itertools.chain([first], batches):
-                for writer, payload in zip(writers, encode(source)):
+                for writer, payload in zip(files, encode(source)):
                     writer.write(payload)
+            entries = [(j, name, w.crc) for j, (name, w) in enumerate(zip(names, files), start=1)]
+            manifest = out_dir / _manifest_file_name(input_path.name)
+            files.append(shardio.manifest_file(manifest, input_path.name, params, headers[0], entries))
     for name in names:
         print(f"wrote {out_dir / name} ({stripes * params.alpha} symbols)")
-    manifest = out_dir / _manifest_file_name(input_path.name)
-    entries = [(j, name, w.crc) for j, (name, w) in enumerate(zip(names, writers), start=1)]
-    shardio.write_manifest(manifest, input_path.name, params, headers[0], entries)
     print(f"wrote {manifest}")
     print(
         f"encoded {length} bytes into {params.n} shards "
@@ -170,7 +162,7 @@ def cmd_reconstruct(args) -> int:
                 )
             chosen = available[: params.k]
         decode = striping.stripe_decoder(params, chosen)
-        sources = (decode(_symbols(batch, params)) for batch in batches)
+        sources = (decode(batch) for batch in batches)
         with shardio.AtomicFile(args.out) as out:
             for data in striping.batches_to_bytes(sources, header.original_length):
                 out.write(data)
@@ -203,7 +195,7 @@ def cmd_repair(args) -> int:
         out_header = dataclasses.replace(header, node_index=f)
         with shardio.ShardWriter(out_path, out_header) as writer:
             for batch in batches:
-                writer.write(rebuild(_symbols(batch, params)))
+                writer.write(rebuild(batch))
     print(
         f"repaired node {f} from {len(readers)} helpers "
         f"({sorted(readers)}) into {out_path}"
@@ -219,35 +211,10 @@ def cmd_verify(args) -> int:
         f"code: q={params.q} n={params.n} k={params.k} delta={params.delta} "
         f"stripes={header.stripe_count} length={header.original_length}"
     )
-    crcs = {j: readers[j].crc for j in sorted(readers)}
-    names = {j: str(readers[j].path) for j in crcs}
     if args.manifest:
-        entries = shardio.read_manifest(args.manifest)
-        if int(entries.get("length_bytes", -1)) != header.original_length:
-            raise ShardFormatError(
-                f"manifest length_bytes={entries.get('length_bytes')} does not "
-                f"match shard headers ({header.original_length})"
-            )
-        for field in ("q", "n", "k", "delta"):
-            want = str(getattr(params, field))
-            if entries.get(field) != want:
-                raise ShardFormatError(
-                    f"manifest {field}={entries.get(field)} does not match "
-                    f"shard headers ({want})"
-                )
-        for j, crc in crcs.items():
-            key = f"shard{j:02d}.crc32"
-            if key not in entries:
-                raise ShardFormatError(
-                    f"{names[j]}: manifest {args.manifest} has no {key} line"
-                )
-            if entries[key] != f"{crc:08x}":
-                raise ShardFormatError(
-                    f"{names[j]}: crc32 {crc:08x} does not match manifest "
-                    f"{entries[key]}"
-                )
-    for j, crc in crcs.items():
-        print(f"node {j:2d}  {names[j]}  crc32={crc:08x}  ok")
+        shardio.check_manifest(args.manifest, header, readers)
+    for j in sorted(readers):
+        print(f"node {j:2d}  {readers[j].path}  crc32={readers[j].crc:08x}  ok")
     if args.manifest:
         print(f"manifest {args.manifest}: consistent")
     print(f"verify: OK ({len(readers)} shards)")

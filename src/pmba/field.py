@@ -12,6 +12,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# The largest modulus any code may use. A symbol is stored in two bytes on
+# disk, and below this bound every int64 inner product of fewer than 2**31
+# terms, each a product of two residues, is exact: (2**16 - 2)**2 * 2**31 < 2**63.
+MAX_MODULUS = 65535
+
 
 def is_prime(x: int) -> bool:
     """Deterministic primality test (trial division, then Miller-Rabin)."""
@@ -58,6 +63,8 @@ class PrimeField:
     def __init__(self, modulus: int):
         if not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
+        if modulus > MAX_MODULUS:
+            raise ValueError(f"modulus {modulus} exceeds the two-byte bound {MAX_MODULUS}")
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, name, value):

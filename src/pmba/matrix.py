@@ -1,8 +1,8 @@
 """Dense exact matrices over a prime field.
 
 Entries live in a numpy int64 array of canonical residues; every product is
-reduced immediately, so results are exact as long as one inner product fits
-in an int64 (the slow object-dtype path covers moduli too large for that).
+reduced immediately, and the field's modulus bound keeps every inner
+product exact in int64.
 Includes the generalized Vandermonde constructor and the two-symmetric-
 unknowns solver that both decoders are built on.
 """
@@ -20,10 +20,6 @@ class SingularMatrixError(ValueError):
 
 class InconsistencyError(ValueError):
     """Input data contradicted itself; typically a corrupted shard."""
-
-
-def _int64_safe(q: int, inner: int) -> bool:
-    return (q - 1) * (q - 1) * max(inner, 1) < 2**63
 
 
 class Matrix:
@@ -162,12 +158,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(
             f"inner dimensions disagree: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
         )
-    q = a.field.modulus
-    if _int64_safe(q, a.cols):
-        prod = (a.data @ b.data) % q
-    else:
-        prod = (a.data.astype(object) @ b.data.astype(object)) % q
-    return Matrix(a.field, prod.astype(np.int64))
+    return Matrix(a.field, a.data @ b.data)  # the constructor reduces mod q
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import PrimeField, is_prime, smallest_prime_geq
+from .field import MAX_MODULUS, PrimeField, is_prime, smallest_prime_geq
 
 BYTE_SAFE_MIN_Q = 257  # one byte per symbol stays injective from here up
 
@@ -147,6 +147,10 @@ def derive_params(
                 f"q must satisfy q >= n+1 = {n + 1} for n distinct nonzero "
                 f"evaluation points, got {q}"
             )
+    if q > MAX_MODULUS:
+        raise ValueError(
+            f"q = {q} does not fit the two-byte shard header field (max {MAX_MODULUS})"
+        )
 
     if eval_points is None:
         points = tuple(range(1, n + 1))

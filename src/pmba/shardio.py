@@ -11,17 +11,19 @@ reads the payload in batches of whole stripes; `ShardWriter` writes the
 header and then appended batches. Both keep a running CRC-32 of the
 payload bytes, so a file is never held in memory whole. Every write goes
 to a temp file in the target directory that is synced to disk and renamed
-into place, so a crash never leaves a truncated file behind.
+into place, so a crash never leaves a truncated file behind; `atomic_set`
+renames several such files as one set.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import stat
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,6 @@ from .params import CodeParams, derive_params
 MAGIC = b"PMBA"
 FORMAT_VERSION = 1
 _FIXED = struct.Struct("<4sBHHHHIQQ")
-MAX_HEADER_Q = 65535  # q occupies two bytes, as does every payload symbol
 
 
 class ShardFormatError(ValueError):
@@ -40,6 +41,8 @@ class ShardFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ShardHeader:
+    """A shard file's header fields, in the order the file stores them."""
+
     q: int
     n: int
     k: int
@@ -51,25 +54,12 @@ class ShardHeader:
 
     def code_key(self) -> tuple:
         """Everything that must match across mutually decodable shards."""
-        return (
-            self.q,
-            self.n,
-            self.k,
-            self.delta,
-            self.stripe_count,
-            self.original_length,
-            self.eval_points,
-        )
+        return astuple(replace(self, node_index=0))
 
 
 def header_for(
     params: CodeParams, node_index: int, stripe_count: int, original_length: int
 ) -> ShardHeader:
-    if params.q > MAX_HEADER_Q:
-        raise ValueError(
-            f"q = {params.q} does not fit the two-byte shard header field "
-            f"(max {MAX_HEADER_Q})"
-        )
     return ShardHeader(
         q=params.q,
         n=params.n,
@@ -96,19 +86,8 @@ def shard_params(header: ShardHeader) -> CodeParams:
 
 
 def pack_header(header: ShardHeader) -> bytes:
-    fixed = _FIXED.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        header.q,
-        header.n,
-        header.k,
-        header.delta,
-        header.node_index,
-        header.stripe_count,
-        header.original_length,
-    )
-    points = struct.pack(f"<{header.n}H", *header.eval_points)
-    return fixed + points
+    *fixed, points = astuple(header)
+    return _FIXED.pack(MAGIC, FORMAT_VERSION, *fixed) + struct.pack(f"<{header.n}H", *points)
 
 
 def _fsync_dir(directory) -> None:
@@ -122,11 +101,11 @@ def _fsync_dir(directory) -> None:
 class AtomicFile:
     """A binary file that replaces `path` only once it is complete.
 
-    Data go to a temp file in the target directory. `commit` gives it the
+    Data go to a temp file in the target directory. `sync` gives it the
     mode open() would give a new file under the current umask, syncs it to
-    disk, renames it into place and syncs the directory; `discard` removes
-    it. As a context manager it commits on a clean exit and discards on an
-    exception.
+    disk and closes it; `commit` renames it into place through `atomic_set`;
+    `discard` removes it. As a context manager it commits on a clean exit
+    and discards on an exception.
     """
 
     def __init__(self, path):
@@ -137,19 +116,17 @@ class AtomicFile:
     def write(self, data) -> None:
         self._fh.write(data)
 
+    def sync(self) -> None:
+        self._fh.flush()
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(self._fh.fileno(), 0o666 & ~umask)
+        os.fsync(self._fh.fileno())
+        self._fh.close()
+
     def commit(self) -> None:
-        try:
-            self._fh.flush()
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(self._fh.fileno(), 0o666 & ~umask)
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-            os.replace(self._tmp, self.path)
-        except BaseException:
-            self.discard()
-            raise
-        _fsync_dir(self.path.parent)
+        with atomic_set() as files:
+            files.append(self)
 
     def discard(self) -> None:
         self._fh.close()
@@ -166,22 +143,43 @@ class AtomicFile:
             self.discard()
 
 
+@contextlib.contextmanager
+def atomic_set():
+    """Yield a list to fill with AtomicFiles that replace their paths as one set.
+
+    On a clean exit every file is synced, then all are renamed in list
+    order and each directory is synced once. On any failure every temp file
+    is discarded and every file already renamed is removed.
+    """
+    files, renamed = [], []
+    try:
+        yield files
+        for f in files:
+            f.sync()
+        for f in files:
+            os.replace(f._tmp, f.path)
+            renamed.append(f.path)
+    except BaseException:
+        for f in files:
+            f.discard()
+        for path in renamed:
+            os.unlink(path)
+        raise
+    for directory in dict.fromkeys(f.path.parent for f in files):
+        _fsync_dir(directory)
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
     with AtomicFile(path) as fh:
         fh.write(data)
-
-
-def symbols_from_payload(payload, alpha: int) -> np.ndarray:
-    """(stripes, alpha) int64 symbols from payload bytes of whole stripes."""
-    return np.frombuffer(payload, dtype="<u2").astype(np.int64).reshape(-1, alpha)
 
 
 class ShardWriter(AtomicFile):
     """A shard file written as its header, then appended (stripes, alpha)
     payload batches, each checked for shape and range.
 
-    `crc` is the running CRC-32 of the payload written so far. The file is
-    committed on a clean exit only once the batches add up to the header's
+    `crc` is the running CRC-32 of the payload written so far. The file
+    syncs, and so commits, only once the batches add up to the header's
     stripe count.
     """
 
@@ -203,14 +201,13 @@ class ShardWriter(AtomicFile):
         super().write(payload)
         self.stripes += symbols.shape[0]
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None and self.stripes != self.header.stripe_count:
-            self.discard()
+    def sync(self) -> None:
+        if self.stripes != self.header.stripe_count:
             raise ValueError(
                 f"payload shape {(self.stripes, self.alpha)} does not match "
                 f"{(self.header.stripe_count, self.alpha)}"
             )
-        super().__exit__(exc_type, exc, tb)
+        super().sync()
 
 
 def write_shard(path, header: ShardHeader, symbols: np.ndarray) -> None:
@@ -243,50 +240,42 @@ class ShardReader:
         fixed = self._fh.read(_FIXED.size)
         if len(fixed) < _FIXED.size:
             raise ShardFormatError(f"{path}: too short to be a shard file")
-        magic, version, q, n, k, delta, node_index, stripe_count, original_length = (
-            _FIXED.unpack(fixed)
-        )
+        magic, version, *fields = _FIXED.unpack(fixed)
         if magic != MAGIC:
             raise ShardFormatError(f"{path}: not a shard file (bad magic)")
         if version != FORMAT_VERSION:
             raise ShardFormatError(f"{path}: unsupported format version {version}")
+        n = fields[1]  # fields are ShardHeader's, in order
         points = self._fh.read(2 * n)
         if len(points) < 2 * n:
             raise ShardFormatError(f"{path}: truncated evaluation-point table")
-        header = ShardHeader(
-            q=q,
-            n=n,
-            k=k,
-            delta=delta,
-            node_index=node_index,
-            stripe_count=stripe_count,
-            original_length=original_length,
-            eval_points=struct.unpack(f"<{n}H", points),
-        )
+        header = ShardHeader(*fields, eval_points=struct.unpack(f"<{n}H", points))
         params = shard_params(header)
-        if not 1 <= node_index <= n:
-            raise ShardFormatError(f"{path}: node index {node_index} outside 1..{n}")
+        if not 1 <= header.node_index <= n:
+            raise ShardFormatError(f"{path}: node index {header.node_index} outside 1..{n}")
         st = os.fstat(self._fh.fileno())
         if not stat.S_ISREG(st.st_mode):
             raise ShardFormatError(f"{path}: not a regular file, so its length is unknown")
         payload = st.st_size - _FIXED.size - 2 * n
-        expected = stripe_count * params.alpha * 2
+        expected = header.stripe_count * params.alpha * 2
         if payload != expected:
             raise ShardFormatError(
                 f"{path}: payload holds {payload} bytes, header promises {expected}"
             )
         return header
 
-    def read(self, stripes: int) -> bytes:
-        """The next `stripes` stripes of payload, as little-endian bytes."""
+    def read(self, stripes: int) -> np.ndarray:
+        """The next `stripes` stripes of payload, as a read-only
+        (stripes, alpha) array of `<u2` symbols."""
         want = stripes * self.alpha * 2
         payload = self._fh.read(want)
         if len(payload) != want:
             raise ShardFormatError(f"{self.path}: payload shrank while being read")
-        if payload and int(np.frombuffer(payload, dtype="<u2").max()) >= self.header.q:
+        symbols = np.frombuffer(payload, dtype="<u2").reshape(stripes, self.alpha)
+        if symbols.size and int(symbols.max()) >= self.header.q:
             raise ShardFormatError(f"{self.path}: payload symbol >= q = {self.header.q}")
         self.crc = zlib.crc32(payload, self.crc)
-        return payload
+        return symbols
 
     def close(self) -> None:
         self._fh.close()
@@ -299,18 +288,21 @@ class ShardReader:
 
 
 def read_shard(path):
-    """Returns (header, symbols) after validating the whole file."""
+    """Returns (header, symbols) after validating the whole file; symbols is
+    a writable (stripe_count, alpha) int64 array."""
     with ShardReader(path) as reader:
-        payload = reader.read(reader.header.stripe_count)
-        return reader.header, symbols_from_payload(payload, reader.alpha)
+        return reader.header, reader.read(reader.header.stripe_count).astype(np.int64)
 
 
 def payload_crc(symbols: np.ndarray) -> int:
     return zlib.crc32(symbols.astype("<u2").tobytes()) & 0xFFFFFFFF
 
 
-def write_manifest(path, original_name: str, params: CodeParams, header0: ShardHeader, shard_entries) -> None:
-    """shard_entries: iterable of (node_index, file_name, crc32)."""
+def manifest_file(path, original_name: str, params: CodeParams, header0: ShardHeader, shard_entries) -> AtomicFile:
+    """The manifest, written into an AtomicFile left for the caller to commit.
+
+    shard_entries: iterable of (node_index, file_name, crc32).
+    """
     lines = [
         f"file={original_name}",
         f"length_bytes={header0.original_length}",
@@ -322,7 +314,13 @@ def write_manifest(path, original_name: str, params: CodeParams, header0: ShardH
     for node_index, file_name, crc in shard_entries:
         lines.append(f"shard{node_index:02d}.file={file_name}")
         lines.append(f"shard{node_index:02d}.crc32={crc:08x}")
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    fh = AtomicFile(path)
+    fh.write(("\n".join(lines) + "\n").encode())
+    return fh
+
+
+def write_manifest(path, original_name: str, params: CodeParams, header0: ShardHeader, shard_entries) -> None:
+    manifest_file(path, original_name, params, header0, shard_entries).commit()
 
 
 def read_manifest(path) -> dict:
@@ -336,3 +334,28 @@ def read_manifest(path) -> dict:
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
     return entries
+
+
+def check_manifest(path, header: ShardHeader, readers: dict) -> None:
+    """Demand that the manifest at `path` records the code of `header` and,
+    for each node j, the CRC-32 of the payload readers[j] has read. Values
+    are compared as the text `write_manifest` writes."""
+    entries = read_manifest(path)
+    code = dict(
+        length_bytes=header.original_length, q=header.q, n=header.n, k=header.k, delta=header.delta
+    )
+    for key, want in code.items():
+        if entries.get(key) != str(want):
+            raise ShardFormatError(
+                f"{path}: manifest {key}={entries.get(key)} does not match "
+                f"shard headers ({want})"
+            )
+    for j, reader in sorted(readers.items()):
+        key = f"shard{j:02d}.crc32"
+        if key not in entries:
+            raise ShardFormatError(f"{reader.path}: manifest {path} has no {key} line")
+        if entries[key] != f"{reader.crc:08x}":
+            raise ShardFormatError(
+                f"{reader.path}: crc32 {reader.crc:08x} does not match manifest "
+                f"{entries[key]}"
+            )

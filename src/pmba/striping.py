@@ -148,8 +148,9 @@ def stripe_decoder(params: CodeParams, nodes):
     function that decodes one batch.
 
     The function maps a dict of (stripes, alpha) payloads, holding at least
-    those nodes, to the (stripes, F) source. Stripe 0 of the first batch
-    that holds a stripe is checked against the stepwise decoder.
+    those nodes, to the (stripes, F) source; payloads of any integer dtype
+    are widened to int64 on entry. Stripe 0 of the first batch that holds a
+    stripe is checked against the stepwise decoder.
     """
     nodes = sorted(nodes)
     if len(nodes) != params.k:
@@ -164,7 +165,7 @@ def stripe_decoder(params: CodeParams, nodes):
 
     def decode(payloads: dict) -> np.ndarray:
         nonlocal checked
-        observed = np.concatenate([payloads[j] for j in nodes], axis=1)
+        observed = np.concatenate([payloads[j] for j in nodes], axis=1, dtype=np.int64)
         source = (observed @ decode_t) % params.q
         if not checked and source.shape[0]:
             shards = _node_shards_from_rows((payloads[j][0] for j in nodes), nodes, params)
@@ -219,9 +220,10 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     """Build the repair map for node f from the given helpers once; returns
     a function that rebuilds one batch.
 
-    The function maps a dict of the helpers' (stripes, alpha) payloads to
-    node f's (stripes, alpha) payload. Stripe 0 of the first batch that
-    holds a stripe is checked against the stepwise repairer.
+    The function maps a dict of the helpers' (stripes, alpha) payloads, of
+    any integer dtype, to node f's (stripes, alpha) int64 payload. Stripe 0
+    of the first batch that holds a stripe is checked against the stepwise
+    repairer.
     """
     if f in helpers:
         raise ValueError(f"node {f} cannot appear among its own helpers")
@@ -239,7 +241,7 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
         stripes = payloads[helpers[0]].shape[0]
         bundles = np.empty((stripes, d, beta), dtype=np.int64)
         for i, h in enumerate(helpers):
-            segments = payloads[h].reshape(stripes, beta, seg)
+            segments = np.asarray(payloads[h], dtype=np.int64).reshape(stripes, beta, seg)
             np.einsum("sbt,bt->sb", segments, psi_seg, out=bundles[:, i])
         bundles %= params.q
         rebuilt = (bundles.reshape(stripes, d * beta) @ decode_t) % params.q

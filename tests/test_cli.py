@@ -7,8 +7,13 @@ import shutil
 import numpy as np
 import pytest
 
+from pmba import striping
 from pmba.cli import main
 from pmba.cluster import CSV_HEADER
+from pmba.encoder import build_message_matrix, encode_all
+from pmba.matrix import Matrix
+from pmba.params import derive_params
+from pmba.repairer import make_repair_bundle
 from pmba.shardio import read_shard, write_shard
 
 CODE_FLAGS = ["--k", "3", "--delta", "2", "--n", "7"]
@@ -342,6 +347,34 @@ def test_verify_rejects_a_foreign_manifest(encoded, tmp_path, capsys):
     assert "does not match shard headers" in capsys.readouterr().err
 
 
+def forged_manifest(out_dir, tmp_path, key, value):
+    manifest = tmp_path / "data.bin.manifest"
+    lines = (out_dir / "data.bin.manifest").read_text().splitlines()
+    manifest.write_text("".join(
+        f"{key}={value}\n" if line.startswith(f"{key}=") else line + "\n" for line in lines
+    ))
+    return manifest
+
+
+def test_verify_names_a_manifest_whose_length_is_not_a_number(encoded, tmp_path, capsys):
+    _, _, out_dir = encoded
+    manifest = forged_manifest(out_dir, tmp_path, "length_bytes", "abc")
+    rc = main(["verify", str(shard_path(out_dir, 1)), "--manifest", str(manifest)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: manifest length_bytes=abc does not match shard headers (1000)" in err
+
+
+def test_verify_rejects_a_manifest_whose_length_alone_differs(encoded, tmp_path, capsys):
+    _, _, out_dir = encoded
+    manifest = forged_manifest(out_dir, tmp_path, "length_bytes", "999")
+    rc = main(["verify", *(str(shard_path(out_dir, j)) for j in range(1, 8)), "--manifest", str(manifest)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "manifest length_bytes=999 does not match shard headers (1000)" in captured.err
+    assert " ok" not in captured.out
+
+
 def test_verify_flags_truncated_shards(encoded, tmp_path, capsys):
     _, _, out_dir = encoded
     crippled = tmp_path / "data.bin.shard01"
@@ -349,6 +382,63 @@ def test_verify_flags_truncated_shards(encoded, tmp_path, capsys):
     rc = main(["verify", str(crippled)])
     assert rc == 2
     assert "payload holds" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the stripe-0 cross-check
+# ---------------------------------------------------------------------------
+
+
+def skew_map(monkeypatch, name, row, col):
+    """Make striping.<name> return its linear map with entry (row, col) one larger."""
+    real = getattr(striping, name)
+
+    def skewed(*args):
+        out = real(*args)
+        data = np.array(out.data if isinstance(out, Matrix) else out)
+        data[row, col] += 1
+        return Matrix(out.field, data) if isinstance(out, Matrix) else data
+
+    monkeypatch.setattr(striping, name, skewed)
+
+
+def assert_refused_at_stripe_0(rc, capsys, out_path):
+    assert rc == 2
+    assert "disagree on stripe 0" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert not list(out_path.parent.glob(f".{out_path.name}.*"))
+
+
+def test_encode_refuses_a_map_that_disagrees_on_stripe_0(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "data.bin"
+    src.write_bytes(bytes(range(1, 101)))  # stripe 0 reads symbol 0 as 1
+    skew_map(monkeypatch, "encode_matrix", 0, 0)
+    out_dir = tmp_path / "shards"
+    rc = main(["encode", str(src), "-o", str(out_dir), *CODE_FLAGS])
+    assert_refused_at_stripe_0(rc, capsys, out_dir / "data.bin.shard01")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_reconstruct_refuses_a_map_that_disagrees_on_stripe_0(encoded, tmp_path, monkeypatch, capsys):
+    _, _, out_dir = encoded
+    observed = np.concatenate([read_shard(shard_path(out_dir, j))[1][0] for j in (1, 2, 3)])
+    skew_map(monkeypatch, "invert", 0, int(np.flatnonzero(observed)[0]))
+    out = tmp_path / "out.bin"
+    rc = main(["reconstruct", *(str(shard_path(out_dir, j)) for j in (1, 2, 3)), "-o", str(out)])
+    assert_refused_at_stripe_0(rc, capsys, out)
+
+
+def test_repair_refuses_a_map_that_disagrees_on_stripe_0(encoded, tmp_path, monkeypatch, capsys):
+    data, _, out_dir = encoded
+    params = derive_params(3, 2, 7)
+    helpers = (2, 3, 4, 5)
+    shards = encode_all(build_message_matrix(list(data[: params.file_symbols]), params), params)
+    bundles = [make_repair_bundle(shards[h - 1], 1, len(helpers), params) for h in helpers]
+    flat = [v.value for bundle in bundles for v in bundle.symbols]
+    skew_map(monkeypatch, "repair_matrix", 0, next(i for i, v in enumerate(flat) if v))
+    out = tmp_path / "data.bin.shard01"
+    rc = main(["repair", *(str(shard_path(out_dir, h)) for h in helpers), "-f", "1", "--out", str(out)])
+    assert_refused_at_stripe_0(rc, capsys, out)
 
 
 # ---------------------------------------------------------------------------

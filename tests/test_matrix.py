@@ -184,21 +184,17 @@ def test_add_sub_scaled():
 
 
 def test_products_stay_exact_when_int64_would_overflow():
-    # 2**31 - 1 is prime; squared entries near q no longer fit an int64
-    # inner product, forcing the arbitrary-precision path.
-    big = PrimeField(2**31 - 1)
-    q = big.modulus
-    rows_a = [[q - 1, q - 2, q - 3], [q - 5, q - 7, q - 11]]
-    rows_b = [[q - 1, q - 2], [q - 3, q - 5], [q - 7, q - 11]]
-    got = (Matrix.from_rows(big, rows_a) @ Matrix.from_rows(big, rows_b)).to_lists()
-    want = [
-        [
-            sum(rows_a[i][t] * rows_b[t][j] for t in range(3)) % q
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-    assert got == want
+    # A modulus whose squared residues could overflow an int64 inner product
+    # is refused; at the largest allowed prime, a long inner product of the
+    # largest residues still matches Python's arbitrary-precision integers.
+    with pytest.raises(ValueError, match="65535"):
+        PrimeField(2**31 - 1)
+    field = PrimeField(65521)
+    q, inner = field.modulus, 100_000
+    a = Matrix(field, np.full((2, inner), q - 1, dtype=np.int64))
+    b = Matrix(field, np.full((inner, 3), q - 1, dtype=np.int64))
+    want = inner * (q - 1) * (q - 1) % q
+    assert (a @ b).to_lists() == [[want] * 3] * 2
 
 
 def test_is_symmetric():

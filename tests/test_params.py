@@ -139,6 +139,17 @@ def test_each_precondition_failure_names_its_inequality():
         derive_params(3, 2, 7, q=7)
 
 
+def test_no_code_has_a_modulus_wider_than_two_bytes():
+    from pmba.field import PrimeField
+
+    with pytest.raises(ValueError, match="65535"):
+        derive_params(3, 2, 7, q=2**31 - 1)
+    for q in (65537, 2**61 - 1):
+        with pytest.raises(ValueError, match="65535"):
+            PrimeField(q)
+    assert derive_params(3, 2, 7, q=65521).field == PrimeField(65521)
+
+
 def test_custom_evaluation_points():
     pts = (2, 4, 6, 8, 10, 1, 3)
     p = derive_params(3, 2, 7, q=11, eval_points=pts)

@@ -7,7 +7,6 @@ from pmba.params import derive_params
 from pmba.shardio import (
     FORMAT_VERSION,
     MAGIC,
-    MAX_HEADER_Q,
     ShardFormatError,
     ShardHeader,
     atomic_write_bytes,
@@ -157,10 +156,8 @@ def test_writer_guards_shape_and_range(tmp_path):
 
 
 def test_header_q_must_fit_two_bytes():
-    params = derive_params(3, 2, 7, q=65537)
-    with pytest.raises(ValueError, match="does not fit the two-byte shard header field"):
-        header_for(params, 1, 1, original_length=0)
-    assert MAX_HEADER_Q == 65535
+    with pytest.raises(ValueError, match=r"does not fit the two-byte shard header field \(max 65535\)"):
+        derive_params(3, 2, 7, q=65537)
 
 
 def test_code_key_ignores_only_the_node_index():
@@ -283,8 +280,13 @@ def test_source_to_bytes_guards():
 # Byte-safe codes across the grid. The first and last block columns of
 # each encoding read only 2(k-1) source symbols, so band edges show on
 # every stripe, not only on the stripe-0 cross-check.
-BYTE_GRID = [BYTE_PARAMS, derive_params(4, 3, 13), derive_params(3, 5, 20)]
-GRID_IDS = ["3-2-7", "4-3-13", "3-5-20"]
+BYTE_GRID = [
+    BYTE_PARAMS,
+    derive_params(4, 3, 13),
+    derive_params(3, 5, 20),
+    derive_params(3, 2, 7, q=65521),  # coded symbols span the two-byte range
+]
+GRID_IDS = ["3-2-7", "4-3-13", "3-5-20", "3-2-7-q65521"]
 
 
 def batch_fixture(stripes=3, seed=43, params=BYTE_PARAMS):
@@ -353,6 +355,41 @@ def test_batched_repair_matches_stepwise_on_every_stripe(params):
             ]
             reference = repair(f, bundles, params).symbol_values()
             assert tuple(int(v) for v in rebuilt[s]) == reference
+
+
+def test_round_trips_stay_exact_at_the_largest_modulus():
+    # Every source symbol q-1 at the largest prime a code may use, so each
+    # product in the kernels is as large as it gets; shard payloads go in as
+    # the <u2 arrays ShardReader hands out.
+    from pmba.encoder import build_message_matrix, encode_all
+    from pmba.reconstructor import reconstruct
+    from pmba.repairer import make_repair_bundle, repair
+
+    params = derive_params(3, 2, 7, q=65521)
+    q = params.q
+    source = np.full((3, params.file_symbols), q - 1, dtype=np.int64)
+    source[1] = np.random.default_rng(53).integers(0, q, params.file_symbols)
+    coded = encode_stripes(source, params)
+    stepwise = [encode_all(build_message_matrix([int(v) for v in row], params), params) for row in source]
+    for s, shards in enumerate(stepwise):
+        for shard in shards:
+            assert tuple(int(v) for v in coded[shard.node_index - 1, s]) == shard.symbol_values()
+    stored = {j: coded[j - 1].astype("<u2") for j in range(1, params.n + 1)}
+    nodes = (2, 5, 7)
+    decoded = reconstruct_stripes({j: stored[j] for j in nodes}, params)
+    assert np.array_equal(decoded, source)
+    for s, shards in enumerate(stepwise):
+        picked = [sh for sh in shards if sh.node_index in nodes]
+        assert tuple(int(v) for v in decoded[s]) == tuple(v.value for v in reconstruct(picked, params))
+    f = 4
+    others = [h for h in range(1, params.n + 1) if h != f]
+    for d in params.helper_counts:
+        helpers = others[:d]
+        rebuilt = repair_stripes({h: stored[h] for h in helpers}, f, params)
+        assert np.array_equal(rebuilt, coded[f - 1])
+        for s, shards in enumerate(stepwise):
+            bundles = [make_repair_bundle(sh, f, d, params) for sh in shards if sh.node_index in helpers]
+            assert tuple(int(v) for v in rebuilt[s]) == repair(f, bundles, params).symbol_values()
 
 
 def test_batched_reconstruction_needs_exactly_k_payloads():

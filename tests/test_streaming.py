@@ -26,7 +26,6 @@ from pmba.shardio import (
     header_for,
     payload_crc,
     read_shard,
-    symbols_from_payload,
     write_manifest,
     write_shard,
 )
@@ -194,7 +193,7 @@ def test_reader_batches_and_crc_match_the_whole_payload(tmp_path):
     with ShardReader(path) as reader:
         parts = [reader.read(3), reader.read(3), reader.read(1)]
         crc = reader.crc
-    assert np.array_equal(symbols_from_payload(b"".join(parts), params.alpha), read_shard(path)[1])
+    assert np.array_equal(np.concatenate(parts), read_shard(path)[1])
     assert crc == payload_crc(symbols)
 
 
@@ -291,6 +290,29 @@ def test_encode_that_cannot_write_a_shard_leaves_no_temp_file(tmp_path, monkeypa
     names = sorted(p.name for p in out_dir.iterdir())
     assert not [n for n in names if n.startswith(".")]
     assert "in.bin.manifest" not in names
+    # shards 01 and 02 were renamed before shard 03 failed, and removed again
+    assert not [p for p in out_dir.iterdir() if p.is_file() and p.name.startswith("in.bin.shard")]
+
+
+def test_encode_that_cannot_sync_leaves_the_old_set_in_place(tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    src, out_dir, _ = encode_file(tmp_path, params, bytes(range(200)))
+    old = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    src.write_bytes(bytes(range(100)))
+    real_fsync, calls = os.fsync, []
+
+    def failing_fsync(fd):
+        calls.append(fd)
+        if len(calls) == 5:  # the fifth of the n + 1 temp files
+            raise OSError("disk full")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    rc = main(["encode", str(src), "-o", str(out_dir), *code_flags(params)])
+    monkeypatch.undo()
+    assert rc == 1
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
 
 
 # ---------------------------------------------------------------------------

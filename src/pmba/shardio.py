@@ -147,26 +147,37 @@ class AtomicFile:
 def atomic_set():
     """Yield a list to fill with AtomicFiles that replace their paths as one set.
 
-    On a clean exit every file is synced, then all are renamed in list
-    order and each directory is synced once. On any failure every temp file
-    is discarded and every file already renamed is removed.
+    On a clean exit every file is synced, then in list order each existing
+    target is moved aside and the file renamed into place; each directory
+    is synced once, and only then are the set-aside files removed. On any
+    failure every temp file is discarded, every file already renamed is
+    removed and every set-aside file is put back, so the older set is left
+    as it was.
     """
-    files, renamed = [], []
+    files, renamed, asides = [], [], []
     try:
         yield files
         for f in files:
             f.sync()
         for f in files:
+            if os.path.lexists(f.path) and not os.path.isdir(f.path):
+                aside = f"{f._tmp}.old"
+                os.replace(f.path, aside)
+                asides.append((aside, f.path))
             os.replace(f._tmp, f.path)
             renamed.append(f.path)
+        for directory in dict.fromkeys(f.path.parent for f in files):
+            _fsync_dir(directory)
     except BaseException:
         for f in files:
             f.discard()
         for path in renamed:
             os.unlink(path)
+        for aside, path in asides:
+            os.replace(aside, path)
         raise
-    for directory in dict.fromkeys(f.path.parent for f in files):
-        _fsync_dir(directory)
+    for aside, _ in asides:
+        os.unlink(aside)
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

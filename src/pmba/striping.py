@@ -4,13 +4,15 @@ File payloads are striped: every F consecutive symbols form one stripe that
 is encoded independently. Encoding, reconstruction and repair are all
 linear over the field, and each path derives its linear map in closed form
 from the construction: the encoding map places each node's Vandermonde
-row into the banded message-matrix layout, the decoding map inverts the
-accessed nodes' rows of it, and the repair map runs the segment peel of
-the repairer on all unit bundles at once. Each of `stripe_encoder`,
-`stripe_decoder` and `stripe_repairer` builds its map once and returns a
-function that applies it to one batch of stripes in integer matrix
-products; encoding reads, for each stored column, only the at most 3(k-1)
-source symbols of its band. Stripe zero of the first batch is also pushed
+row into the banded message-matrix layout, decoding peels the source one
+block pair per block column with a single k(k-1)-square inverse shared by
+every step, and the repair map runs the segment peel of the repairer on
+all unit bundles at once. Each of `stripe_encoder`, `stripe_decoder` and
+`stripe_repairer` builds its map once and returns a function that applies
+it to one batch of stripes in integer matrix products; encoding reads, for
+each stored column, only the at most 3(k-1) source symbols of its band,
+and each decode step only one block column and the block carried over
+from the step before. Stripe zero of the first batch is also pushed
 through the stepwise codec and compared, so the fast path can never drift
 from the reference one unnoticed. `encode_stripes`, `reconstruct_stripes`
 and `repair_stripes` are the same functions applied to one batch holding
@@ -144,30 +146,61 @@ def encode_stripes(source: np.ndarray, params: CodeParams) -> np.ndarray:
 
 
 def stripe_decoder(params: CodeParams, nodes):
-    """Invert the k given nodes' rows of the encoding map once; returns a
-    function that decodes one batch.
+    """Build the block peel for the k given nodes once; returns a function
+    that decodes one batch.
+
+    Write u_i for source blocks 2i and 2i+1 (contiguous in source order),
+    x_i for block column i of the nodes' payloads, P = k(k-1)/2 for the
+    block size, Lambda for the nodes' (k-1)-th powers and A_0 for the
+    k(k-1)-square map from u_0 to x_0. Then x_i = Lambda^i A_0 u_i +
+    Lambda^(i-1) A_0[:, :P] u_(i-1)[P:], so one inverse of A_0 peels every
+    step; this is `ReconstructionSession.run` in array form. A_0 is
+    singular exactly when two of the nodes share a (k-1)-th power.
 
     The function maps a dict of (stripes, alpha) payloads, holding at least
     those nodes, to the (stripes, F) source; payloads of any integer dtype
     are widened to int64 on entry. Stripe 0 of the first batch that holds a
     stripe is checked against the stepwise decoder.
     """
+    k, z, q = params.k, params.z_delta, params.q
     nodes = sorted(nodes)
-    if len(nodes) != params.k:
-        raise ValueError(f"need exactly k = {params.k} node payloads, got {len(nodes)}")
-    enc = encode_matrix(params)
-    rows = []
+    if len(nodes) != k:
+        raise ValueError(f"need exactly k = {k} node payloads, got {len(nodes)}")
+    if len(set(nodes)) != k:
+        raise ValueError(f"node indices must be distinct, got {nodes}")
     for j in nodes:
-        rows.append(enc[(j - 1) * params.alpha : j * params.alpha])
-    subset = np.concatenate(rows, axis=0)  # (k*alpha, F), square since alpha = F/k
-    decode_t = invert(Matrix(params.field, subset)).data.T
+        if not 1 <= j <= params.n:
+            raise ValueError(f"node index {j} outside 1..{params.n}")
+    w = k - 1
+    pair = k * w  # symbols per block column of the k nodes, and per block pair
+    half = pair // 2
+    enc = encode_matrix(params).reshape(params.n, params.alpha, params.file_symbols)
+    a0 = enc[np.array(nodes) - 1, :w, :pair].reshape(pair, pair)
+    a0_inv = invert(Matrix(params.field, a0)).data
+    lam_inv = np.repeat([pow(params.eval_points[j - 1], -w, q) for j in nodes], w)
+    steps = np.empty((z, pair, pair), dtype=np.int64)  # A_0^-1 * Lambda^-i
+    scale = np.ones(pair, dtype=np.int64)
+    for i in range(z):
+        steps[i] = a0_inv * scale % q
+        scale = scale * lam_inv % q
+    carry = -(a0_inv @ (lam_inv[:, None] * a0[:, :half] % q)) % q
     checked = False
 
     def decode(payloads: dict) -> np.ndarray:
         nonlocal checked
-        observed = np.concatenate([payloads[j] for j in nodes], axis=1, dtype=np.int64)
-        source = (observed @ decode_t) % params.q
-        if not checked and source.shape[0]:
+        stripes = payloads[nodes[0]].shape[0]
+        # Rows are symbols and columns are stripes, so every step reads and
+        # writes whole contiguous rows.
+        observed = np.empty((z, k, w, stripes), dtype=np.int64)
+        for m, j in enumerate(nodes):
+            observed[:, m] = payloads[j].T.reshape(z, w, stripes)
+        peeled = np.einsum("iab,ibs->ias", steps, observed.reshape(z, pair, stripes))
+        peeled[0] %= q
+        for i in range(1, z):
+            peeled[i] += np.einsum("ab,bs->as", carry, peeled[i - 1, half:])
+            peeled[i] %= q
+        source = peeled.reshape(params.file_symbols, stripes).T
+        if not checked and stripes:
             shards = _node_shards_from_rows((payloads[j][0] for j in nodes), nodes, params)
             reference = tuple(s.value for s in reconstruct(shards, params))
             if tuple(int(v) for v in source[0]) != reference:

@@ -9,7 +9,7 @@ from pmba.encoder import NodeShard, build_message_matrix, encode_all
 from pmba.matrix import Matrix, SingularMatrixError, invert, transpose
 from pmba.params import derive_params
 from pmba.reconstructor import ReconstructionSession, reconstruct
-from pmba.striping import encode_matrix
+from pmba.striping import encode_matrix, encode_stripes, stripe_decoder
 
 WORKED = derive_params(3, 2, 7, q=11)
 
@@ -119,6 +119,25 @@ def test_subsets_with_distinct_point_powers_decode_and_the_rest_refuse():
             decodable.append(subset)
     assert len(decodable) == 25
     assert len(refused) == 10
+
+
+def test_the_batched_decoder_refuses_exactly_the_colliding_subsets():
+    # The peel's one inverse, of the k(k-1)-square block A_0, is singular
+    # for the same 10 subsets the stepwise session refuses.
+    collisions = WORKED.power_collisions()
+    source = np.random.default_rng(37).integers(0, 11, size=(4, WORKED.file_symbols))
+    coded = encode_stripes(source, WORKED)
+    decodable, refused = [], []
+    for subset in itertools.combinations(range(1, 8), 3):
+        if any(set(pair) <= set(subset) for pair in collisions):
+            with pytest.raises(SingularMatrixError):
+                stripe_decoder(WORKED, subset)
+            refused.append(subset)
+        else:
+            decode = stripe_decoder(WORKED, subset)
+            assert np.array_equal(decode({j: coded[j - 1] for j in subset}), source), subset
+            decodable.append(subset)
+    assert (len(decodable), len(refused)) == (25, 10)
 
 
 def test_all_35_subsets_decode_once_the_powers_are_distinct():

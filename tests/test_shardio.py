@@ -392,6 +392,60 @@ def test_round_trips_stay_exact_at_the_largest_modulus():
             assert tuple(int(v) for v in rebuilt[s]) == repair(f, bundles, params).symbol_values()
 
 
+def test_the_peel_stays_exact_through_a_long_carry_chain():
+    # z = 60 chained peel steps at the largest prime a code may use: one
+    # stripe of all q-1 and one random stripe, decoded from <u2 payloads.
+    from pmba.encoder import build_message_matrix, encode_all
+    from pmba.reconstructor import reconstruct
+
+    params = derive_params(3, 5, 20, q=65521)
+    assert params.z_delta == 60
+    q = params.q
+    source = np.full((2, params.file_symbols), q - 1, dtype=np.int64)
+    source[1] = np.random.default_rng(59).integers(0, q, params.file_symbols)
+    coded = encode_stripes(source, params)
+    nodes = (3, 11, 20)
+    decoded = reconstruct_stripes({j: coded[j - 1].astype("<u2") for j in nodes}, params)
+    assert np.array_equal(decoded, source)
+    for s, row in enumerate(source):
+        shards = encode_all(build_message_matrix([int(v) for v in row], params), params)
+        picked = [sh for sh in shards if sh.node_index in nodes]
+        assert tuple(int(v) for v in decoded[s]) == tuple(v.value for v in reconstruct(picked, params))
+
+
+def test_the_decoder_inverts_one_small_block_not_the_whole_map(monkeypatch):
+    # The peel inverts the k(k-1)-square block A_0 once; the F x F map of
+    # the k nodes' rows (360 x 360 here) is never built.
+    import pmba.striping as striping
+
+    params = derive_params(3, 5, 20)
+    shapes = []
+    real = striping.invert
+
+    def recorded(a):
+        shapes.append((a.rows, a.cols))
+        return real(a)
+
+    monkeypatch.setattr(striping, "invert", recorded)
+    striping.stripe_decoder(params, (4, 9, 17))
+    assert shapes == [(6, 6)]
+
+
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ([0, 1, 2], "node index 0 outside 1..7"),
+        ([1, 2, 8], "node index 8 outside 1..7"),
+        ([1, 1, 2], r"node indices must be distinct, got \[1, 1, 2\]"),
+    ],
+)
+def test_the_decoder_refuses_bad_node_lists_by_name(nodes, message):
+    from pmba.striping import stripe_decoder
+
+    with pytest.raises(ValueError, match=message):
+        stripe_decoder(BYTE_PARAMS, nodes)
+
+
 def test_batched_reconstruction_needs_exactly_k_payloads():
     _, _, coded, _ = batch_fixture(stripes=1)
     with pytest.raises(ValueError, match="need exactly k = 3 node payloads"):

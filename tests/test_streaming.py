@@ -315,6 +315,29 @@ def test_encode_that_cannot_sync_leaves_the_old_set_in_place(tmp_path, monkeypat
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
 
 
+def test_encode_that_cannot_rename_a_shard_leaves_the_old_set_in_place(tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    src, out_dir, _ = encode_file(tmp_path, params, bytes(range(200)))
+    old = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(old) == params.n + 1
+    src.write_bytes(bytes(range(100)))
+    real_replace, failed = os.replace, []
+
+    def failing_replace(source, target):
+        if Path(target).name == "in.bin.shard03" and not failed:  # the new shard 03
+            failed.append(source)
+            raise OSError("rename refused")
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    rc = main(["encode", str(src), "-o", str(out_dir), *code_flags(params)])
+    monkeypatch.undo()
+    assert rc == 1
+    assert "rename refused" in capsys.readouterr().err
+    # shards 01 and 02 were replaced before shard 03 failed, and are restored
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
+
+
 # ---------------------------------------------------------------------------
 # written files follow the umask
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def _manifest_file_name(original_name: str) -> str:
 
 @contextlib.contextmanager
 def _open_shard_set(paths):
-    """Open several shard files and demand mutually decodable headers.
+    """Open shard files whose headers agree and whose stripe count fits their length.
 
     Yields (params, header, readers, batches): the code, the first file's
     header, the first reader of each node, and an iterator that reads every
@@ -57,6 +57,12 @@ def _open_shard_set(paths):
             opened.append(reader)
         header = opened[0].header
         params = shardio.shard_params(header)
+        stripes = striping.file_stripes(header.original_length, params)
+        if header.stripe_count != stripes:
+            raise ShardFormatError(
+                f"{opened[0].path}: header records {header.stripe_count} stripes, but "
+                f"its length of {header.original_length} bytes takes {stripes}"
+            )
         readers = {}
         for reader in opened:
             readers.setdefault(reader.header.node_index, reader)
@@ -117,12 +123,12 @@ def cmd_encode(args) -> int:
                 f"q = {params.q} gives nodes {groups} the same (k-1)-th power, so k "
                 f"nodes holding two of them cannot reconstruct; choose another --q"
             )
-        stripes = -(-length // params.file_symbols)
+        stripes = striping.file_stripes(length, params)
         headers = [
             shardio.header_for(params, j, stripes, length) for j in range(1, params.n + 1)
         ]
-        encode = striping.stripe_encoder(params)
         out_dir.mkdir(parents=True, exist_ok=True)
+        encode = striping.stripe_encoder(params)
         with shardio.atomic_set() as files:  # the n shards, then the manifest
             for name, header in zip(names, headers):
                 files.append(shardio.ShardWriter(out_dir / name, header))

@@ -12,32 +12,31 @@ all unit bundles at once. Each of `stripe_encoder`, `stripe_decoder` and
 it to one batch of stripes in integer matrix products; encoding reads, for
 each stored column, only the at most 3(k-1) source symbols of its band,
 and each decode step only one block column and the block carried over
-from the step before. Stripe zero of the first batch is also pushed
-through the stepwise codec and compared, so the fast path can never drift
-from the reference one unnoticed. `encode_stripes`, `reconstruct_stripes`
-and `repair_stripes` are the same functions applied to one batch holding
-every stripe; the CLI streams files through them in batches of
-BATCH_SYMBOLS source symbols.
+from the step before. Each builder runs its function once on a fixed
+self-check batch before returning it, against the stepwise encoder alone:
+the encoder must give its payloads, the decoder the source and the
+repairer node f's payload, so no caller's data can blind the check.
+`encode_stripes`, `reconstruct_stripes` and `repair_stripes` are the same
+functions applied to one batch holding every stripe; the CLI streams files
+through them in batches of BATCH_SYMBOLS source symbols.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .encoder import (
-    NodeShard,
-    build_message_matrix,
-    coefficient_matrix,
-    encode_all,
-    message_layout,
-)
+from .encoder import build_message_matrix, coefficient_matrix, encode_all, message_layout
 from .matrix import InconsistencyError, Matrix, build_gvm, invert
 from .params import BYTE_SAFE_MIN_Q, CodeParams
-from .reconstructor import reconstruct
-from .repairer import make_repair_bundle, repair, session_shape
+from .repairer import session_shape
 
 
 BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
+
+
+def file_stripes(length: int, params: CodeParams) -> int:
+    """Stripes a file of `length` bytes takes: ceil(length / F)."""
+    return -(-length // params.file_symbols)
 
 
 def batch_stripes(params: CodeParams) -> int:
@@ -52,11 +51,9 @@ def bytes_to_source(data, params: CodeParams) -> np.ndarray:
             f"q = {params.q} cannot carry byte payloads; need q >= {BYTE_SAFE_MIN_Q}"
         )
     arr = np.frombuffer(data, dtype=np.uint8)
-    f_sym = params.file_symbols
-    stripes = (len(arr) + f_sym - 1) // f_sym
-    padded = np.zeros(stripes * f_sym, dtype=np.int64)
-    padded[: len(arr)] = arr
-    return padded.reshape(stripes, f_sym)
+    padded = np.zeros((file_stripes(len(arr), params), params.file_symbols), dtype=np.int64)
+    padded.reshape(-1)[: len(arr)] = arr
+    return padded
 
 
 def batches_to_bytes(batches, original_length: int):
@@ -82,15 +79,26 @@ def source_to_bytes(source: np.ndarray, original_length: int) -> bytes:
     return b"".join(batches_to_bytes([source], original_length))
 
 
-def _node_shards_from_rows(rows, nodes, params: CodeParams):
-    return [
-        NodeShard(
-            node_index=j,
-            eval_point=params.eval_point(j),
-            symbols=params.field.elements(int(v) for v in row),
-        )
-        for j, row in zip(nodes, rows)
-    ]
+def _self_check_batch(params: CodeParams):
+    """Two source stripes and the stepwise encoder's `<u2` payloads for them,
+    indexed [node-1, stripe, symbol]. Stripe 0 is all q-1, so no source
+    symbol is zero; stripe 1 is 1, 2, .. (mod q-1), so a kernel that mixes
+    the stripes of a batch fails too."""
+    f_sym, q = params.file_symbols, params.q
+    source = np.stack([np.full(f_sym, q - 1), 1 + np.arange(f_sym) % (q - 1)])
+    coded = [encode_all(build_message_matrix(row.tolist(), params), params) for row in source]
+    symbols = [[shard.symbol_values() for shard in shards] for shards in coded]
+    return source, np.array(symbols, dtype="<u2").swapaxes(0, 1)
+
+
+def _self_check(kernel: str, got: np.ndarray, want: np.ndarray) -> None:
+    """Raise unless `got` equals `want`; both index stripes on axis -2."""
+    for s in range(want.shape[-2]):
+        if not np.array_equal(got[..., s, :], want[..., s, :]):
+            raise InconsistencyError(
+                f"batched {kernel} and the stepwise encoder disagree on stripe {s} "
+                f"of the self-check"
+            )
 
 
 def encode_matrix(params: CodeParams) -> np.ndarray:
@@ -109,8 +117,8 @@ def stripe_encoder(params: CodeParams):
     """Build the encoding map once; returns a function that encodes one batch.
 
     The function maps a (stripes, F) source batch to an array indexed
-    [node-1, stripe, symbol]. Stripe 0 of the first batch that holds a
-    stripe is checked against the stepwise encoder.
+    [node-1, stripe, symbol]. The builder refuses a function that does not
+    reproduce the stepwise encoder's payloads of the self-check batch.
     """
     enc = encode_matrix(params).reshape(params.n, params.alpha, params.file_symbols)
     bands = []
@@ -118,25 +126,17 @@ def stripe_encoder(params: CodeParams):
         # Stored column c reads only the source symbols of its block band.
         support = np.flatnonzero(enc[:, c].any(axis=0))
         bands.append((support, enc[:, c, support].T))
-    checked = False
 
     def encode(source: np.ndarray) -> np.ndarray:
-        nonlocal checked
         out = np.empty((params.n, source.shape[0], params.alpha), dtype=np.int64)
         for c, (support, coefficients) in enumerate(bands):
             coded = source[:, support] @ coefficients  # (stripes, n)
             coded %= params.q
             out[:, :, c] = coded.T
-        if not checked and source.shape[0]:
-            m = build_message_matrix([int(v) for v in source[0]], params)
-            for shard in encode_all(m, params):
-                if tuple(int(v) for v in out[shard.node_index - 1, 0]) != shard.symbol_values():
-                    raise InconsistencyError(
-                        "batched and stepwise encoders disagree on stripe 0"
-                    )
-            checked = True
         return out
 
+    source, payloads = _self_check_batch(params)
+    _self_check("encoder", encode(source), payloads)
     return encode
 
 
@@ -159,8 +159,8 @@ def stripe_decoder(params: CodeParams, nodes):
 
     The function maps a dict of (stripes, alpha) payloads, holding at least
     those nodes, to the (stripes, F) source; payloads of any integer dtype
-    are widened to int64 on entry. Stripe 0 of the first batch that holds a
-    stripe is checked against the stepwise decoder.
+    are widened to int64 on entry. The builder refuses a function that does
+    not return the self-check source from the nodes' self-check payloads.
     """
     k, z, q = params.k, params.z_delta, params.q
     nodes = sorted(nodes)
@@ -184,10 +184,8 @@ def stripe_decoder(params: CodeParams, nodes):
         steps[i] = a0_inv * scale % q
         scale = scale * lam_inv % q
     carry = -(a0_inv @ (lam_inv[:, None] * a0[:, :half] % q)) % q
-    checked = False
 
     def decode(payloads: dict) -> np.ndarray:
-        nonlocal checked
         stripes = payloads[nodes[0]].shape[0]
         # Rows are symbols and columns are stripes, so every step reads and
         # writes whole contiguous rows.
@@ -199,15 +197,10 @@ def stripe_decoder(params: CodeParams, nodes):
         for i in range(1, z):
             peeled[i] += np.einsum("ab,bs->as", carry, peeled[i - 1, half:])
             peeled[i] %= q
-        source = peeled.reshape(params.file_symbols, stripes).T
-        if not checked and stripes:
-            shards = _node_shards_from_rows((payloads[j][0] for j in nodes), nodes, params)
-            reference = tuple(s.value for s in reconstruct(shards, params))
-            if tuple(int(v) for v in source[0]) != reference:
-                raise InconsistencyError("batched and stepwise decoders disagree on stripe 0")
-            checked = True
-        return source
+        return peeled.reshape(params.file_symbols, stripes).T
 
+    source, payloads = _self_check_batch(params)
+    _self_check("decoder", decode({j: payloads[j - 1] for j in nodes}), source)
     return decode
 
 
@@ -254,41 +247,29 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     a function that rebuilds one batch.
 
     The function maps a dict of the helpers' (stripes, alpha) payloads, of
-    any integer dtype, to node f's (stripes, alpha) int64 payload. Stripe 0
-    of the first batch that holds a stripe is checked against the stepwise
-    repairer.
+    any integer dtype, to node f's (stripes, alpha) int64 payload. The
+    builder refuses a function that does not return node f's self-check
+    payload from the helpers'.
     """
     if f in helpers:
         raise ValueError(f"node {f} cannot appear among its own helpers")
     helpers = sorted(helpers)
     d = len(helpers)
     seg, beta = session_shape(params, d)
-    e_f = params.eval_point(f)
-    psi_f = np.array([(e_f**t).value for t in range(params.alpha)], dtype=np.int64)
-    psi_seg = psi_f.reshape(beta, seg)
+    psi_seg = coefficient_matrix(params).data[f - 1, : params.alpha].reshape(beta, seg)
     decode_t = repair_matrix(params, f, helpers).T
-    checked = False
 
     def rebuild(payloads: dict) -> np.ndarray:
-        nonlocal checked
         stripes = payloads[helpers[0]].shape[0]
         bundles = np.empty((stripes, d, beta), dtype=np.int64)
         for i, h in enumerate(helpers):
             segments = np.asarray(payloads[h], dtype=np.int64).reshape(stripes, beta, seg)
             np.einsum("sbt,bt->sb", segments, psi_seg, out=bundles[:, i])
         bundles %= params.q
-        rebuilt = (bundles.reshape(stripes, d * beta) @ decode_t) % params.q
-        if not checked and stripes:
-            shards = _node_shards_from_rows(
-                (payloads[h][0] for h in helpers), helpers, params
-            )
-            reference_bundles = [make_repair_bundle(s, f, d, params) for s in shards]
-            reference = repair(f, reference_bundles, params).symbol_values()
-            if tuple(int(v) for v in rebuilt[0]) != reference:
-                raise InconsistencyError("batched and stepwise repair disagree on stripe 0")
-            checked = True
-        return rebuilt
+        return (bundles.reshape(stripes, d * beta) @ decode_t) % params.q
 
+    _, payloads = _self_check_batch(params)
+    _self_check("repairer", rebuild({h: payloads[h - 1] for h in helpers}), payloads[f - 1])
     return rebuild
 
 

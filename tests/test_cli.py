@@ -2,6 +2,7 @@
 #
 # Every test drives main(argv) in-process and checks exit codes, streams
 # and the bytes that land on disk. Exit codes: 0 ok, 1 usage, 2 bad data.
+import dataclasses
 import shutil
 
 import numpy as np
@@ -384,8 +385,26 @@ def test_verify_flags_truncated_shards(encoded, tmp_path, capsys):
     assert "payload holds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", [10**6, 10])
+def test_a_forged_length_is_refused_by_verify_and_reconstruct(length, tmp_path, capsys):
+    src = tmp_path / "data.bin"
+    src.write_bytes(bytes(np.random.default_rng(5).integers(0, 256, 5000, dtype=np.uint8)))
+    assert main(["encode", str(src), "-o", str(tmp_path), *CODE_FLAGS]) == 0
+    shards = [shard_path(tmp_path, j) for j in (1, 2, 3)]
+    for path in shards:
+        header, symbols = read_shard(path)
+        write_shard(path, dataclasses.replace(header, original_length=length), symbols)
+    capsys.readouterr()
+    assert main(["verify", *map(str, shards)]) == 2
+    assert f"{shards[0]}: header records 417 stripes" in capsys.readouterr().err
+    out = tmp_path / "out.bin"
+    assert main(["reconstruct", *map(str, shards), "-o", str(out)]) == 2
+    assert f"{shards[0]}: header records 417 stripes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
-# the stripe-0 cross-check
+# the self-check of each batched map
 # ---------------------------------------------------------------------------
 
 
@@ -412,6 +431,21 @@ def assert_refused_at_stripe_0(rc, capsys, out_path):
 def test_encode_refuses_a_map_that_disagrees_on_stripe_0(tmp_path, monkeypatch, capsys):
     src = tmp_path / "data.bin"
     src.write_bytes(bytes(range(1, 101)))  # stripe 0 reads symbol 0 as 1
+    skew_map(monkeypatch, "encode_matrix", 0, 0)
+    out_dir = tmp_path / "shards"
+    rc = main(["encode", str(src), "-o", str(out_dir), *CODE_FLAGS])
+    assert_refused_at_stripe_0(rc, capsys, out_dir / "data.bin.shard01")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "data",
+    [bytes(12) + bytes(np.random.default_rng(12).integers(0, 256, 6000, dtype=np.uint8)), b""],
+    ids=["zero-stripe-0", "empty"],
+)
+def test_encode_refuses_a_skewed_map_whatever_the_file_holds(data, tmp_path, monkeypatch, capsys):
+    src = tmp_path / "data.bin"
+    src.write_bytes(data)
     skew_map(monkeypatch, "encode_matrix", 0, 0)
     out_dir = tmp_path / "shards"
     rc = main(["encode", str(src), "-o", str(out_dir), *CODE_FLAGS])

@@ -3,7 +3,7 @@
 # The CLI streams files through the codec in batches of
 # striping.BATCH_SYMBOLS source symbols. These tests shrink the batch to a
 # few stripes and check that batch boundaries change no output byte, that
-# each command builds its linear map and runs its stripe-0 check once, that
+# each command builds its linear map and runs its self-check once, that
 # a failure mid-stream leaves no file behind, that written files follow the
 # umask, and that peak memory does not grow with the file.
 import os
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from pmba import striping
 from pmba.cli import main
+from pmba.matrix import InconsistencyError, Matrix
 from pmba.params import derive_params
 from pmba.shardio import (
     ShardFormatError,
@@ -126,20 +127,20 @@ def test_each_command_builds_its_map_and_checks_stripe_0_once(tmp_path, monkeypa
     data = bytes(range(256)) * 2  # 43 stripes, 15 batches
     _, _, shards = encode_file(tmp_path, params, data)
 
-    # encode_all, reconstruct and repair are the stepwise stripe-0 references
-    names = ["encode_matrix", "repair_matrix", "invert", "encode_all", "reconstruct", "repair"]
+    # encode_all is the stepwise oracle, run once per stripe of the self-check
+    names = ["encode_matrix", "repair_matrix", "invert", "encode_all"]
     counts = count_calls(monkeypatch, names)
     encode_file(tmp_path, params, data)
-    assert (counts["encode_matrix"], counts["encode_all"]) == (1, 1)
+    assert (counts["encode_matrix"], counts["encode_all"]) == (1, 2)
 
     counts.update(dict.fromkeys(names, 0))
     assert main(["reconstruct", *(str(shards[j]) for j in (2, 4, 7)), "-o", str(tmp_path / "o")]) == 0
-    assert (counts["encode_matrix"], counts["invert"], counts["reconstruct"]) == (1, 1, 1)
+    assert (counts["encode_matrix"], counts["invert"], counts["encode_all"]) == (1, 1, 2)
 
     counts.update(dict.fromkeys(names, 0))
     helpers = [str(shards[h]) for h in (1, 2, 4, 5, 6, 7)]
     assert main(["repair", *helpers, "-f", "3", "--out", str(tmp_path / "r")]) == 0
-    assert (counts["repair_matrix"], counts["repair"], counts["encode_matrix"]) == (1, 1, 0)
+    assert (counts["repair_matrix"], counts["encode_all"], counts["encode_matrix"]) == (1, 2, 0)
     capsys.readouterr()
 
 
@@ -178,6 +179,30 @@ def test_split_batches_decode_and_repair_at_every_d(k, delta, spare, stripes, pe
         rebuild = striping.stripe_repairer(params, f, helpers)
         batches = split({h: coded[h - 1] for h in helpers})
         assert np.array_equal(np.concatenate([rebuild(b) for b in batches]), coded[f - 1])
+
+
+@pytest.mark.parametrize("name", ["encode_matrix", "invert", "repair_matrix"])
+def test_a_skewed_map_is_refused_even_when_stripe_0_is_zero(name, monkeypatch):
+    params = derive_params(3, 2, 7)
+    source = np.random.default_rng(5).integers(0, params.q, (4, params.file_symbols))
+    source[0] = 0  # a linear map sends it to zero, skewed or not
+    coded = striping.encode_stripes(source, params)
+    kernels = {
+        "encode_matrix": lambda: striping.encode_stripes(source, params),
+        "invert": lambda: striping.reconstruct_stripes({j: coded[j - 1] for j in (1, 2, 3)}, params),
+        "repair_matrix": lambda: striping.repair_stripes({h: coded[h - 1] for h in (2, 3, 4, 5)}, 1, params),
+    }
+    real = getattr(striping, name)
+
+    def skewed(*args):
+        out = real(*args)
+        data = np.array(getattr(out, "data", out))
+        data[0, 0] += 1
+        return Matrix(out.field, data) if isinstance(out, Matrix) else data
+
+    monkeypatch.setattr(striping, name, skewed)
+    with pytest.raises(InconsistencyError, match="disagree on stripe"):
+        kernels[name]()
 
 
 # ---------------------------------------------------------------------------

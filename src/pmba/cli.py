@@ -37,7 +37,7 @@ def _manifest_file_name(original_name: str) -> str:
 
 @contextlib.contextmanager
 def _open_shard_set(paths):
-    """Open shard files whose headers agree and whose stripe count fits their length.
+    """Open shard files whose headers agree.
 
     Yields (params, header, readers, batches): the code, the first file's
     header, the first reader of each node, and an iterator that reads every
@@ -57,12 +57,6 @@ def _open_shard_set(paths):
             opened.append(reader)
         header = opened[0].header
         params = shardio.shard_params(header)
-        stripes = striping.file_stripes(header.original_length, params)
-        if header.stripe_count != stripes:
-            raise ShardFormatError(
-                f"{opened[0].path}: header records {header.stripe_count} stripes, but "
-                f"its length of {header.original_length} bytes takes {stripes}"
-            )
         readers = {}
         for reader in opened:
             readers.setdefault(reader.header.node_index, reader)
@@ -123,7 +117,7 @@ def cmd_encode(args) -> int:
                 f"q = {params.q} gives nodes {groups} the same (k-1)-th power, so k "
                 f"nodes holding two of them cannot reconstruct; choose another --q"
             )
-        stripes = striping.file_stripes(length, params)
+        stripes = params.file_stripes(length)
         headers = [
             shardio.header_for(params, j, stripes, length) for j in range(1, params.n + 1)
         ]
@@ -152,7 +146,12 @@ def cmd_reconstruct(args) -> int:
     with _open_shard_set(args.shards) as (params, header, readers, batches):
         available = sorted(readers)
         if args.nodes:
-            chosen = sorted({int(t) for t in args.nodes.split(",")})
+            try:
+                chosen = sorted({int(t) for t in args.nodes.split(",")})
+            except ValueError:
+                raise ValueError(
+                    f"--nodes takes comma-separated node indices, got {args.nodes!r}"
+                ) from None
             missing = [j for j in chosen if j not in readers]
             if missing:
                 raise ValueError(
@@ -182,8 +181,6 @@ def cmd_reconstruct(args) -> int:
 def cmd_repair(args) -> int:
     with _open_shard_set(args.shards) as (params, header, readers, batches):
         f = args.failed
-        if not 1 <= f <= params.n:
-            raise ValueError(f"failed index must be in 1..{params.n}, got {f}")
         rebuild = striping.stripe_repairer(params, f, sorted(readers))
 
         if args.out:

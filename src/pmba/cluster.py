@@ -122,8 +122,7 @@ class Cluster:
                 self._stored[shard.node_index].append(shard.symbol_values())
 
     def fail_node(self, f: int) -> None:
-        if not 1 <= f <= self.params.n:
-            raise ValueError(f"node index must be in 1..{self.params.n}, got {f}")
+        self.params.check_nodes([f])
         if self._stored[f] is None:
             raise ValueError(f"node {f} is already failed")
         self._stored[f] = None

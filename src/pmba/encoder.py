@@ -98,8 +98,7 @@ def flatten_blocks(blocks, k: int) -> tuple:
 
 
 def encode_node(m: MessageMatrix, params: CodeParams, node_index: int) -> NodeShard:
-    if not 1 <= node_index <= params.n:
-        raise ValueError(f"node index must be in 1..{params.n}, got {node_index}")
+    params.check_nodes([node_index])
     return encode_all(m, params)[node_index - 1]
 
 

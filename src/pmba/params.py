@@ -78,10 +78,21 @@ class CodeParams:
     def total_bandwidth(self) -> dict:
         return {d: d * b for d, b in self.per_node_bandwidth.items()}
 
+    def file_stripes(self, length: int) -> int:
+        """Stripes a v1 shard set holds for a file of `length` bytes: ceil(length / F)."""
+        return -(-length // self.file_symbols)
+
+    def check_nodes(self, nodes) -> None:
+        """Refuse a list of 1-based node indices that repeats one or leaves 1..n."""
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"node indices must be distinct, got {nodes}")
+        for j in nodes:
+            if not 1 <= j <= self.n:
+                raise ValueError(f"node index {j} outside 1..{self.n}")
+
     def eval_point(self, node_index: int):
         """Evaluation point of 1-based node node_index, as a FieldElement."""
-        if not 1 <= node_index <= self.n:
-            raise ValueError(f"node index must be in 1..{self.n}, got {node_index}")
+        self.check_nodes([node_index])
         return self.field.element(self.eval_points[node_index - 1])
 
     def power_collisions(self) -> list:

@@ -28,11 +28,8 @@ class ReconstructionSession:
         if len(shards) != k:
             raise ValueError(f"need exactly k = {k} shards, got {len(shards)}")
         indices = [s.node_index for s in shards]
-        if len(set(indices)) != k:
-            raise ValueError(f"node indices must be distinct, got {indices}")
+        params.check_nodes(indices)
         for s in shards:
-            if not 1 <= s.node_index <= params.n:
-                raise ValueError(f"node index {s.node_index} outside 1..{params.n}")
             if len(s.symbols) != alpha:
                 raise ValueError(
                     f"shard {s.node_index} holds {len(s.symbols)} symbols, "

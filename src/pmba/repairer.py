@@ -36,15 +36,24 @@ def session_shape(params: CodeParams, d: int):
     return seg, params.per_node_bandwidth[d]
 
 
+def check_repair_nodes(params: CodeParams, f: int, helpers) -> None:
+    """Refuse a failed index not in 1..n, a helper list that
+    `CodeParams.check_nodes` refuses, or the failed node among its helpers."""
+    if not 1 <= f <= params.n:
+        raise ValueError(f"failed index must be in 1..{params.n}, got {f}")
+    params.check_nodes(helpers)
+    if f in helpers:
+        raise ValueError(f"node {f} cannot appear among its own helpers")
+
+
 def make_repair_bundle(
     helper_shard: NodeShard, f: int, d: int, params: CodeParams
 ) -> RepairBundle:
     seg, beta = session_shape(params, d)
     h = helper_shard.node_index
-    if not 1 <= f <= params.n:
-        raise ValueError(f"failed index must be in 1..{params.n}, got {f}")
     if h == f:
         raise ValueError(f"node {h} cannot help repair itself")
+    check_repair_nodes(params, f, [h])
     if len(helper_shard.symbols) != params.alpha:
         raise ValueError(
             f"helper shard holds {len(helper_shard.symbols)} symbols, "
@@ -72,8 +81,7 @@ def repair(f: int, bundles, params: CodeParams) -> NodeShard:
     if len(bundles) != d:
         raise ValueError(f"need exactly d = {d} bundles, got {len(bundles)}")
     helpers = [b.helper_index for b in bundles]
-    if len(set(helpers)) != d:
-        raise ValueError(f"helper indices must be distinct, got {helpers}")
+    check_repair_nodes(params, f, helpers)
     for b in bundles:
         if b.failed_index != f:
             raise ValueError(
@@ -82,10 +90,6 @@ def repair(f: int, bundles, params: CodeParams) -> NodeShard:
             )
         if b.d != d:
             raise ValueError(f"bundles mix helper counts {d} and {b.d}")
-        if b.helper_index == f:
-            raise ValueError(f"node {f} cannot appear among its own helpers")
-        if not 1 <= b.helper_index <= params.n:
-            raise ValueError(f"helper index {b.helper_index} outside 1..{params.n}")
         if len(b.symbols) != beta:
             raise ValueError(
                 f"bundle from node {b.helper_index} holds {len(b.symbols)} symbols, "

@@ -264,6 +264,12 @@ class ShardReader:
         params = shard_params(header)
         if not 1 <= header.node_index <= n:
             raise ShardFormatError(f"{path}: node index {header.node_index} outside 1..{n}")
+        stripes = params.file_stripes(header.original_length)
+        if header.stripe_count != stripes:
+            raise ShardFormatError(
+                f"{path}: header records {header.stripe_count} stripes, but "
+                f"its length of {header.original_length} bytes takes {stripes}"
+            )
         st = os.fstat(self._fh.fileno())
         if not stat.S_ISREG(st.st_mode):
             raise ShardFormatError(f"{path}: not a regular file, so its length is unknown")

@@ -28,15 +28,10 @@ import numpy as np
 from .encoder import build_message_matrix, coefficient_matrix, encode_all, message_layout
 from .matrix import InconsistencyError, Matrix, build_gvm, invert
 from .params import BYTE_SAFE_MIN_Q, CodeParams
-from .repairer import session_shape
+from .repairer import check_repair_nodes, session_shape
 
 
 BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
-
-
-def file_stripes(length: int, params: CodeParams) -> int:
-    """Stripes a file of `length` bytes takes: ceil(length / F)."""
-    return -(-length // params.file_symbols)
 
 
 def batch_stripes(params: CodeParams) -> int:
@@ -51,7 +46,7 @@ def bytes_to_source(data, params: CodeParams) -> np.ndarray:
             f"q = {params.q} cannot carry byte payloads; need q >= {BYTE_SAFE_MIN_Q}"
         )
     arr = np.frombuffer(data, dtype=np.uint8)
-    padded = np.zeros((file_stripes(len(arr), params), params.file_symbols), dtype=np.int64)
+    padded = np.zeros((params.file_stripes(len(arr)), params.file_symbols), dtype=np.int64)
     padded.reshape(-1)[: len(arr)] = arr
     return padded
 
@@ -166,11 +161,7 @@ def stripe_decoder(params: CodeParams, nodes):
     nodes = sorted(nodes)
     if len(nodes) != k:
         raise ValueError(f"need exactly k = {k} node payloads, got {len(nodes)}")
-    if len(set(nodes)) != k:
-        raise ValueError(f"node indices must be distinct, got {nodes}")
-    for j in nodes:
-        if not 1 <= j <= params.n:
-            raise ValueError(f"node index {j} outside 1..{params.n}")
+    params.check_nodes(nodes)
     w = k - 1
     pair = k * w  # symbols per block column of the k nodes, and per block pair
     half = pair // 2
@@ -251,9 +242,8 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     builder refuses a function that does not return node f's self-check
     payload from the helpers'.
     """
-    if f in helpers:
-        raise ValueError(f"node {f} cannot appear among its own helpers")
     helpers = sorted(helpers)
+    check_repair_nodes(params, f, helpers)
     d = len(helpers)
     seg, beta = session_shape(params, d)
     psi_seg = coefficient_matrix(params).data[f - 1, : params.alpha].reshape(beta, seg)

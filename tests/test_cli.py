@@ -174,6 +174,16 @@ def test_reconstruct_node_selection_errors(encoded, tmp_path, capsys):
     assert "need at least k = 3 shard files, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nodes", ["1,x", "1,2,3,"])
+def test_reconstruct_names_a_malformed_node_list(nodes, encoded, tmp_path, capsys):
+    _, _, out_dir = encoded
+    shards = [str(shard_path(out_dir, j)) for j in (1, 2, 3)]
+    rc = main(["reconstruct", *shards, "-o", str(tmp_path / "o"), "--nodes", nodes])
+    assert rc == 1
+    assert f"--nodes takes comma-separated node indices, got {nodes!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_reconstruct_deduplicates_repeated_files(encoded, tmp_path):
     data, _, out_dir = encoded
     out = tmp_path / "dedup.bin"

@@ -1,4 +1,6 @@
 # tests/test_shardio.py
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pmba.shardio import (
     MAGIC,
     ShardFormatError,
     ShardHeader,
+    ShardReader,
     atomic_write_bytes,
     header_for,
     pack_header,
@@ -25,6 +28,7 @@ from pmba.striping import (
     reconstruct_stripes,
     repair_stripes,
     source_to_bytes,
+    stripe_repairer,
 )
 
 BYTE_PARAMS = derive_params(3, 2, 7, q=263)
@@ -179,8 +183,24 @@ def test_shard_params_rebuilds_the_code():
         shard_params(broken)
 
 
+@pytest.mark.parametrize("length", [10, 10**6])
+def test_reader_refuses_a_stripe_count_the_length_does_not_take(length, tmp_path):
+    # 417 stripes hold a 5000-byte file; a forged length must not trim or pad it
+    path = tmp_path / "forged.shard"
+    header = header_for(BYTE_PARAMS, 1, 417, original_length=length)
+    write_shard(path, header, np.zeros((417, BYTE_PARAMS.alpha), dtype=np.int64))
+    takes = -(-length // BYTE_PARAMS.file_symbols)
+    message = re.escape(
+        f"{path}: header records 417 stripes, but its length of {length} bytes takes {takes}"
+    )
+    with pytest.raises(ShardFormatError, match=message):
+        read_shard(path)
+    with pytest.raises(ShardFormatError, match=message):
+        ShardReader(path)
+
+
 def test_pack_header_matches_reader(tmp_path):
-    header = header_for(BYTE_PARAMS, 4, 0, original_length=9)
+    header = header_for(BYTE_PARAMS, 4, 0, original_length=0)
     path = tmp_path / "h.shard"
     path.write_bytes(pack_header(header))
     got, symbols = read_shard(path)
@@ -450,6 +470,28 @@ def test_batched_reconstruction_needs_exactly_k_payloads():
     _, _, coded, _ = batch_fixture(stripes=1)
     with pytest.raises(ValueError, match="need exactly k = 3 node payloads"):
         reconstruct_stripes({1: coded[0], 2: coded[1]}, BYTE_PARAMS)
+
+
+BAD_REPAIRS = [
+    (8, (1, 2, 3, 4), "failed index must be in 1..7, got 8"),
+    (0, (1, 2, 3, 4), "failed index must be in 1..7, got 0"),
+    (5, (1, 2, 2, 3), r"node indices must be distinct, got \[1, 2, 2, 3\]"),
+    (5, (1, 2, 3, 9), "node index 9 outside 1..7"),
+]
+
+
+@pytest.mark.parametrize("f, helpers, message", BAD_REPAIRS)
+def test_the_repairer_refuses_bad_node_lists_by_name(f, helpers, message):
+    with pytest.raises(ValueError, match=message):
+        stripe_repairer(BYTE_PARAMS, f, helpers)
+
+
+# a dict of payloads cannot name one helper twice
+@pytest.mark.parametrize("f, helpers, message", [r for r in BAD_REPAIRS if len(set(r[1])) == 4])
+def test_batched_repair_refuses_bad_node_lists_by_name(f, helpers, message):
+    _, _, coded, _ = batch_fixture(stripes=1)
+    with pytest.raises(ValueError, match=message):
+        repair_stripes({h: coded[0] for h in helpers}, f, BYTE_PARAMS)
 
 
 def test_batched_repair_refuses_the_failed_node_as_helper():

@@ -55,8 +55,7 @@ def _open_shard_set(paths):
                     f"the same encoding"
                 )
             opened.append(reader)
-        header = opened[0].header
-        params = shardio.shard_params(header)
+        header, params = opened[0].header, opened[0].params
         readers = {}
         for reader in opened:
             readers.setdefault(reader.header.node_index, reader)
@@ -117,10 +116,8 @@ def cmd_encode(args) -> int:
                 f"q = {params.q} gives nodes {groups} the same (k-1)-th power, so k "
                 f"nodes holding two of them cannot reconstruct; choose another --q"
             )
-        stripes = params.file_stripes(length)
-        headers = [
-            shardio.header_for(params, j, stripes, length) for j in range(1, params.n + 1)
-        ]
+        headers = [shardio.header_for(params, j, length) for j in range(1, params.n + 1)]
+        stripes = headers[0].stripe_count
         out_dir.mkdir(parents=True, exist_ok=True)
         encode = striping.stripe_encoder(params)
         with shardio.atomic_set() as files:  # the n shards, then the manifest
@@ -131,7 +128,7 @@ def cmd_encode(args) -> int:
                     writer.write(payload)
             entries = [(j, name, w.crc) for j, (name, w) in enumerate(zip(names, files), start=1)]
             manifest = out_dir / _manifest_file_name(input_path.name)
-            files.append(shardio.manifest_file(manifest, input_path.name, params, headers[0], entries))
+            files.append(shardio.manifest_file(manifest, input_path.name, headers[0], entries))
     for name in names:
         print(f"wrote {out_dir / name} ({stripes * params.alpha} symbols)")
     print(f"wrote {manifest}")
@@ -238,6 +235,9 @@ def cmd_params(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    for flag, count in (("--stripes", args.stripes), ("--rounds", args.rounds)):
+        if count < 0:
+            raise ValueError(f"{flag} must not be negative, got {count}")
     params = derive_params(args.k, args.delta, args.n, q=args.q)
     policy = HelperPolicy.parse(args.policy)
     rng = np.random.default_rng(args.seed)

@@ -91,6 +91,9 @@ class Cluster:
         return tuple(j for j in sorted(self._stored) if self._stored[j] is None)
 
     def node_shard(self, node_index: int, stripe: int) -> NodeShard:
+        self.params.check_nodes([node_index])
+        if not 0 <= stripe < self.stripes:
+            raise ValueError(f"stripe {stripe} outside 0..{self.stripes - 1}")
         stored = self._stored[node_index]
         if stored is None:
             raise ValueError(f"node {node_index} is failed")

@@ -57,24 +57,24 @@ class ShardHeader:
         return astuple(replace(self, node_index=0))
 
 
-def header_for(
-    params: CodeParams, node_index: int, stripe_count: int, original_length: int
-) -> ShardHeader:
+def header_for(params: CodeParams, node_index: int, original_length: int) -> ShardHeader:
     return ShardHeader(
         q=params.q,
         n=params.n,
         k=params.k,
         delta=params.delta,
         node_index=node_index,
-        stripe_count=stripe_count,
+        stripe_count=params.file_stripes(original_length),
         original_length=original_length,
         eval_points=params.eval_points,
     )
 
 
-def shard_params(header: ShardHeader) -> CodeParams:
+def shard_params(header: ShardHeader, path) -> CodeParams:
+    """The code of a v1 header; refuses, naming `path`, an invalid code, a
+    node index outside 1..n or a stripe count other than file_stripes."""
     try:
-        return derive_params(
+        params = derive_params(
             header.k,
             header.delta,
             header.n,
@@ -82,7 +82,18 @@ def shard_params(header: ShardHeader) -> CodeParams:
             eval_points=header.eval_points,
         )
     except ValueError as exc:
-        raise ShardFormatError(f"shard header is invalid: {exc}") from None
+        raise ShardFormatError(f"{path}: shard header is invalid: {exc}") from None
+    try:
+        params.check_nodes([header.node_index])
+    except ValueError as exc:
+        raise ShardFormatError(f"{path}: {exc}") from None
+    stripes = params.file_stripes(header.original_length)
+    if header.stripe_count != stripes:
+        raise ShardFormatError(
+            f"{path}: header records {header.stripe_count} stripes, but "
+            f"its length of {header.original_length} bytes takes {stripes}"
+        )
+    return params
 
 
 def pack_header(header: ShardHeader) -> bytes:
@@ -189,20 +200,20 @@ class ShardWriter(AtomicFile):
     """A shard file written as its header, then appended (stripes, alpha)
     payload batches, each checked for shape and range.
 
-    `crc` is the running CRC-32 of the payload written so far. The file
-    syncs, and so commits, only once the batches add up to the header's
-    stripe count.
+    The header passes `shard_params` before a temp file exists. `crc` is
+    the running CRC-32 of the payload written so far. The file syncs, and
+    so commits, only once the batches add up to the header's stripe count.
     """
 
     def __init__(self, path, header: ShardHeader):
         self.header = header
-        self.alpha = shard_params(header).alpha
+        self.params = shard_params(header, path)
         self.stripes = self.crc = 0
         super().__init__(path)
         super().write(pack_header(header))
 
     def write(self, symbols: np.ndarray) -> None:
-        expected = (self.header.stripe_count - self.stripes, self.alpha)
+        expected = (self.header.stripe_count - self.stripes, self.params.alpha)
         if symbols.ndim != 2 or symbols.shape[0] > expected[0] or symbols.shape[1] != expected[1]:
             raise ValueError(f"payload shape {symbols.shape} does not match {expected}")
         if symbols.size and int(symbols.max()) >= self.header.q:
@@ -215,8 +226,8 @@ class ShardWriter(AtomicFile):
     def sync(self) -> None:
         if self.stripes != self.header.stripe_count:
             raise ValueError(
-                f"payload shape {(self.stripes, self.alpha)} does not match "
-                f"{(self.header.stripe_count, self.alpha)}"
+                f"payload shape {(self.stripes, self.params.alpha)} does not match "
+                f"{(self.header.stripe_count, self.params.alpha)}"
             )
         super().sync()
 
@@ -232,7 +243,7 @@ class ShardReader:
 
     The payload is read in batches of whole stripes; each batch is checked
     symbol by symbol against q, and `crc` is the running CRC-32 of the
-    payload read so far.
+    payload read so far, `stripes` the number of stripes read.
     """
 
     def __init__(self, path):
@@ -243,8 +254,7 @@ class ShardReader:
         except BaseException:
             self._fh.close()
             raise
-        self.alpha = shard_params(self.header).alpha
-        self.crc = 0
+        self.stripes = self.crc = 0
 
     def _read_header(self) -> ShardHeader:
         path = self.path
@@ -261,20 +271,12 @@ class ShardReader:
         if len(points) < 2 * n:
             raise ShardFormatError(f"{path}: truncated evaluation-point table")
         header = ShardHeader(*fields, eval_points=struct.unpack(f"<{n}H", points))
-        params = shard_params(header)
-        if not 1 <= header.node_index <= n:
-            raise ShardFormatError(f"{path}: node index {header.node_index} outside 1..{n}")
-        stripes = params.file_stripes(header.original_length)
-        if header.stripe_count != stripes:
-            raise ShardFormatError(
-                f"{path}: header records {header.stripe_count} stripes, but "
-                f"its length of {header.original_length} bytes takes {stripes}"
-            )
+        self.params = shard_params(header, path)
         st = os.fstat(self._fh.fileno())
         if not stat.S_ISREG(st.st_mode):
             raise ShardFormatError(f"{path}: not a regular file, so its length is unknown")
         payload = st.st_size - _FIXED.size - 2 * n
-        expected = header.stripe_count * params.alpha * 2
+        expected = header.stripe_count * self.params.alpha * 2
         if payload != expected:
             raise ShardFormatError(
                 f"{path}: payload holds {payload} bytes, header promises {expected}"
@@ -284,14 +286,18 @@ class ShardReader:
     def read(self, stripes: int) -> np.ndarray:
         """The next `stripes` stripes of payload, as a read-only
         (stripes, alpha) array of `<u2` symbols."""
-        want = stripes * self.alpha * 2
+        remaining = self.header.stripe_count - self.stripes
+        if not 0 <= stripes <= remaining:
+            raise ValueError(f"{self.path}: cannot read {stripes} stripes, {remaining} remain")
+        want = stripes * self.params.alpha * 2
         payload = self._fh.read(want)
         if len(payload) != want:
             raise ShardFormatError(f"{self.path}: payload shrank while being read")
-        symbols = np.frombuffer(payload, dtype="<u2").reshape(stripes, self.alpha)
+        symbols = np.frombuffer(payload, dtype="<u2").reshape(stripes, self.params.alpha)
         if symbols.size and int(symbols.max()) >= self.header.q:
             raise ShardFormatError(f"{self.path}: payload symbol >= q = {self.header.q}")
         self.crc = zlib.crc32(payload, self.crc)
+        self.stripes += stripes
         return symbols
 
     def close(self) -> None:
@@ -315,7 +321,7 @@ def payload_crc(symbols: np.ndarray) -> int:
     return zlib.crc32(symbols.astype("<u2").tobytes()) & 0xFFFFFFFF
 
 
-def manifest_file(path, original_name: str, params: CodeParams, header0: ShardHeader, shard_entries) -> AtomicFile:
+def manifest_file(path, original_name: str, header0: ShardHeader, shard_entries) -> AtomicFile:
     """The manifest, written into an AtomicFile left for the caller to commit.
 
     shard_entries: iterable of (node_index, file_name, crc32).
@@ -323,10 +329,10 @@ def manifest_file(path, original_name: str, params: CodeParams, header0: ShardHe
     lines = [
         f"file={original_name}",
         f"length_bytes={header0.original_length}",
-        f"q={params.q}",
-        f"n={params.n}",
-        f"k={params.k}",
-        f"delta={params.delta}",
+        f"q={header0.q}",
+        f"n={header0.n}",
+        f"k={header0.k}",
+        f"delta={header0.delta}",
     ]
     for node_index, file_name, crc in shard_entries:
         lines.append(f"shard{node_index:02d}.file={file_name}")
@@ -336,8 +342,8 @@ def manifest_file(path, original_name: str, params: CodeParams, header0: ShardHe
     return fh
 
 
-def write_manifest(path, original_name: str, params: CodeParams, header0: ShardHeader, shard_entries) -> None:
-    manifest_file(path, original_name, params, header0, shard_entries).commit()
+def write_manifest(path, original_name: str, header0: ShardHeader, shard_entries) -> None:
+    manifest_file(path, original_name, header0, shard_entries).commit()
 
 
 def read_manifest(path) -> dict:

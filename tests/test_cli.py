@@ -15,7 +15,7 @@ from pmba.encoder import build_message_matrix, encode_all
 from pmba.matrix import Matrix
 from pmba.params import derive_params
 from pmba.repairer import make_repair_bundle
-from pmba.shardio import read_shard, write_shard
+from pmba.shardio import pack_header, read_shard, write_shard
 
 CODE_FLAGS = ["--k", "3", "--delta", "2", "--n", "7"]
 
@@ -402,8 +402,10 @@ def test_a_forged_length_is_refused_by_verify_and_reconstruct(length, tmp_path, 
     assert main(["encode", str(src), "-o", str(tmp_path), *CODE_FLAGS]) == 0
     shards = [shard_path(tmp_path, j) for j in (1, 2, 3)]
     for path in shards:
-        header, symbols = read_shard(path)
-        write_shard(path, dataclasses.replace(header, original_length=length), symbols)
+        header, _ = read_shard(path)
+        blob = path.read_bytes()
+        forged = pack_header(dataclasses.replace(header, original_length=length))
+        path.write_bytes(forged + blob[len(forged):])
     capsys.readouterr()
     assert main(["verify", *map(str, shards)]) == 2
     assert f"{shards[0]}: header records 417 stripes" in capsys.readouterr().err
@@ -569,6 +571,15 @@ def test_simulate_writes_csv_files(tmp_path, capsys):
     text = csv_path.read_text()
     assert text.startswith(CSV_HEADER + "\n")
     assert len(text.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("flag", ["--stripes", "--rounds"])
+def test_simulate_refuses_negative_counts(flag, capsys):
+    rc = main(["simulate", "--k", "3", "--delta", "2", "--n", "7", "--q", "11", flag, "-2"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: {flag} must not be negative, got -2" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

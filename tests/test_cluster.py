@@ -237,6 +237,22 @@ def test_state_transitions_are_guarded():
         c.fail_node(8)
 
 
+@pytest.mark.parametrize(
+    "node, stripe, message",
+    [
+        (9, 0, "node index 9 outside 1..7"),
+        (0, 0, "node index 0 outside 1..7"),
+        (1, 2, "stripe 2 outside 0..1"),
+        (1, 5, "stripe 5 outside 0..1"),
+        (1, -1, "stripe -1 outside 0..1"),
+    ],
+)
+def test_node_shard_refuses_bad_indices_by_name(node, stripe, message):
+    c, _ = loaded_cluster(stripes=2)
+    with pytest.raises(ValueError, match=message):
+        c.node_shard(node, stripe)
+
+
 # ---------------------------------------------------------------------------
 # the traffic ledger
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 # tests/test_shardio.py
+import dataclasses
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -40,10 +42,10 @@ SMALL = derive_params(3, 2, 7, q=11)
 FIXED_SIZE = 33
 
 
-def sample_shard(tmp_path, node_index=3, stripes=2, params=BYTE_PARAMS, seed=41):
+def sample_shard(tmp_path, node_index=3, params=BYTE_PARAMS, seed=41):
     rng = np.random.default_rng(seed)
-    symbols = rng.integers(0, params.q, size=(stripes, params.alpha)).astype(np.int64)
-    header = header_for(params, node_index, stripes, original_length=17)
+    header = header_for(params, node_index, original_length=17)  # two stripes at F = 12
+    symbols = rng.integers(0, params.q, size=(header.stripe_count, params.alpha)).astype(np.int64)
     path = tmp_path / f"node{node_index}.shard"
     write_shard(path, header, symbols)
     return path, header, symbols
@@ -69,7 +71,7 @@ def test_shard_bytes_are_deterministic(tmp_path):
 
 
 def test_header_layout_is_pinned(tmp_path):
-    path, header, _ = sample_shard(tmp_path, node_index=5, stripes=2)
+    path, header, _ = sample_shard(tmp_path, node_index=5)
     blob = path.read_bytes()
     assert blob[0:4] == MAGIC == b"PMBA"
     assert blob[4] == FORMAT_VERSION == 1
@@ -90,7 +92,7 @@ def test_header_layout_is_pinned(tmp_path):
 
 def test_zero_stripe_shard_round_trips(tmp_path):
     params = BYTE_PARAMS
-    header = header_for(params, 1, 0, original_length=0)
+    header = header_for(params, 1, original_length=0)
     path = tmp_path / "empty.shard"
     write_shard(path, header, np.zeros((0, params.alpha), dtype=np.int64))
     got_header, got_symbols = read_shard(path)
@@ -150,7 +152,7 @@ def test_reader_rejects_impossible_header_parameters(tmp_path):
 
 def test_writer_guards_shape_and_range(tmp_path):
     params = BYTE_PARAMS
-    header = header_for(params, 1, 2, original_length=5)
+    header = header_for(params, 1, original_length=24)  # two stripes
     with pytest.raises(ValueError, match="does not match"):
         write_shard(tmp_path / "x", header, np.zeros((2, 3), dtype=np.int64))
     bad = np.zeros((2, params.alpha), dtype=np.int64)
@@ -165,30 +167,30 @@ def test_header_q_must_fit_two_bytes():
 
 
 def test_code_key_ignores_only_the_node_index():
-    h3 = header_for(BYTE_PARAMS, 3, 2, original_length=17)
-    h5 = header_for(BYTE_PARAMS, 5, 2, original_length=17)
+    h3 = header_for(BYTE_PARAMS, 3, original_length=17)
+    h5 = header_for(BYTE_PARAMS, 5, original_length=17)
     assert h3.code_key() == h5.code_key()
-    other = header_for(BYTE_PARAMS, 3, 4, original_length=17)
+    other = header_for(BYTE_PARAMS, 3, original_length=40)
     assert h3.code_key() != other.code_key()
 
 
 def test_shard_params_rebuilds_the_code():
-    header = header_for(BYTE_PARAMS, 2, 1, original_length=0)
-    assert shard_params(header) == BYTE_PARAMS
+    header = header_for(BYTE_PARAMS, 2, original_length=0)
+    assert shard_params(header, "h.shard") == BYTE_PARAMS
     broken = ShardHeader(
         q=10, n=7, k=3, delta=2, node_index=1, stripe_count=0,
         original_length=0, eval_points=tuple(range(1, 8)),
     )
-    with pytest.raises(ShardFormatError, match="shard header is invalid"):
-        shard_params(broken)
+    with pytest.raises(ShardFormatError, match="h.shard: shard header is invalid"):
+        shard_params(broken, "h.shard")
 
 
 @pytest.mark.parametrize("length", [10, 10**6])
 def test_reader_refuses_a_stripe_count_the_length_does_not_take(length, tmp_path):
     # 417 stripes hold a 5000-byte file; a forged length must not trim or pad it
     path = tmp_path / "forged.shard"
-    header = header_for(BYTE_PARAMS, 1, 417, original_length=length)
-    write_shard(path, header, np.zeros((417, BYTE_PARAMS.alpha), dtype=np.int64))
+    header = dataclasses.replace(header_for(BYTE_PARAMS, 1, 5000), original_length=length)
+    path.write_bytes(pack_header(header) + bytes(2 * 417 * BYTE_PARAMS.alpha))
     takes = -(-length // BYTE_PARAMS.file_symbols)
     message = re.escape(
         f"{path}: header records 417 stripes, but its length of {length} bytes takes {takes}"
@@ -199,8 +201,57 @@ def test_reader_refuses_a_stripe_count_the_length_does_not_take(length, tmp_path
         ShardReader(path)
 
 
+ROUND_TRIP_CODES = [BYTE_PARAMS, derive_params(4, 3, 13), derive_params(3, 5, 20)]
+
+
+@pytest.mark.parametrize("params", ROUND_TRIP_CODES, ids=["3-2-7", "4-3-13", "3-5-20"])
+def test_header_for_headers_round_trip(params, tmp_path):
+    f = params.file_symbols
+    rng = np.random.default_rng(67)
+    for length in (0, 1, f - 1, f, f + 1, 3 * f + 5):
+        for node in (1, params.n):
+            header = header_for(params, node, length)
+            assert header.stripe_count == -(-length // f)
+            symbols = rng.integers(0, params.q, (header.stripe_count, params.alpha))
+            path = tmp_path / f"{length}-{node}.shard"
+            write_shard(path, header, symbols)
+            got_header, got_symbols = read_shard(path)
+            assert got_header == header
+            assert np.array_equal(got_symbols, symbols)
+
+
+def forged_headers():
+    header = header_for(BYTE_PARAMS, 3, original_length=41)  # four stripes
+    return [
+        dataclasses.replace(header, stripe_count=3),
+        dataclasses.replace(header, stripe_count=5),
+        dataclasses.replace(header, node_index=0),
+        dataclasses.replace(header, node_index=8),
+    ]
+
+
+@pytest.mark.parametrize("header", forged_headers(), ids=["stripes-1", "stripes+1", "node0", "node8"])
+def test_the_writer_refuses_what_the_reader_refuses(header, tmp_path, monkeypatch):
+    path = tmp_path / "forged.shard"
+    symbols = np.zeros((header.stripe_count, BYTE_PARAMS.alpha), dtype=np.int64)
+    path.write_bytes(pack_header(header) + symbols.astype("<u2").tobytes())
+    with pytest.raises(ShardFormatError) as refused:
+        read_shard(path)
+    path.unlink()
+
+    def no_temp_file(*args, **kwargs):
+        raise AssertionError("a temp file was made for a refused header")
+
+    monkeypatch.setattr(tempfile, "mkstemp", no_temp_file)
+    with pytest.raises(ShardFormatError) as written:
+        write_shard(path, header, symbols)
+    assert str(written.value) == str(refused.value)
+    assert str(refused.value).startswith(f"{path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pack_header_matches_reader(tmp_path):
-    header = header_for(BYTE_PARAMS, 4, 0, original_length=0)
+    header = header_for(BYTE_PARAMS, 4, original_length=0)
     path = tmp_path / "h.shard"
     path.write_bytes(pack_header(header))
     got, symbols = read_shard(path)
@@ -224,10 +275,10 @@ def test_payload_crc_detects_single_symbol_change():
 
 
 def test_manifest_round_trip(tmp_path):
-    header = header_for(BYTE_PARAMS, 1, 2, original_length=100)
+    header = header_for(BYTE_PARAMS, 1, original_length=100)
     path = tmp_path / "file.manifest"
     write_manifest(
-        path, "file.bin", BYTE_PARAMS, header,
+        path, "file.bin", header,
         [(1, "file.shard01", 0xDEADBEEF), (2, "file.shard02", 0x5)],
     )
     entries = read_manifest(path)

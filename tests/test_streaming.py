@@ -58,13 +58,13 @@ def write_reference(ref_dir, params, data):
     ref_dir.mkdir()
     source = striping.bytes_to_source(data, params)
     coded = striping.encode_stripes(source, params)
-    headers = [header_for(params, j, source.shape[0], len(data)) for j in range(1, params.n + 1)]
+    headers = [header_for(params, j, len(data)) for j in range(1, params.n + 1)]
     entries = []
     for j, header in enumerate(headers, start=1):
         name = f"in.bin.shard{j:02d}"
         write_shard(ref_dir / name, header, coded[j - 1])
         entries.append((j, name, payload_crc(coded[j - 1])))
-    write_manifest(ref_dir / "in.bin.manifest", "in.bin", params, headers[0], entries)
+    write_manifest(ref_dir / "in.bin.manifest", "in.bin", headers[0], entries)
 
 
 def count_calls(monkeypatch, names):
@@ -214,7 +214,7 @@ def test_reader_batches_and_crc_match_the_whole_payload(tmp_path):
     params = derive_params(3, 2, 7)
     symbols = np.random.default_rng(3).integers(0, params.q, (7, params.alpha))
     path = tmp_path / "s"
-    write_shard(path, header_for(params, 2, 7, 80), symbols)
+    write_shard(path, header_for(params, 2, 80), symbols)
     with ShardReader(path) as reader:
         parts = [reader.read(3), reader.read(3), reader.read(1)]
         crc = reader.crc
@@ -222,9 +222,24 @@ def test_reader_batches_and_crc_match_the_whole_payload(tmp_path):
     assert crc == payload_crc(symbols)
 
 
+def test_reader_refuses_to_read_past_the_header_stripe_count(tmp_path):
+    params = derive_params(3, 2, 7)
+    path = tmp_path / "s"
+    write_shard(path, header_for(params, 2, 80), np.ones((7, params.alpha), dtype=np.int64))
+    with ShardReader(path) as reader:
+        with pytest.raises(ValueError, match=f"{path}: cannot read 8 stripes, 7 remain"):
+            reader.read(8)
+        with pytest.raises(ValueError, match=f"{path}: cannot read -1 stripes, 7 remain"):
+            reader.read(-1)
+        assert reader.read(7).shape == (7, params.alpha)
+        assert reader.read(0).shape == (0, params.alpha)
+        with pytest.raises(ValueError, match=f"{path}: cannot read 1 stripes, 0 remain"):
+            reader.read(1)
+
+
 def test_writer_commits_only_a_whole_payload(tmp_path):
     params = derive_params(3, 2, 7)
-    header = header_for(params, 1, 4, 40)
+    header = header_for(params, 1, 40)
     symbols = np.ones((4, params.alpha), dtype=np.int64)
     with pytest.raises(ValueError, match=r"payload shape \(3, 4\) does not match \(4, 4\)"):
         with ShardWriter(tmp_path / "s", header) as writer:
@@ -250,7 +265,7 @@ def test_inputs_must_be_regular_files(tmp_path, capsys):
     assert not (tmp_path / "sh").exists()
     params = derive_params(3, 2, 7)
     shard = tmp_path / "s"
-    write_shard(shard, header_for(params, 1, 2, 20), np.zeros((2, params.alpha), dtype=np.int64))
+    write_shard(shard, header_for(params, 1, 20), np.zeros((2, params.alpha), dtype=np.int64))
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     writer = subprocess.Popen(["cp", str(shard), str(fifo)])
@@ -373,7 +388,7 @@ def test_written_files_follow_the_umask(umask, tmp_path, capsys):
     params = derive_params(3, 2, 7)
     old = os.umask(umask)
     try:
-        write_shard(tmp_path / "lib.shard", header_for(params, 1, 0, 0), np.zeros((0, params.alpha), dtype=np.int64))
+        write_shard(tmp_path / "lib.shard", header_for(params, 1, 0), np.zeros((0, params.alpha), dtype=np.int64))
         _, out_dir, shards = encode_file(tmp_path, params, b"some bytes")
         out = tmp_path / "restored.bin"
         assert main(["reconstruct", *(str(shards[j]) for j in (1, 2, 3)), "--out", str(out)]) == 0

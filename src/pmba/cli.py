@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data or verification error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import itertools
 import os
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import shardio, striping
 from .cluster import CSV_HEADER, Cluster, HelperPolicy
-from .matrix import InconsistencyError, SingularMatrixError
+from .matrix import InconsistencyError
 from .params import comparison_subpacketization, derive_params
 from .shardio import ShardFormatError
 
@@ -35,49 +34,11 @@ def _manifest_file_name(original_name: str) -> str:
     return f"{original_name}.manifest"
 
 
-@contextlib.contextmanager
-def _open_shard_set(paths):
-    """Open shard files whose headers agree.
-
-    Yields (params, header, readers, batches): the code, the first file's
-    header, the first reader of each node, and an iterator that reads every
-    file in step, one batch of whole stripes at a time, giving
-    {node: (stripes, alpha) symbols} and requiring files that claim the same
-    node to hold the same payload.
-    """
-    with contextlib.ExitStack() as stack:
-        opened = []
-        for p in paths:
-            reader = stack.enter_context(shardio.ShardReader(p))
-            if opened and reader.header.code_key() != opened[0].header.code_key():
-                raise ShardFormatError(
-                    f"{p}: header disagrees with {opened[0].path}; shards are not from "
-                    f"the same encoding"
-                )
-            opened.append(reader)
-        header, params = opened[0].header, opened[0].params
-        readers = {}
-        for reader in opened:
-            readers.setdefault(reader.header.node_index, reader)
-
-        def batches():
-            per_batch = striping.batch_stripes(params)
-            for start in range(0, header.stripe_count, per_batch):
-                count = min(per_batch, header.stripe_count - start)
-                batch = {}
-                for reader in opened:
-                    j = reader.header.node_index
-                    payload = reader.read(count)
-                    if j not in batch:
-                        batch[j] = payload
-                    elif not np.array_equal(payload, batch[j]):
-                        raise ShardFormatError(
-                            f"{reader.path} and {readers[j].path} both claim node {j} "
-                            f"but differ"
-                        )
-                yield batch
-
-        yield params, header, readers, batches()
+def _refuse_overwriting_an_input(out_path, shards) -> None:
+    """Refuse an output path that already names one of the input shard files."""
+    for p in shards:
+        if os.path.exists(out_path) and os.path.samefile(out_path, p):
+            raise ValueError(f"{out_path} is the input shard {p}; choose another output")
 
 
 def _source_batches(src, length: int, params):
@@ -109,13 +70,7 @@ def cmd_encode(args) -> int:
         length = st.st_size
         batches = _source_batches(src, length, params)
         first = next(batches)  # refuses a q that cannot carry bytes
-        collisions = params.power_collisions()
-        if collisions:
-            groups = ", ".join("{" + ",".join(map(str, g)) + "}" for g in collisions)
-            raise ValueError(
-                f"q = {params.q} gives nodes {groups} the same (k-1)-th power, so k "
-                f"nodes holding two of them cannot reconstruct; choose another --q"
-            )
+        params.check_decodable()
         headers = [shardio.header_for(params, j, length) for j in range(1, params.n + 1)]
         stripes = headers[0].stripe_count
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -140,8 +95,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    with _open_shard_set(args.shards) as (params, header, readers, batches):
-        available = sorted(readers)
+    with shardio.ShardSet(args.shards) as shards:
+        readers, header = shards.readers, shards.header
+        chosen = sorted(readers)[: header.k]
         if args.nodes:
             try:
                 chosen = sorted({int(t) for t in args.nodes.split(",")})
@@ -153,17 +109,11 @@ def cmd_reconstruct(args) -> int:
             if missing:
                 raise ValueError(
                     f"requested nodes {missing} are not among the given shards "
-                    f"{available}"
+                    f"{sorted(readers)}"
                 )
-            if len(chosen) != params.k:
-                raise ValueError(f"pick exactly k = {params.k} nodes, got {len(chosen)}")
-        else:
-            if len(available) < params.k:
-                raise ValueError(
-                    f"need at least k = {params.k} shard files, got {len(available)}"
-                )
-            chosen = available[: params.k]
-        decode = striping.stripe_decoder(params, chosen)
+        _refuse_overwriting_an_input(args.out, args.shards)
+        decode = striping.stripe_decoder(shards.params, chosen)
+        batches = shards.batches(striping.batch_stripes(shards.params))
         sources = (decode(batch) for batch in batches)
         with shardio.AtomicFile(args.out) as out:
             for data in striping.batches_to_bytes(sources, header.original_length):
@@ -176,10 +126,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    with _open_shard_set(args.shards) as (params, header, readers, batches):
-        f = args.failed
-        rebuild = striping.stripe_repairer(params, f, sorted(readers))
-
+    with shardio.ShardSet(args.shards) as shards:
+        helpers, f = sorted(shards.readers), args.failed
         if args.out:
             out_path = Path(args.out)
         else:
@@ -191,28 +139,28 @@ def cmd_repair(args) -> int:
                 )
             out_dir = Path(args.out_dir) if args.out_dir else Path(args.shards[0]).parent
             out_path = out_dir / f"{m.group('stem')}{f:02d}"
+        _refuse_overwriting_an_input(out_path, args.shards)
+        rebuild = striping.stripe_repairer(shards.params, f, helpers)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_header = dataclasses.replace(header, node_index=f)
+        out_header = dataclasses.replace(shards.header, node_index=f)
         with shardio.ShardWriter(out_path, out_header) as writer:
-            for batch in batches:
+            for batch in shards.batches(striping.batch_stripes(shards.params)):
                 writer.write(rebuild(batch))
-    print(
-        f"repaired node {f} from {len(readers)} helpers "
-        f"({sorted(readers)}) into {out_path}"
-    )
+    print(f"repaired node {f} from {len(helpers)} helpers ({helpers}) into {out_path}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    with _open_shard_set(args.shards) as (params, header, readers, batches):
-        for _ in batches:  # reads every payload, checking its length and symbols
-            pass
+    with shardio.ShardSet(args.shards) as shards:
+        for _ in shards.batches(striping.batch_stripes(shards.params)):
+            pass  # reads every payload, checking its length and symbols
+    params, header, readers = shards.params, shards.header, shards.readers
     print(
         f"code: q={params.q} n={params.n} k={params.k} delta={params.delta} "
         f"stripes={header.stripe_count} length={header.original_length}"
     )
     if args.manifest:
-        shardio.check_manifest(args.manifest, header, readers)
+        shards.check_manifest(args.manifest)
     for j in sorted(readers):
         print(f"node {j:2d}  {readers[j].path}  crc32={readers[j].crc:08x}  ok")
     if args.manifest:
@@ -351,7 +299,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ShardFormatError, InconsistencyError, SingularMatrixError) as exc:
+    except (ShardFormatError, InconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

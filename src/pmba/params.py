@@ -36,6 +36,11 @@ def comparison_subpacketization(n: int, delta: int) -> int:
     return lcm_upto(delta) ** n
 
 
+def _groups(groups) -> str:
+    """Node groups as text: {4,7}, {5,6}."""
+    return ", ".join("{" + ",".join(map(str, g)) + "}" for g in groups)
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """The five inputs of a code; every other quantity is derived and cached."""
@@ -95,22 +100,32 @@ class CodeParams:
         self.check_nodes([node_index])
         return self.field.element(self.eval_points[node_index - 1])
 
-    def power_collisions(self) -> list:
-        """Groups of nodes whose evaluation points share a (k-1)-th power.
+    def power_collisions(self, nodes=None) -> list:
+        """Groups of `nodes` (default: all n) whose evaluation points share
+        a (k-1)-th power.
 
         No k nodes holding two of a group can reconstruct, so a code with
         any collision is not MDS.
         """
         by_power = {}
-        for j, e in enumerate(self.eval_points, start=1):
-            by_power.setdefault(pow(e, self.k - 1, self.q), []).append(j)
-        return [tuple(nodes) for nodes in by_power.values() if len(nodes) > 1]
+        for j in range(1, self.n + 1) if nodes is None else sorted(nodes):
+            by_power.setdefault(pow(self.eval_points[j - 1], self.k - 1, self.q), []).append(j)
+        return [tuple(group) for group in by_power.values() if len(group) > 1]
+
+    def check_decodable(self, nodes=None) -> None:
+        """The one decodability judge: refuse `nodes` (default: all n), naming
+        each group of them whose (k-1)-th powers coincide."""
+        groups = _groups(self.power_collisions(nodes))
+        if groups:
+            raise ValueError(
+                f"q = {self.q} gives nodes {groups} the same (k-1)-th power, so k "
+                f"nodes holding two of them cannot reconstruct"
+            )
 
     def describe(self) -> str:
         """Aligned key/value text of every derived quantity."""
         beta = ", ".join(f"{d}->{b}" for d, b in sorted(self.per_node_bandwidth.items()))
         gamma = ", ".join(f"{d}->{g}" for d, g in sorted(self.total_bandwidth.items()))
-        groups = ["{" + ",".join(map(str, g)) + "}" for g in self.power_collisions()]
         lines = [
             ("nodes (n)", self.n),
             ("reconstruction threshold (k)", self.k),
@@ -123,7 +138,7 @@ class CodeParams:
             ("per-helper symbols (beta)", "{" + beta + "}"),
             ("repair traffic (gamma)", "{" + gamma + "}"),
             ("evaluation points", ", ".join(map(str, self.eval_points))),
-            ("colliding nodes", ", ".join(groups) or "none"),
+            ("colliding nodes", _groups(self.power_collisions()) or "none"),
         ]
         width = max(len(name) for name, _ in lines)
         return "\n".join(f"{name:<{width}}  {value}" for name, value in lines)

@@ -9,7 +9,8 @@ points' (k-1)-th powers, column block i of X reads
 so after subtracting the block pair recovered in the previous step, each
 step is one two-symmetric-unknowns solve. The whole procedure only works
 when the (k-1)-th powers of the accessed evaluation points are pairwise
-distinct; the session refuses to start otherwise, naming the collision.
+distinct; the session refuses to start otherwise, through
+`CodeParams.check_decodable`, naming the colliding nodes.
 """
 
 from __future__ import annotations
@@ -45,17 +46,9 @@ class ReconstructionSession:
         self.params = params
         self.accessed_nodes = tuple(indices)
 
-        powers = {}
-        for s in shards:
-            lam = (s.eval_point ** (k - 1)).value
-            if lam in powers:
-                raise ValueError(
-                    f"evaluation points {powers[lam]} and {s.eval_point.value} of "
-                    f"nodes share the same (k-1)-th power {lam} mod {params.q}; "
-                    f"this set of nodes cannot jointly reconstruct"
-                )
-            powers[lam] = s.eval_point.value
-        self.lambda_dc = Matrix.diagonal(params.field, list(powers))
+        params.check_decodable(indices)
+        powers = [(s.eval_point ** (k - 1)).value for s in shards]
+        self.lambda_dc = Matrix.diagonal(params.field, powers)
 
         psi = coefficient_matrix(params)
         psi_dc = psi.submatrix(row_indices=[i - 1 for i in indices])

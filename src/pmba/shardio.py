@@ -347,8 +347,12 @@ def write_manifest(path, original_name: str, header0: ShardHeader, shard_entries
 
 
 def read_manifest(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ShardFormatError(f"{path}: manifest is not UTF-8 text ({exc})") from None
     entries = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -359,26 +363,73 @@ def read_manifest(path) -> dict:
     return entries
 
 
-def check_manifest(path, header: ShardHeader, readers: dict) -> None:
-    """Demand that the manifest at `path` records the code of `header` and,
-    for each node j, the CRC-32 of the payload readers[j] has read. Values
-    are compared as the text `write_manifest` writes."""
-    entries = read_manifest(path)
-    code = dict(
-        length_bytes=header.original_length, q=header.q, n=header.n, k=header.k, delta=header.delta
-    )
-    for key, want in code.items():
-        if entries.get(key) != str(want):
-            raise ShardFormatError(
-                f"{path}: manifest {key}={entries.get(key)} does not match "
-                f"shard headers ({want})"
-            )
-    for j, reader in sorted(readers.items()):
-        key = f"shard{j:02d}.crc32"
-        if key not in entries:
-            raise ShardFormatError(f"{reader.path}: manifest {path} has no {key} line")
-        if entries[key] != f"{reader.crc:08x}":
-            raise ShardFormatError(
-                f"{reader.path}: crc32 {reader.crc:08x} does not match manifest "
-                f"{entries[key]}"
-            )
+class ShardSet(contextlib.AbstractContextManager):
+    """Shard files of one encoding, opened in order through `ShardReader`
+    and read in step; a header whose code disagrees with the first file's
+    is refused naming both files. `header` and `params` are the first
+    file's, `readers` maps each node to the first reader that claims it.
+    Every file is closed on exit, and at once on a refusal while opening.
+    """
+
+    def __init__(self, paths):
+        with contextlib.ExitStack() as stack:
+            self._opened = []
+            for p in paths:
+                reader = stack.enter_context(ShardReader(p))
+                first = self._opened[0] if self._opened else reader
+                if reader.header.code_key() != first.header.code_key():
+                    raise ShardFormatError(
+                        f"{p}: header disagrees with {first.path}; shards are not from "
+                        f"the same encoding"
+                    )
+                self._opened.append(reader)
+            if not self._opened:
+                raise ValueError("no shard files given")
+            self.close = stack.pop_all().close
+        self.header, self.params = first.header, first.params
+        self.readers = {r.header.node_index: r for r in reversed(self._opened)}
+
+    def batches(self, count: int):
+        """Yield {node: (stripes, alpha) payload} for `count` stripes at a
+        time, the last batch holding the rest, reading every file in step;
+        refuses two files that claim one node but differ."""
+        for start in range(0, self.header.stripe_count, count):
+            stripes = min(count, self.header.stripe_count - start)
+            batch = {}
+            for reader in self._opened:
+                j = reader.header.node_index
+                payload = reader.read(stripes)
+                if j not in batch:
+                    batch[j] = payload
+                elif not np.array_equal(payload, batch[j]):
+                    raise ShardFormatError(
+                        f"{reader.path} and {self.readers[j].path} both claim node {j} "
+                        f"but differ"
+                    )
+            yield batch
+
+    def check_manifest(self, path) -> None:
+        """Demand that the manifest at `path` records the code of `header` and
+        the CRC-32 each of `readers` has read, so call it after the last
+        batch. Values are compared as the text `write_manifest` writes."""
+        entries = read_manifest(path)
+        h = self.header
+        code = dict(length_bytes=h.original_length, q=h.q, n=h.n, k=h.k, delta=h.delta)
+        for key, want in code.items():
+            if entries.get(key) != str(want):
+                raise ShardFormatError(
+                    f"{path}: manifest {key}={entries.get(key)} does not match "
+                    f"shard headers ({want})"
+                )
+        for j, reader in sorted(self.readers.items()):
+            key = f"shard{j:02d}.crc32"
+            if key not in entries:
+                raise ShardFormatError(f"{reader.path}: manifest {path} has no {key} line")
+            if entries[key] != f"{reader.crc:08x}":
+                raise ShardFormatError(
+                    f"{reader.path}: crc32 {reader.crc:08x} does not match manifest "
+                    f"{entries[key]}"
+                )
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

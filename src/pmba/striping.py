@@ -150,7 +150,8 @@ def stripe_decoder(params: CodeParams, nodes):
     k(k-1)-square map from u_0 to x_0. Then x_i = Lambda^i A_0 u_i +
     Lambda^(i-1) A_0[:, :P] u_(i-1)[P:], so one inverse of A_0 peels every
     step; this is `ReconstructionSession.run` in array form. A_0 is
-    singular exactly when two of the nodes share a (k-1)-th power.
+    singular exactly when two of the nodes share a (k-1)-th power, which
+    `CodeParams.check_decodable` refuses first.
 
     The function maps a dict of (stripes, alpha) payloads, holding at least
     those nodes, to the (stripes, F) source; payloads of any integer dtype
@@ -162,6 +163,7 @@ def stripe_decoder(params: CodeParams, nodes):
     if len(nodes) != k:
         raise ValueError(f"need exactly k = {k} node payloads, got {len(nodes)}")
     params.check_nodes(nodes)
+    params.check_decodable(nodes)
     w = k - 1
     pair = k * w  # symbols per block column of the k nodes, and per block pair
     half = pair // 2

@@ -15,7 +15,7 @@ from pmba.encoder import build_message_matrix, encode_all
 from pmba.matrix import Matrix
 from pmba.params import derive_params
 from pmba.repairer import make_repair_bundle
-from pmba.shardio import pack_header, read_shard, write_shard
+from pmba.shardio import header_for, pack_header, read_shard, write_shard
 
 CODE_FLAGS = ["--k", "3", "--delta", "2", "--n", "7"]
 
@@ -161,7 +161,7 @@ def test_reconstruct_node_selection_errors(encoded, tmp_path, capsys):
 
     rc = main(["reconstruct", *shards, "-o", out, "--nodes", "1,2"])
     assert rc == 1
-    assert "pick exactly k = 3 nodes, got 2" in capsys.readouterr().err
+    assert "need exactly k = 3 node payloads, got 2" in capsys.readouterr().err
 
     rc = main(["reconstruct", *shards, "-o", out, "--nodes", "1,2,5"])
     assert rc == 1
@@ -171,7 +171,7 @@ def test_reconstruct_node_selection_errors(encoded, tmp_path, capsys):
 
     rc = main(["reconstruct", shards[0], shards[1], "-o", out])
     assert rc == 1
-    assert "need at least k = 3 shard files, got 2" in capsys.readouterr().err
+    assert "need exactly k = 3 node payloads, got 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nodes", ["1,x", "1,2,3,"])
@@ -223,6 +223,45 @@ def test_mixed_encodings_are_refused(encoded, tmp_path, capsys):
     )
     assert rc == 2
     assert "not from the same encoding" in capsys.readouterr().err
+
+
+def test_reconstruct_names_a_colliding_subset(tmp_path, capsys):
+    # q = 11 squares nodes 4 and 7 alike, so nodes 4, 5 and 7 hold too
+    # little to decode: a usage error naming the pair, not a data error
+    params = derive_params(3, 2, 7, q=11)
+    source = np.random.default_rng(59).integers(0, 11, size=(2, params.file_symbols))
+    coded = striping.encode_stripes(source, params)
+    paths = []
+    for j in (4, 5, 7):
+        paths.append(str(tmp_path / f"x.shard{j:02d}"))
+        write_shard(paths[-1], header_for(params, j, 2 * params.file_symbols), coded[j - 1])
+    rc = main(["reconstruct", *paths, "-o", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "q = 11 gives nodes {4,7} the same (k-1)-th power" in err
+    assert not (tmp_path / "o").exists()
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "repair"])
+def test_an_output_that_is_an_input_shard_is_refused(command, encoded, tmp_path, capsys):
+    _, _, out_dir = encoded
+    work = tmp_path / "s"
+    shutil.copytree(out_dir, work)
+    before = snapshot(work)
+    if command == "reconstruct":
+        inputs, target = (1, 2, 3), shard_path(work, 1)
+        extra = []
+    else:
+        inputs, target = (1, 2, 3, 4), shard_path(work, 2)
+        extra = ["-f", "7"]
+    rc = main([command, *(str(shard_path(work, j)) for j in inputs), *extra, "--out", str(target)])
+    assert rc == 1
+    assert f"{target} is the input shard {target}" in capsys.readouterr().err
+    assert snapshot(work) == before  # nothing changed, and no temp file left
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +404,15 @@ def forged_manifest(out_dir, tmp_path, key, value):
         f"{key}={value}\n" if line.startswith(f"{key}=") else line + "\n" for line in lines
     ))
     return manifest
+
+
+def test_verify_names_a_manifest_that_is_not_utf8(encoded, tmp_path, capsys):
+    _, _, out_dir = encoded
+    manifest = tmp_path / "binary.manifest"
+    manifest.write_bytes(b"\xff" * 16)
+    rc = main(["verify", str(shard_path(out_dir, 1)), "--manifest", str(manifest)])
+    assert rc == 2
+    assert f"error: {manifest}: manifest is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_verify_names_a_manifest_whose_length_is_not_a_number(encoded, tmp_path, capsys):

@@ -209,6 +209,18 @@ def test_describe_lists_every_derived_quantity():
     assert "colliding nodes" in text and "{4,7}, {5,6}" in text  # squares mod 11
 
 
+def test_the_decodability_judge_names_the_colliding_groups_among_its_nodes():
+    p = derive_params(3, 2, 7, q=11)
+    assert p.power_collisions([7, 5, 4]) == [(4, 7)]
+    assert p.power_collisions([1, 2, 4]) == []
+    p.check_decodable([1, 2, 4])
+    derive_params(3, 2, 7, q=23).check_decodable()
+    with pytest.raises(ValueError, match=r"^q = 11 gives nodes \{4,7\}, \{5,6\} the same"):
+        p.check_decodable()
+    with pytest.raises(ValueError, match=r"^q = 11 gives nodes \{5,6\} the same"):
+        p.check_decodable([1, 5, 6])
+
+
 # ---------------------------------------------------------------------------
 # the flat-construction comparison figure
 # ---------------------------------------------------------------------------

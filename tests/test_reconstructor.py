@@ -123,21 +123,35 @@ def test_subsets_with_distinct_point_powers_decode_and_the_rest_refuse():
 
 def test_the_batched_decoder_refuses_exactly_the_colliding_subsets():
     # The peel's one inverse, of the k(k-1)-square block A_0, is singular
-    # for the same 10 subsets the stepwise session refuses.
+    # for the same 10 subsets the stepwise session refuses, and the
+    # decoder refuses them by name before it tries to invert.
     collisions = WORKED.power_collisions()
     source = np.random.default_rng(37).integers(0, 11, size=(4, WORKED.file_symbols))
     coded = encode_stripes(source, WORKED)
     decodable, refused = [], []
     for subset in itertools.combinations(range(1, 8), 3):
         if any(set(pair) <= set(subset) for pair in collisions):
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(ValueError, match=r"the same \(k-1\)-th power") as err:
                 stripe_decoder(WORKED, subset)
+            assert not isinstance(err.value, SingularMatrixError)
             refused.append(subset)
         else:
             decode = stripe_decoder(WORKED, subset)
             assert np.array_equal(decode({j: coded[j - 1] for j in subset}), source), subset
             decodable.append(subset)
     assert (len(decodable), len(refused)) == (25, 10)
+
+
+def test_both_decoders_refuse_a_colliding_subset_with_one_message():
+    shards = encoded(list(range(WORKED.file_symbols)))
+    with pytest.raises(ValueError) as stepwise:
+        reconstruct(pick(shards, (7, 4, 5)), WORKED)
+    with pytest.raises(ValueError) as batched:
+        stripe_decoder(WORKED, (4, 5, 7))
+    assert str(stepwise.value) == str(batched.value) == (
+        "q = 11 gives nodes {4,7} the same (k-1)-th power, so k nodes holding "
+        "two of them cannot reconstruct"
+    )
 
 
 def test_all_35_subsets_decode_once_the_powers_are_distinct():

@@ -1,11 +1,13 @@
 # tests/test_shardio.py
 import dataclasses
 import re
+import shutil
 import tempfile
 
 import numpy as np
 import pytest
 
+from pmba import shardio
 from pmba.matrix import InconsistencyError
 from pmba.params import derive_params
 from pmba.shardio import (
@@ -14,6 +16,7 @@ from pmba.shardio import (
     ShardFormatError,
     ShardHeader,
     ShardReader,
+    ShardSet,
     atomic_write_bytes,
     header_for,
     pack_header,
@@ -298,6 +301,137 @@ def test_manifest_rejects_junk_lines(tmp_path):
     path.write_text("file=a\nnot a pair\n")
     with pytest.raises(ShardFormatError, match="expected key=value"):
         read_manifest(path)
+
+
+
+def test_read_manifest_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "binary.manifest"
+    path.write_bytes(b"\xff\xfe\x00junk")
+    with pytest.raises(ShardFormatError, match=re.escape(f"{path}: manifest is not UTF-8")):
+        read_manifest(path)
+
+
+# ---------------------------------------------------------------------------
+# shard sets
+# ---------------------------------------------------------------------------
+
+SET_STRIPES = 5
+
+
+def shard_set(tmp_path, params=BYTE_PARAMS, original_length=None):
+    """Every node's shard of one random encoding, and its manifest."""
+    if original_length is None:
+        original_length = SET_STRIPES * params.file_symbols - 3
+    stripes = params.file_stripes(original_length)
+    source = np.random.default_rng(53).integers(0, params.q, (stripes, params.file_symbols))
+    coded = encode_stripes(source, params)
+    paths, entries = {}, []
+    for j in range(1, params.n + 1):
+        paths[j] = tmp_path / f"set.shard{j:02d}"
+        write_shard(paths[j], header_for(params, j, original_length), coded[j - 1])
+        entries.append((j, paths[j].name, payload_crc(coded[j - 1])))
+    manifest = tmp_path / "set.manifest"
+    write_manifest(manifest, "set", header_for(params, 1, original_length), entries)
+    return coded, paths, manifest
+
+
+@pytest.fixture
+def opened_readers(monkeypatch):
+    """Every ShardReader that ShardSet opens, so a test can see it closed."""
+    readers = []
+
+    class Recorded(ShardReader):
+        def __init__(self, path):
+            super().__init__(path)
+            readers.append(self)
+
+    monkeypatch.setattr(shardio, "ShardReader", Recorded)
+    return readers
+
+
+@pytest.mark.parametrize("count", [1, 2, SET_STRIPES + 2])
+def test_a_shard_set_reads_every_file_in_batches_of_count(count, tmp_path, opened_readers):
+    coded, paths, manifest = shard_set(tmp_path)
+    nodes = (2, 5, 7)
+    with ShardSet([paths[j] for j in nodes]) as shards:
+        assert shards.header == header_for(BYTE_PARAMS, 2, SET_STRIPES * 12 - 3)
+        assert shards.params == BYTE_PARAMS
+        assert sorted(shards.readers) == list(nodes)
+        batches = list(shards.batches(count))
+        shards.check_manifest(manifest)
+    sizes = [batch[2].shape[0] for batch in batches]
+    assert sizes == [min(count, SET_STRIPES - start) for start in range(0, SET_STRIPES, count)]
+    for j in nodes:
+        assert np.array_equal(np.concatenate([batch[j] for batch in batches]), coded[j - 1])
+    assert len(opened_readers) == 3 and all(r._fh.closed for r in opened_readers)
+
+
+def test_a_mixed_shard_set_is_refused_naming_both_files(tmp_path, opened_readers):
+    _, paths, _ = shard_set(tmp_path)
+    other_dir = tmp_path / "other"
+    other_dir.mkdir()
+    _, others, _ = shard_set(other_dir, original_length=SET_STRIPES * 12)
+    with pytest.raises(ShardFormatError) as err:
+        ShardSet([paths[1], paths[2], others[3], paths[4]])
+    assert f"{others[3]}: header disagrees with {paths[1]}" in str(err.value)
+    assert "not from the same encoding" in str(err.value)
+    # the fourth file is never opened, and the three that were are closed
+    assert len(opened_readers) == 3 and all(r._fh.closed for r in opened_readers)
+
+
+def test_a_shard_set_closes_its_files_when_opening_or_reading_fails(tmp_path, opened_readers):
+    _, paths, manifest = shard_set(tmp_path)
+    (tmp_path / "short").write_bytes(b"PMBA")
+    with pytest.raises(ShardFormatError, match="too short"):
+        ShardSet([paths[1], paths[2], tmp_path / "short"])
+    assert len(opened_readers) == 2 and all(r._fh.closed for r in opened_readers)
+    with pytest.raises(RuntimeError):
+        with ShardSet([paths[1], paths[2], paths[3]]) as shards:
+            next(shards.batches(1))
+            raise RuntimeError("stop mid-read")
+    assert len(opened_readers) == 5 and all(r._fh.closed for r in opened_readers)
+    with pytest.raises(ValueError, match="no shard files given"):
+        ShardSet([])
+
+
+def test_duplicate_files_of_one_node_are_read_in_step_and_compared(tmp_path):
+    coded, paths, _ = shard_set(tmp_path)
+    twin = tmp_path / "twin.shard01"
+    shutil.copyfile(paths[1], twin)
+    with ShardSet([paths[1], twin, paths[2], paths[3]]) as shards:
+        assert shards.readers[1].path == paths[1]
+        batches = list(shards.batches(2))
+    assert np.array_equal(np.concatenate([b[1] for b in batches]), coded[0])
+
+    forged = coded[0].copy()
+    forged[-1, 0] = (forged[-1, 0] + 1) % BYTE_PARAMS.q  # in the last batch only
+    write_shard(twin, read_shard(paths[1])[0], forged)
+    with ShardSet([paths[1], twin, paths[2], paths[3]]) as shards:
+        batches = shards.batches(2)
+        next(batches), next(batches)
+        with pytest.raises(ShardFormatError, match=re.escape(
+            f"{twin} and {paths[1]} both claim node 1 but differ"
+        )):
+            next(batches)
+
+
+def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path):
+    coded, paths, manifest = shard_set(tmp_path)
+    with ShardSet([paths[1], paths[2]]) as shards:
+        for _ in shards.batches(SET_STRIPES):
+            pass
+    shards.check_manifest(manifest)  # the CRCs stay after the files close
+
+    text = manifest.read_text()
+    crc = f"{payload_crc(coded[1]):08x}"
+    manifest.write_text(text.replace(f"shard02.crc32={crc}", "shard02.crc32=00000000"))
+    with pytest.raises(ShardFormatError, match=re.escape(
+        f"{paths[2]}: crc32 {crc} does not match manifest 00000000"
+    )):
+        shards.check_manifest(manifest)
+    manifest.write_text(text.replace("k=3", "k=4"))
+    with pytest.raises(ShardFormatError, match=r"manifest k=4 does not match shard headers \(3\)"):
+        shards.check_manifest(manifest)
 
 
 def test_atomic_write_replaces_and_leaves_no_residue(tmp_path):

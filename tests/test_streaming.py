@@ -3,9 +3,11 @@
 # The CLI streams files through the codec in batches of
 # striping.BATCH_SYMBOLS source symbols. These tests shrink the batch to a
 # few stripes and check that batch boundaries change no output byte, that
-# each command builds its linear map and runs its self-check once, that
-# a failure mid-stream leaves no file behind, that written files follow the
-# umask, and that peak memory does not grow with the file.
+# encode writes the exact bytes pinned by digest, that each command builds
+# its linear map and runs its self-check once, that a failure mid-stream
+# leaves no file behind, that written files follow the umask, and that peak
+# memory does not grow with the file.
+import hashlib
 import os
 import subprocess
 import sys
@@ -118,6 +120,74 @@ def test_batch_boundaries_change_no_output_byte(code, tmp_path, monkeypatch, cap
             rebuilt = work / "rebuilt"
             assert main(["repair", *(str(shards[h]) for h in helpers), "-f", str(f), "--out", str(rebuilt)]) == 0
             assert rebuilt.read_bytes() == shards[f].read_bytes(), (length, f, helpers)
+    capsys.readouterr()
+
+
+# SHA-256 of every file `encode` writes for test_encoded_bytes_are_pinned.
+# Any change here changes the on-disk format and must be deliberate.
+GOLDEN = {
+    (3, 2, 7): {
+        "in.bin.manifest": "ea7151e22926d208c3aabff497d0954b0f289ffa217c38b3ba8bb5634eb7eabc",
+        "in.bin.shard01": "dcf41ae5a5c6ac23d2ed6d5fbe1605cd7e63c836ea1f34f64ad03c1ab3a0432a",
+        "in.bin.shard02": "77385f4380f34eba273f2fa7ce556c7a032c06d0015120a697c8d4c24974c9b6",
+        "in.bin.shard03": "2974fade37a7e57eb5eab6a915220e1fe34a5946331a6b6126898f3c358a1036",
+        "in.bin.shard04": "4326c8bd65fd62c65b43b3bdfa5fab9765b91c4327627390b06a2aad6c01ae1c",
+        "in.bin.shard05": "e9a3efea3b96c7063abae3197c679dc582700e416ff35a470edebe0461c6a35c",
+        "in.bin.shard06": "b3eccee9d3c76bec75b6856bf26c1d8eb9a0091114ec9111c4159025e46a5e95",
+        "in.bin.shard07": "2c7d53982c36fa02867f48ed8ed2ac9f9aa80e12988612c3c1c2243b04968f96",
+    },
+    (4, 3, 13): {
+        "in.bin.manifest": "41aba4582e1ce74e0f33a77fbd58065a3e810cb484bdb072896007cba31c45a4",
+        "in.bin.shard01": "df18b9d15da6d51999e1f2ba0fc063d92037dee1a8563bec96786f604466f1a4",
+        "in.bin.shard02": "d614791af0ddf146cc2dffa054dcd08d537823f6c23c5a5ffc57f979c83c1fc0",
+        "in.bin.shard03": "9993f883eeacbdd192ea21fb59b066787dc562cf81d687d7cf1a80353d1d0198",
+        "in.bin.shard04": "e2148663bd00e95111ce6ca61706d9ead4e6f6b2495dfd787ee84227c4cf8f0c",
+        "in.bin.shard05": "e7a03c32a88110a07a5a9b16267a7c98f9f691bc7390b65a8f4207f254666dc0",
+        "in.bin.shard06": "a630d00ee54414753c150f3308fcb13079fcab7f8f9f7dedb75688061795c66e",
+        "in.bin.shard07": "8f90e3d36a794e7a2571ab029a4698fd6f25ea4d0565076a627fe8594e053d8b",
+        "in.bin.shard08": "817865f9f99f87757b5abd8284c8b4abb352c0c0ea9fe98d8bd72fcfa7ec57d0",
+        "in.bin.shard09": "e8f956da02718bb2fad802d5c30a01615ef687112ca815c15dfbece080322bc9",
+        "in.bin.shard10": "87a36a2c8d8dc2cf0e093bf5d32a71b5703453a97da367048995f35a0e327959",
+        "in.bin.shard11": "a4224d986e7aed5fe479f883a267ef8cefbd342bbd541a23e8700fd7bfbd7b93",
+        "in.bin.shard12": "47219fd4f2e68ef3530999f2b1aef110ac610237a7097155fb7d793065830018",
+        "in.bin.shard13": "a25317fdf5166bd4ebb2db80cfd84cf2d2e5a7e77fd35571a7cf8a19d7042a22",
+    },
+    (3, 5, 20): {
+        "in.bin.manifest": "a1b335947b83d481e0f8f6ad9aa66d4c4ec635fb3680c353a756e5d8cea0859b",
+        "in.bin.shard01": "9fae825c9f651b0c6ee18630dc2ffd5ca2226c9bd71e2d2708cc3c13c2e4d1dd",
+        "in.bin.shard02": "d9cf8673ffedf87ec475cb25727741087dafddac72f93c90d74ad331f27c7ae6",
+        "in.bin.shard03": "9199c60ac1291914e57af75ee3a23a02946ac4a2b4bbc682a8f7090f58a85df5",
+        "in.bin.shard04": "b320922759686fd4bc9cda7e82add2159f5cba53d2375d42fa9e51f1478aa1de",
+        "in.bin.shard05": "16f85b6453f619c037a04f78c6770279e3a2079a31d15bf33f599f767a1f1b6d",
+        "in.bin.shard06": "140bef01a1f44dc4d33b1f56418092f54c40ff8496eaedac9392628ea4217a69",
+        "in.bin.shard07": "f949790021212560ec2ebe3931bb10619bec836e1f8f6823918af7ce8a8b88bc",
+        "in.bin.shard08": "355a5620597a409abf14a8bb31536e373ba0a8f52a521a95a4e10d9d4d8cc336",
+        "in.bin.shard09": "5baf3a560fa26b8d5a47cac68869689a374242a9488470ce0d30f2d7730582f4",
+        "in.bin.shard10": "04578a65e96d258457360d8d2b8bd255116998eb7a29b05f24f928ea1831812e",
+        "in.bin.shard11": "44fc1b5d0b5b943075b4965021dbc757e3e98913cd07dd433bcdfa418d1ba6f5",
+        "in.bin.shard12": "1a9ae1bac3057239bd8ce4baec3a6cee34726d90f53b0f192809d4f7c3da7fb9",
+        "in.bin.shard13": "ed2cf2266db22f129b6020528e1fa94499433472d6156e1195664a574c293764",
+        "in.bin.shard14": "e8501c7d23d368454c58942bcb36522e57431e6abebe4e681713eb506961ede3",
+        "in.bin.shard15": "c6c6fc2af68e0c8117ba73732dead6c6c04754d443f12d7eb92940c4ea884360",
+        "in.bin.shard16": "b013268ca7b7f4a5917676abf8c15e2c2f7eca8332ee30a21aab5af910a36a9f",
+        "in.bin.shard17": "e114040e4fbb9b51bafc238d64caf4035c8013e104a8fdf192b1de4048675991",
+        "in.bin.shard18": "9c345d22d40c0cf333def603acaa47b4a479d19d2e1121255e26d160f569a02c",
+        "in.bin.shard19": "8b2c6e9abdc2c52403a53125b65c670e98b34333d21edc70cf44886e624448ce",
+        "in.bin.shard20": "10646bca9dd9d48e98747d82ba6dd43ba300fcf57edd4a27f4f05785e37ddcc0",
+    },
+}
+
+
+@pytest.mark.parametrize("code", list(GOLDEN), ids=["3-2-7", "4-3-13", "3-5-20"])
+def test_encoded_bytes_are_pinned(code, tmp_path, monkeypatch, capsys):
+    # three whole batches and a fourth ending in a partial stripe
+    params = derive_params(*code)
+    small_batches(monkeypatch, params)
+    length = (3 * BATCH + 1) * params.file_symbols - 5
+    data = np.random.default_rng(sum(code)).integers(0, 256, length, dtype=np.uint8).tobytes()
+    _, out_dir, _ = encode_file(tmp_path, params, data)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == GOLDEN[code]
     capsys.readouterr()
 
 

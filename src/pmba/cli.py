@@ -98,7 +98,7 @@ def cmd_reconstruct(args) -> int:
     with shardio.ShardSet(args.shards) as shards:
         readers, header = shards.readers, shards.header
         chosen = sorted(readers)[: header.k]
-        if args.nodes:
+        if args.nodes is not None:
             try:
                 chosen = sorted({int(t) for t in args.nodes.split(",")})
             except ValueError:

@@ -145,6 +145,7 @@ class Cluster:
         return out
 
     def run_repair(self, f: int, policy: HelperPolicy, rng_seed: int) -> LedgerEntry:
+        self.params.check_nodes([f])
         if self._stored[f] is not None:
             raise ValueError(f"node {f} is alive; nothing to repair")
         alive = self.alive_nodes()

@@ -62,9 +62,11 @@ class PrimeField:
 
     def __init__(self, modulus: int):
         if not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+            raise ValueError(f"q must be prime, got {modulus}")
         if modulus > MAX_MODULUS:
-            raise ValueError(f"modulus {modulus} exceeds the two-byte bound {MAX_MODULUS}")
+            raise ValueError(
+                f"q = {modulus} does not fit the two-byte shard header field (max {MAX_MODULUS})"
+            )
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, name, value):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import MAX_MODULUS, PrimeField, is_prime, smallest_prime_geq
+from .field import PrimeField, smallest_prime_geq
 
 BYTE_SAFE_MIN_Q = 257  # one byte per symbol stays injective from here up
 
@@ -73,11 +73,8 @@ class CodeParams:
 
     @cached_property
     def per_node_bandwidth(self) -> dict:
-        beta = {d: self.alpha // (d - self.k + 1) for d in self.helper_counts}
-        for d, b in beta.items():
-            if b * (d - self.k + 1) != self.alpha:
-                raise AssertionError(f"alpha = {self.alpha} not divisible at d = {d}")
-        return beta
+        # d-k+1 = i(k-1) with 1 <= i <= delta, so beta = lcm(1..delta)/i is whole
+        return {d: self.alpha // (d - self.k + 1) for d in self.helper_counts}
 
     @cached_property
     def total_bandwidth(self) -> dict:
@@ -165,17 +162,11 @@ def derive_params(
         )
     if q is None:
         q = smallest_prime_geq(max(n + 1, BYTE_SAFE_MIN_Q))
-    else:
-        if not is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
-        if q < n + 1:
-            raise ValueError(
-                f"q must satisfy q >= n+1 = {n + 1} for n distinct nonzero "
-                f"evaluation points, got {q}"
-            )
-    if q > MAX_MODULUS:
+    PrimeField(q)  # refuses a composite q and one wider than two bytes
+    if q < n + 1:
         raise ValueError(
-            f"q = {q} does not fit the two-byte shard header field (max {MAX_MODULUS})"
+            f"q must satisfy q >= n+1 = {n + 1} for n distinct nonzero "
+            f"evaluation points, got {q}"
         )
 
     if eval_points is None:

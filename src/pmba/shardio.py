@@ -18,6 +18,7 @@ renames several such files as one set.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import stat
 import struct
@@ -121,6 +122,8 @@ class AtomicFile:
 
     def __init__(self, path):
         self.path = Path(path)
+        if self.path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
         self._fh = os.fdopen(fd, "wb")
 
@@ -364,49 +367,44 @@ def read_manifest(path) -> dict:
 
 
 class ShardSet(contextlib.AbstractContextManager):
-    """Shard files of one encoding, opened in order through `ShardReader`
-    and read in step; a header whose code disagrees with the first file's
-    is refused naming both files. `header` and `params` are the first
-    file's, `readers` maps each node to the first reader that claims it.
-    Every file is closed on exit, and at once on a refusal while opening.
+    """Shard files of one encoding, one per node, opened in order through
+    `ShardReader`; a header whose code disagrees with the first file's, or a
+    second file for a node already held, is refused naming both files, and
+    the same file given twice is read once. `header` and `params` are the
+    first file's, `readers` maps each node to its reader. Every file is
+    closed on exit, and at once on a refusal while opening.
     """
 
     def __init__(self, paths):
+        self.readers, first = {}, None
         with contextlib.ExitStack() as stack:
-            self._opened = []
             for p in paths:
                 reader = stack.enter_context(ShardReader(p))
-                first = self._opened[0] if self._opened else reader
+                first = first or reader
                 if reader.header.code_key() != first.header.code_key():
                     raise ShardFormatError(
                         f"{p}: header disagrees with {first.path}; shards are not from "
                         f"the same encoding"
                     )
-                self._opened.append(reader)
-            if not self._opened:
+                j = reader.header.node_index
+                held = self.readers.setdefault(j, reader)
+                if held is not reader:
+                    reader.close()
+                    if not os.path.samefile(p, held.path):
+                        raise ShardFormatError(
+                            f"{p} and {held.path} both claim node {j}; give one file per node"
+                        )
+            if not self.readers:
                 raise ValueError("no shard files given")
             self.close = stack.pop_all().close
         self.header, self.params = first.header, first.params
-        self.readers = {r.header.node_index: r for r in reversed(self._opened)}
 
     def batches(self, count: int):
         """Yield {node: (stripes, alpha) payload} for `count` stripes at a
-        time, the last batch holding the rest, reading every file in step;
-        refuses two files that claim one node but differ."""
+        time, the last batch holding the rest, reading every file in step."""
         for start in range(0, self.header.stripe_count, count):
             stripes = min(count, self.header.stripe_count - start)
-            batch = {}
-            for reader in self._opened:
-                j = reader.header.node_index
-                payload = reader.read(stripes)
-                if j not in batch:
-                    batch[j] = payload
-                elif not np.array_equal(payload, batch[j]):
-                    raise ShardFormatError(
-                        f"{reader.path} and {self.readers[j].path} both claim node {j} "
-                        f"but differ"
-                    )
-            yield batch
+            yield {j: reader.read(stripes) for j, reader in self.readers.items()}
 
     def check_manifest(self, path) -> None:
         """Demand that the manifest at `path` records the code of `header` and

@@ -15,7 +15,7 @@ from pmba.encoder import build_message_matrix, encode_all
 from pmba.matrix import Matrix
 from pmba.params import derive_params
 from pmba.repairer import make_repair_bundle
-from pmba.shardio import header_for, pack_header, read_shard, write_shard
+from pmba.shardio import ShardReader, header_for, pack_header, read_shard, write_shard
 
 CODE_FLAGS = ["--k", "3", "--delta", "2", "--n", "7"]
 
@@ -174,7 +174,7 @@ def test_reconstruct_node_selection_errors(encoded, tmp_path, capsys):
     assert "need exactly k = 3 node payloads, got 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nodes", ["1,x", "1,2,3,"])
+@pytest.mark.parametrize("nodes", ["1,x", "1,2,3,", ""])
 def test_reconstruct_names_a_malformed_node_list(nodes, encoded, tmp_path, capsys):
     _, _, out_dir = encoded
     shards = [str(shard_path(out_dir, j)) for j in (1, 2, 3)]
@@ -206,7 +206,8 @@ def test_conflicting_duplicates_are_a_data_error(encoded, tmp_path, capsys):
          "-o", str(tmp_path / "o")]
     )
     assert rc == 2
-    assert "both claim node 1 but differ" in capsys.readouterr().err
+    assert f"{imposter} and {shard_path(out_dir, 1)} both claim node 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mixed_encodings_are_refused(encoded, tmp_path, capsys):
@@ -262,6 +263,23 @@ def test_an_output_that_is_an_input_shard_is_refused(command, encoded, tmp_path,
     assert rc == 1
     assert f"{target} is the input shard {target}" in capsys.readouterr().err
     assert snapshot(work) == before  # nothing changed, and no temp file left
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "repair"])
+def test_an_output_that_is_a_directory_is_refused_before_decoding(
+    command, encoded, tmp_path, monkeypatch, capsys
+):
+    _, _, out_dir = encoded
+    target = tmp_path / "t"
+    target.mkdir()
+    reads = []
+    monkeypatch.setattr(ShardReader, "read", lambda self, stripes: reads.append(stripes))
+    inputs, extra = ((1, 2, 3), []) if command == "reconstruct" else ((1, 2, 3, 4), ["-f", "7"])
+    rc = main([command, *(str(shard_path(out_dir, j)) for j in inputs), *extra, "--out", str(target)])
+    assert rc == 1
+    assert f"Is a directory: '{target}'" in capsys.readouterr().err
+    assert reads == []  # refused before any payload was read
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

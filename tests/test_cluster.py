@@ -235,6 +235,9 @@ def test_state_transitions_are_guarded():
         c.fail_node(0)
     with pytest.raises(ValueError):
         c.fail_node(8)
+    for f in (0, 8, -1):
+        with pytest.raises(ValueError, match=f"node index {f} outside 1..7"):
+            c.run_repair(f, HelperPolicy.parse("max-d"), rng_seed=0)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 # tests/test_field.py
+import re
+
 import numpy as np
 import pytest
 
@@ -64,10 +66,14 @@ def test_smallest_prime_geq_rejects_tiny_input():
 
 
 def test_field_requires_prime_modulus():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be prime, got 10"):
         PrimeField(10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be prime, got 1"):
         PrimeField(1)
+    with pytest.raises(ValueError, match=re.escape(
+        "q = 65537 does not fit the two-byte shard header field (max 65535)"
+    )):
+        PrimeField(65537)
 
 
 def test_element_is_reduced_to_canonical_residue():

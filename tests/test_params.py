@@ -87,7 +87,7 @@ def test_default_modulus_is_byte_safe():
 
 
 def test_alpha_and_file_symbols_follow_the_design_law():
-    for k in range(2, 7):
+    for k in range(2, 12):
         for delta in range(1, 6):
             n = (delta + 1) * (k - 1) + 1
             p = derive_params(k, delta, n)
@@ -98,9 +98,11 @@ def test_alpha_and_file_symbols_follow_the_design_law():
                 (i + 1) * (k - 1) for i in range(1, delta + 1)
             )
             assert p.field.modulus == p.q
-            for d in p.helper_counts:
-                # per-helper load divides evenly: alpha = (d-k+1) * beta
+            for i, d in enumerate(p.helper_counts, start=1):
+                # per-helper load divides evenly: d-k+1 = i(k-1), so
+                # alpha = (d-k+1) * beta with beta = lcm(1..delta) / i
                 assert p.per_node_bandwidth[d] * (d - k + 1) == p.alpha
+                assert p.per_node_bandwidth[d] == z // i
                 assert p.total_bandwidth[d] == d * p.per_node_bandwidth[d]
 
 

@@ -394,25 +394,27 @@ def test_a_shard_set_closes_its_files_when_opening_or_reading_fails(tmp_path, op
         ShardSet([])
 
 
-def test_duplicate_files_of_one_node_are_read_in_step_and_compared(tmp_path):
+def test_a_second_file_for_a_node_is_refused_and_the_same_file_is_read_once(
+    tmp_path, opened_readers
+):
     coded, paths, _ = shard_set(tmp_path)
     twin = tmp_path / "twin.shard01"
-    shutil.copyfile(paths[1], twin)
-    with ShardSet([paths[1], twin, paths[2], paths[3]]) as shards:
-        assert shards.readers[1].path == paths[1]
+    shutil.copyfile(paths[1], twin)  # byte-identical, but another file
+    with pytest.raises(ShardFormatError, match=re.escape(
+        f"{twin} and {paths[1]} both claim node 1"
+    )):
+        ShardSet([paths[1], paths[2], twin, paths[3]])
+    # refused while opening: the fourth file is never opened, the three that were are closed
+    assert len(opened_readers) == 3 and all(r._fh.closed for r in opened_readers)
+
+    opened_readers.clear()
+    again = tmp_path / "." / paths[1].name  # the same file under another spelling
+    with ShardSet([paths[1], paths[2], paths[1], again]) as shards:
+        assert sorted(shards.readers) == [1, 2] and shards.readers[1].path == paths[1]
         batches = list(shards.batches(2))
     assert np.array_equal(np.concatenate([b[1] for b in batches]), coded[0])
-
-    forged = coded[0].copy()
-    forged[-1, 0] = (forged[-1, 0] + 1) % BYTE_PARAMS.q  # in the last batch only
-    write_shard(twin, read_shard(paths[1])[0], forged)
-    with ShardSet([paths[1], twin, paths[2], paths[3]]) as shards:
-        batches = shards.batches(2)
-        next(batches), next(batches)
-        with pytest.raises(ShardFormatError, match=re.escape(
-            f"{twin} and {paths[1]} both claim node 1 but differ"
-        )):
-            next(batches)
+    assert [r.stripes for r in opened_readers] == [SET_STRIPES, SET_STRIPES, 0, 0]
+    assert all(r._fh.closed for r in opened_readers)
 
 
 def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path):
@@ -440,6 +442,22 @@ def test_atomic_write_replaces_and_leaves_no_residue(tmp_path):
     atomic_write_bytes(target, b"new contents")
     assert target.read_bytes() == b"new contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_an_atomic_file_refuses_a_directory_target_before_making_a_temp_file(
+    tmp_path, monkeypatch
+):
+    target = tmp_path / "out"
+    target.mkdir()
+    monkeypatch.setattr(tempfile, "mkstemp", lambda **kw: pytest.fail("temp file made"))
+    header = header_for(BYTE_PARAMS, 1, 12)
+    for write in (
+        lambda: atomic_write_bytes(target, b"data"),
+        lambda: write_shard(target, header, np.zeros((1, BYTE_PARAMS.alpha), dtype=np.int64)),
+    ):
+        with pytest.raises(IsADirectoryError, match=re.escape(f"Is a directory: '{target}'")):
+            write()
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

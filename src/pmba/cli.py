@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data or verification error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -73,7 +74,6 @@ def cmd_encode(args) -> int:
         params.check_decodable()
         headers = [shardio.header_for(params, j, length) for j in range(1, params.n + 1)]
         stripes = headers[0].stripe_count
-        out_dir.mkdir(parents=True, exist_ok=True)
         encode = striping.stripe_encoder(params)
         with shardio.atomic_set() as files:  # the n shards, then the manifest
             for name, header in zip(names, headers):
@@ -141,7 +141,6 @@ def cmd_repair(args) -> int:
             out_path = out_dir / f"{m.group('stem')}{f:02d}"
         _refuse_overwriting_an_input(out_path, args.shards)
         rebuild = striping.stripe_repairer(shards.params, f, helpers)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         out_header = dataclasses.replace(shards.header, node_index=f)
         with shardio.ShardWriter(out_path, out_header) as writer:
             for batch in shards.batches(striping.batch_stripes(shards.params)):
@@ -188,39 +187,41 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"{flag} must not be negative, got {count}")
     params = derive_params(args.k, args.delta, args.n, q=args.q)
     policy = HelperPolicy.parse(args.policy)
-    rng = np.random.default_rng(args.seed)
-    source = rng.integers(0, params.q, size=args.stripes * params.file_symbols)
-    cluster = Cluster(params)
-    cluster.store(source)
-    print(
-        f"stored {args.stripes} stripes on {params.n} nodes "
-        f"({params.alpha} symbols per node per stripe)"
-    )
-    for _ in range(args.rounds):
-        f = int(rng.choice(cluster.alive_nodes()))
-        cluster.fail_node(f)
-        entry = cluster.run_repair(f, policy, int(rng.integers(2**32)))
+    policy.choose_d(params.helper_counts, params.n - 1)  # refuses a fixed d outside D
+    to_file = args.csv not in (None, "-")
+    with shardio.AtomicFile(args.csv) if to_file else contextlib.nullcontext() as ledger:
+        rng = np.random.default_rng(args.seed)
+        source = rng.integers(0, params.q, size=args.stripes * params.file_symbols)
+        cluster = Cluster(params)
+        cluster.store(source)
         print(
-            f"failed node {entry.failed}, repaired with d={entry.d} helpers "
-            f"{list(entry.helpers)}, moved {entry.symbols_moved} symbols/stripe"
+            f"stored {args.stripes} stripes on {params.n} nodes "
+            f"({params.alpha} symbols per node per stripe)"
         )
-    if cluster.read_all() != [int(v) % params.q for v in source]:
-        print("error: data mismatch after repairs", file=sys.stderr)
-        return 2
-    print(f"data intact after {args.rounds} repairs")
-    if args.csv:
-        if args.csv == "-":
+        for _ in range(args.rounds):
+            f = int(rng.choice(cluster.alive_nodes()))
+            cluster.fail_node(f)
+            entry = cluster.run_repair(f, policy, int(rng.integers(2**32)))
+            print(
+                f"failed node {entry.failed}, repaired with d={entry.d} helpers "
+                f"{list(entry.helpers)}, moved {entry.symbols_moved} symbols/stripe"
+            )
+        if cluster.read_all() != [int(v) % params.q for v in source]:
+            raise InconsistencyError("data mismatch after repairs")
+        print(f"data intact after {args.rounds} repairs")
+        if to_file:
+            ledger.write(cluster.ledger_csv().encode())
+        elif args.csv == "-":
             sys.stdout.write(cluster.ledger_csv())
-        else:
-            shardio.atomic_write_bytes(args.csv, cluster.ledger_csv().encode())
-            print(f"wrote traffic ledger to {args.csv}")
+    if to_file:
+        print(f"wrote traffic ledger to {args.csv}")
     return 0
 
 
-def _add_code_flags(sub, require_n=True):
+def _add_code_flags(sub):
     sub.add_argument("--k", type=int, required=True, help="reconstruction threshold")
     sub.add_argument("--delta", type=int, required=True, help="flexibility degree")
-    sub.add_argument("--n", type=int, required=require_n, help="node count")
+    sub.add_argument("--n", type=int, required=True, help="node count")
     sub.add_argument("--q", type=int, default=None, help="field modulus (prime)")
 
 
@@ -253,10 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair", help="rebuild one lost shard from helper shards")
     p.add_argument("shards", nargs="+", help="helper shard files (count must be in D)")
     p.add_argument("--failed", "-f", type=int, required=True, help="failed node index")
-    p.add_argument("--out", default=None, help="output shard file")
-    p.add_argument(
-        "--out-dir", default=None, help="directory for the derived output name"
-    )
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--out", default=None, help="output shard file")
+    out.add_argument("--out-dir", default=None, help="directory for the derived output name")
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("verify", help="check shard headers and payload checksums")

@@ -110,8 +110,13 @@ class CodeParams:
         return [tuple(group) for group in by_power.values() if len(group) > 1]
 
     def check_decodable(self, nodes=None) -> None:
-        """The one decodability judge: refuse `nodes` (default: all n), naming
-        each group of them whose (k-1)-th powers coincide."""
+        """The one judge of a read. Given `nodes`, refuse a count other than k
+        and a list `check_nodes` refuses; then refuse `nodes` (default: all
+        n) if two of them share a (k-1)-th power, naming each such group."""
+        if nodes is not None:
+            if len(nodes) != self.k:
+                raise ValueError(f"need exactly k = {self.k} node payloads, got {len(nodes)}")
+            self.check_nodes(nodes)
         groups = _groups(self.power_collisions(nodes))
         if groups:
             raise ValueError(

@@ -26,10 +26,8 @@ class ReconstructionSession:
     def __init__(self, shards, params: CodeParams):
         k, z, alpha = params.k, params.z_delta, params.alpha
         shards = tuple(shards)
-        if len(shards) != k:
-            raise ValueError(f"need exactly k = {k} shards, got {len(shards)}")
         indices = [s.node_index for s in shards]
-        params.check_nodes(indices)
+        params.check_decodable(indices)
         for s in shards:
             if len(s.symbols) != alpha:
                 raise ValueError(
@@ -46,7 +44,6 @@ class ReconstructionSession:
         self.params = params
         self.accessed_nodes = tuple(indices)
 
-        params.check_decodable(indices)
         powers = [(s.eval_point ** (k - 1)).value for s in shards]
         self.lambda_dc = Matrix.diagonal(params.field, powers)
 

@@ -51,8 +51,6 @@ def make_repair_bundle(
 ) -> RepairBundle:
     seg, beta = session_shape(params, d)
     h = helper_shard.node_index
-    if h == f:
-        raise ValueError(f"node {h} cannot help repair itself")
     check_repair_nodes(params, f, [h])
     if len(helper_shard.symbols) != params.alpha:
         raise ValueError(

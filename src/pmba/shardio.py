@@ -11,14 +11,16 @@ reads the payload in batches of whole stripes; `ShardWriter` writes the
 header and then appended batches. Both keep a running CRC-32 of the
 payload bytes, so a file is never held in memory whole. Every write goes
 to a temp file in the target directory that is synced to disk and renamed
-into place, so a crash never leaves a truncated file behind; `atomic_set`
-renames several such files as one set.
+into place, so a crash never leaves a truncated file behind; a missing
+target directory is created, and synced into its parent with the file.
+`atomic_set` renames several such files as one set.
 """
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import itertools
 import os
 import stat
 import struct
@@ -82,12 +84,9 @@ def shard_params(header: ShardHeader, path) -> CodeParams:
             q=header.q,
             eval_points=header.eval_points,
         )
-    except ValueError as exc:
-        raise ShardFormatError(f"{path}: shard header is invalid: {exc}") from None
-    try:
         params.check_nodes([header.node_index])
     except ValueError as exc:
-        raise ShardFormatError(f"{path}: {exc}") from None
+        raise ShardFormatError(f"{path}: shard header is invalid: {exc}") from None
     stripes = params.file_stripes(header.original_length)
     if header.stripe_count != stripes:
         raise ShardFormatError(
@@ -113,17 +112,21 @@ def _fsync_dir(directory) -> None:
 class AtomicFile:
     """A binary file that replaces `path` only once it is complete.
 
-    Data go to a temp file in the target directory. `sync` gives it the
-    mode open() would give a new file under the current umask, syncs it to
-    disk and closes it; `commit` renames it into place through `atomic_set`;
-    `discard` removes it. As a context manager it commits on a clean exit
-    and discards on an exception.
+    Data go to a temp file in the target directory, which is created, with
+    any missing parents, if it does not exist. `sync` gives the temp file
+    the mode open() would give a new file under the current umask, syncs it
+    to disk and closes it; `commit` renames it into place through
+    `atomic_set`; `discard` removes it. As a context manager it commits on a
+    clean exit and discards on an exception.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         if self.path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        # the directories this file creates, deepest first
+        self._created = list(itertools.takewhile(lambda d: not d.exists(), self.path.parents))
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
         self._fh = os.fdopen(fd, "wb")
 
@@ -162,11 +165,11 @@ def atomic_set():
     """Yield a list to fill with AtomicFiles that replace their paths as one set.
 
     On a clean exit every file is synced, then in list order each existing
-    target is moved aside and the file renamed into place; each directory
-    is synced once, and only then are the set-aside files removed. On any
-    failure every temp file is discarded, every file already renamed is
-    removed and every set-aside file is put back, so the older set is left
-    as it was.
+    target is moved aside and the file renamed into place; each target
+    directory, and the parent of each directory a file created, is synced
+    once, and only then are the set-aside files removed. On any failure
+    every temp file is discarded, every file already renamed is removed and
+    every set-aside file is put back, so the older set is left as it was.
     """
     files, renamed, asides = [], [], []
     try:
@@ -180,7 +183,8 @@ def atomic_set():
                 asides.append((aside, f.path))
             os.replace(f._tmp, f.path)
             renamed.append(f.path)
-        for directory in dict.fromkeys(f.path.parent for f in files):
+        dirs = [d for f in files for d in (f.path.parent, *(c.parent for c in f._created))]
+        for directory in dict.fromkeys(dirs):
             _fsync_dir(directory)
     except BaseException:
         for f in files:
@@ -324,19 +328,18 @@ def payload_crc(symbols: np.ndarray) -> int:
     return zlib.crc32(symbols.astype("<u2").tobytes()) & 0xFFFFFFFF
 
 
+def _manifest_code(h: ShardHeader) -> dict:
+    """The code fields a manifest records, in the order it writes them."""
+    return dict(length_bytes=h.original_length, q=h.q, n=h.n, k=h.k, delta=h.delta)
+
+
 def manifest_file(path, original_name: str, header0: ShardHeader, shard_entries) -> AtomicFile:
     """The manifest, written into an AtomicFile left for the caller to commit.
 
     shard_entries: iterable of (node_index, file_name, crc32).
     """
-    lines = [
-        f"file={original_name}",
-        f"length_bytes={header0.original_length}",
-        f"q={header0.q}",
-        f"n={header0.n}",
-        f"k={header0.k}",
-        f"delta={header0.delta}",
-    ]
+    lines = [f"file={original_name}"]
+    lines += [f"{key}={value}" for key, value in _manifest_code(header0).items()]
     for node_index, file_name, crc in shard_entries:
         lines.append(f"shard{node_index:02d}.file={file_name}")
         lines.append(f"shard{node_index:02d}.crc32={crc:08x}")
@@ -411,9 +414,7 @@ class ShardSet(contextlib.AbstractContextManager):
         the CRC-32 each of `readers` has read, so call it after the last
         batch. Values are compared as the text `write_manifest` writes."""
         entries = read_manifest(path)
-        h = self.header
-        code = dict(length_bytes=h.original_length, q=h.q, n=h.n, k=h.k, delta=h.delta)
-        for key, want in code.items():
+        for key, want in _manifest_code(self.header).items():
             if entries.get(key) != str(want):
                 raise ShardFormatError(
                     f"{path}: manifest {key}={entries.get(key)} does not match "

@@ -160,9 +160,6 @@ def stripe_decoder(params: CodeParams, nodes):
     """
     k, z, q = params.k, params.z_delta, params.q
     nodes = sorted(nodes)
-    if len(nodes) != k:
-        raise ValueError(f"need exactly k = {k} node payloads, got {len(nodes)}")
-    params.check_nodes(nodes)
     params.check_decodable(nodes)
     w = k - 1
     pair = k * w  # symbols per block column of the k nodes, and per block pair

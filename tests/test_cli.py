@@ -8,9 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
-from pmba import striping
+from pmba import shardio, striping
 from pmba.cli import main
-from pmba.cluster import CSV_HEADER
+from pmba.cluster import CSV_HEADER, Cluster
 from pmba.encoder import build_message_matrix, encode_all
 from pmba.matrix import Matrix
 from pmba.params import derive_params
@@ -282,6 +282,32 @@ def test_an_output_that_is_a_directory_is_refused_before_decoding(
     assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["encode", "reconstruct", "repair", "simulate"])
+def test_an_output_goes_into_a_new_nested_directory_synced_into_its_parent(
+    command, encoded, tmp_path, monkeypatch, capsys
+):
+    data, src, out_dir = encoded
+    synced = []
+    monkeypatch.setattr(shardio, "_fsync_dir", synced.append)
+    new = tmp_path / "new" / "deeper"
+    if command == "encode":
+        argv, out, want = ["encode", str(src), "-o", str(new), *CODE_FLAGS], new, None
+    elif command == "reconstruct":
+        out, want = new / "out.bin", data
+        argv = ["reconstruct", *(str(shard_path(out_dir, j)) for j in (1, 2, 3)), "-o", str(out)]
+    elif command == "repair":
+        out, want = new / "x.shard05", shard_path(out_dir, 5).read_bytes()
+        argv = ["repair", *(str(shard_path(out_dir, j)) for j in (1, 2, 3, 4)), "-f", "5",
+                "--out", str(out)]
+    else:
+        out, want = new / "drill.csv", None
+        argv = ["simulate", *CODE_FLAGS, "--q", "11", "--csv", str(out)]
+    assert main(argv) == 0
+    assert out.exists() and (want is None or out.read_bytes() == want)
+    # the new directory, then each new directory's parent, down to one that existed
+    assert synced == [new, tmp_path / "new", tmp_path]
+
+
 # ---------------------------------------------------------------------------
 # repair
 # ---------------------------------------------------------------------------
@@ -312,6 +338,16 @@ def test_repair_derives_the_output_name(encoded, tmp_path):
     assert rc == 0
     derived = tmp_path / "data.bin.shard04"
     assert derived.read_bytes() == shard_path(out_dir, 4).read_bytes()
+
+
+def test_repair_takes_out_or_out_dir_not_both(encoded, tmp_path, capsys):
+    _, _, out_dir = encoded
+    four = [str(shard_path(out_dir, j)) for j in (1, 2, 3, 4)]
+    out, other = tmp_path / "x.shard05", tmp_path / "d"
+    rc = main(["repair", *four, "-f", "5", "--out", str(out), "--out-dir", str(other)])
+    assert rc == 1
+    assert "argument --out-dir: not allowed with argument --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repair_needs_out_when_names_give_no_pattern(encoded, tmp_path, capsys):
@@ -513,7 +549,7 @@ def test_encode_refuses_a_map_that_disagrees_on_stripe_0(tmp_path, monkeypatch, 
     out_dir = tmp_path / "shards"
     rc = main(["encode", str(src), "-o", str(out_dir), *CODE_FLAGS])
     assert_refused_at_stripe_0(rc, capsys, out_dir / "data.bin.shard01")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -528,7 +564,7 @@ def test_encode_refuses_a_skewed_map_whatever_the_file_holds(data, tmp_path, mon
     out_dir = tmp_path / "shards"
     rc = main(["encode", str(src), "-o", str(out_dir), *CODE_FLAGS])
     assert_refused_at_stripe_0(rc, capsys, out_dir / "data.bin.shard01")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 def test_reconstruct_refuses_a_map_that_disagrees_on_stripe_0(encoded, tmp_path, monkeypatch, capsys):
@@ -637,6 +673,35 @@ def test_simulate_writes_csv_files(tmp_path, capsys):
     text = csv_path.read_text()
     assert text.startswith(CSV_HEADER + "\n")
     assert len(text.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--policy", "fixed:5"], "d = 5 is not a supported helper count; valid D = {4, 6}"),
+        (["--csv", "."], "[Errno 21] Is a directory: '.'"),
+    ],
+    ids=["policy", "csv"],
+)
+def test_simulate_refuses_bad_input_before_the_drill(
+    extra, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(Cluster, "store", lambda *a: pytest.fail("drill started"))
+    rc = main(["simulate", *CODE_FLAGS, "--q", "11", *extra])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""  # no stored line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_discards_the_ledger_when_the_data_mismatches(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(Cluster, "read_all", lambda self: [])
+    rc = main(["simulate", *CODE_FLAGS, "--q", "11", "--csv", str(tmp_path / "ledger.csv")])
+    assert rc == 2
+    assert "error: data mismatch after repairs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no ledger and no temp file
 
 
 @pytest.mark.parametrize("flag", ["--stripes", "--rounds"])

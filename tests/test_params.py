@@ -223,6 +223,21 @@ def test_the_decodability_judge_names_the_colliding_groups_among_its_nodes():
         p.check_decodable([1, 5, 6])
 
 
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ([1, 2], r"^need exactly k = 3 node payloads, got 2$"),
+        ([1, 1], r"^need exactly k = 3 node payloads, got 2$"),
+        ([1, 1, 2], r"^node indices must be distinct, got \[1, 1, 2\]$"),
+        ([1, 2, 9], r"^node index 9 outside 1..7$"),
+    ],
+)
+def test_the_decodability_judge_refuses_a_read_that_is_not_k_nodes_of_the_code(nodes, message):
+    # the count comes first, then the node list, then the power rule
+    with pytest.raises(ValueError, match=message):
+        derive_params(3, 2, 7, q=11).check_decodable(nodes)
+
+
 # ---------------------------------------------------------------------------
 # the flat-construction comparison figure
 # ---------------------------------------------------------------------------

@@ -152,6 +152,11 @@ def test_both_decoders_refuse_a_colliding_subset_with_one_message():
         "q = 11 gives nodes {4,7} the same (k-1)-th power, so k nodes holding "
         "two of them cannot reconstruct"
     )
+    with pytest.raises(ValueError) as stepwise:
+        reconstruct(pick(shards, (7, 4)), WORKED)
+    with pytest.raises(ValueError) as batched:
+        stripe_decoder(WORKED, (4, 7))
+    assert str(stepwise.value) == str(batched.value) == "need exactly k = 3 node payloads, got 2"
 
 
 def test_all_35_subsets_decode_once_the_powers_are_distinct():

@@ -79,7 +79,7 @@ def test_bundle_validation():
     shards, _ = encoded(list(range(1, 13)))
     with pytest.raises(ValueError, match="valid D"):
         make_repair_bundle(shards[0], 7, 5, WORKED)
-    with pytest.raises(ValueError, match="itself"):
+    with pytest.raises(ValueError, match="own helpers"):
         make_repair_bundle(shards[6], 7, 4, WORKED)
     with pytest.raises(ValueError, match="failed index"):
         make_repair_bundle(shards[0], 9, 4, WORKED)

@@ -13,10 +13,12 @@ from pmba.params import derive_params
 from pmba.shardio import (
     FORMAT_VERSION,
     MAGIC,
+    AtomicFile,
     ShardFormatError,
     ShardHeader,
     ShardReader,
     ShardSet,
+    atomic_set,
     atomic_write_bytes,
     header_for,
     pack_header,
@@ -137,7 +139,7 @@ def test_reader_rejects_malformed_files(tmp_path):
 
     path.write_bytes(pristine)
     corrupt(path, 13, (12).to_bytes(4, "little"))
-    with pytest.raises(ShardFormatError, match="node index 12 outside 1..7"):
+    with pytest.raises(ShardFormatError, match="shard header is invalid: node index 12 outside 1..7"):
         read_shard(path)
 
     path.write_bytes(pristine)
@@ -442,6 +444,23 @@ def test_atomic_write_replaces_and_leaves_no_residue(tmp_path):
     atomic_write_bytes(target, b"new contents")
     assert target.read_bytes() == b"new contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_an_atomic_set_creates_missing_directories_and_syncs_each_into_its_parent(
+    tmp_path, monkeypatch
+):
+    synced = []
+    monkeypatch.setattr(shardio, "_fsync_dir", synced.append)
+    a = tmp_path / "a"
+    with atomic_set() as files:
+        files.append(AtomicFile(a / "b" / "x"))
+        files.append(AtomicFile(a / "c" / "y"))
+        files.append(AtomicFile(tmp_path / "z"))
+        for f in files:
+            f.write(b"data")
+    assert [(a / "b" / "x").read_bytes(), (a / "c" / "y").read_bytes()] == [b"data"] * 2
+    # each target directory, then the parent of each directory a file created
+    assert synced == [a / "b", a, tmp_path, a / "c"]
 
 
 def test_an_atomic_file_refuses_a_directory_target_before_making_a_temp_file(

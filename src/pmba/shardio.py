@@ -12,7 +12,8 @@ header and then appended batches. Both keep a running CRC-32 of the
 payload bytes, so a file is never held in memory whole. Every write goes
 to a temp file in the target directory that is synced to disk and renamed
 into place, so a crash never leaves a truncated file behind; a missing
-target directory is created, and synced into its parent with the file.
+target directory is created, and synced into its parent with the file, or
+removed again, if left empty, when the write fails.
 `atomic_set` renames several such files as one set.
 """
 
@@ -116,8 +117,9 @@ class AtomicFile:
     any missing parents, if it does not exist. `sync` gives the temp file
     the mode open() would give a new file under the current umask, syncs it
     to disk and closes it; `commit` renames it into place through
-    `atomic_set`; `discard` removes it. As a context manager it commits on a
-    clean exit and discards on an exception.
+    `atomic_set`; `discard` removes it and then each directory it created
+    that is left empty. As a context manager it commits on a clean exit and
+    discards on an exception.
     """
 
     def __init__(self, path):
@@ -149,6 +151,7 @@ class AtomicFile:
         self._fh.close()
         if os.path.exists(self._tmp):
             os.unlink(self._tmp)
+        _remove_empty_dirs([self])
 
     def __enter__(self):
         return self
@@ -160,6 +163,15 @@ class AtomicFile:
             self.discard()
 
 
+def _remove_empty_dirs(files) -> None:
+    """Remove the directories the AtomicFiles created, deepest first, each
+    only if it is empty; directories that existed before are never touched."""
+    created = {d for f in files for d in f._created}
+    for directory in sorted(created, key=lambda d: len(d.parts), reverse=True):
+        with contextlib.suppress(OSError):  # not empty: it holds something else
+            os.rmdir(directory)
+
+
 @contextlib.contextmanager
 def atomic_set():
     """Yield a list to fill with AtomicFiles that replace their paths as one set.
@@ -169,7 +181,8 @@ def atomic_set():
     directory, and the parent of each directory a file created, is synced
     once, and only then are the set-aside files removed. On any failure
     every temp file is discarded, every file already renamed is removed and
-    every set-aside file is put back, so the older set is left as it was.
+    every set-aside file is put back, so the older set is left as it was;
+    then each directory a file created is removed, deepest first, if empty.
     """
     files, renamed, asides = [], [], []
     try:
@@ -193,6 +206,7 @@ def atomic_set():
             os.unlink(path)
         for aside, path in asides:
             os.replace(aside, path)
+        _remove_empty_dirs(files)  # now that no file of the set is left in them
         raise
     for aside, _ in asides:
         os.unlink(aside)
@@ -319,9 +333,10 @@ class ShardReader:
 
 def read_shard(path):
     """Returns (header, symbols) after validating the whole file; symbols is
-    a writable (stripe_count, alpha) int64 array."""
+    a writable (stripe_count, alpha) `<u2` array, the dtype the striping
+    kernels return and take."""
     with ShardReader(path) as reader:
-        return reader.header, reader.read(reader.header.stripe_count).astype(np.int64)
+        return reader.header, reader.read(reader.header.stripe_count).copy()
 
 
 def payload_crc(symbols: np.ndarray) -> int:

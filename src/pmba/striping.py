@@ -9,10 +9,14 @@ block pair per block column with a single k(k-1)-square inverse shared by
 every step, and the repair map runs the segment peel of the repairer on
 all unit bundles at once. Each of `stripe_encoder`, `stripe_decoder` and
 `stripe_repairer` builds its map once and returns a function that applies
-it to one batch of stripes in integer matrix products; encoding reads, for
-each stored column, only the at most 3(k-1) source symbols of its band,
-and each decode step only one block column and the block carried over
-from the step before. Each builder runs its function once on a fixed
+it to one batch of stripes in float64 BLAS matrix products. They stay
+exact: every product of residues and every sum of them is an integer, and
+each builder refuses inner dimensions whose sums could reach 2**51, the
+bound below which both the products and the reduction mod q are exact.
+Encoding reads, for each block column, only the band of source blocks its
+k-1 stored columns share, and each decode step only one block column and
+the block carried over from the step before. Each kernel returns `<u2`
+symbols, the dtype shard files hold. Each builder runs its function once on a fixed
 self-check batch before returning it, against the stepwise encoder alone:
 the encoder must give its payloads, the decoder the source and the
 repairer node f's payload, so no caller's data can blind the check.
@@ -32,6 +36,7 @@ from .repairer import check_repair_nodes, session_shape
 
 
 BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
+_CACHED_SYMBOLS = 2**15  # float64 values per encode product; it and its reduction stay in cache
 
 
 def batch_stripes(params: CodeParams) -> int:
@@ -96,6 +101,42 @@ def _self_check(kernel: str, got: np.ndarray, want: np.ndarray) -> None:
             )
 
 
+# float64 holds every integer below 2**53, so a BLAS product of residues
+# is exact while its largest possible sum stays below that; `_reduce` needs
+# sums below 2**51, so that is the bound every kernel keeps.
+_EXACT_BELOW = 2**51
+
+
+def _check_exact(q: int, terms: int, kernel: str) -> None:
+    """Refuse a kernel whose sums of `terms` products of two residues mod q
+    could reach 2**51."""
+    worst = terms * (q - 1) ** 2
+    if worst >= _EXACT_BELOW:
+        raise ValueError(
+            f"the {kernel} sums {terms} products of residues mod q = {q}, up to "
+            f"{worst}; float64 products stay exact only below 2**51"
+        )
+
+
+def _reduce(x: np.ndarray, q: int, out=None) -> np.ndarray:
+    """x mod q, for a float64 array of integers 0 <= x < 2**51, in place or
+    into `out`, which may be of any dtype holding 0..q-1.
+
+    Write x = m*q + r with 0 <= r < q. Then (x + 0.5)/q = m + (r + 0.5)/q
+    lies at least 0.5/q from every integer. x + 0.5 is exact below 2**52,
+    and t = fl(fl(x + 0.5) * fl(1/q)) takes two roundings of relative error
+    at most u = 2**-53 each, so |t - (x + 0.5)/q| <= (x + 0.5)(2u + u**2)/q.
+    For x < 2**51, (x + 0.5) * 2u <= 0.5 - 2**-53 and (x + 0.5) * u**2 <
+    2**-55, so that error is below 0.5/q and floor(t) = m exactly. q*m and
+    x - q*m are then exact too, and no fix-up pass is needed.
+    """
+    t = x + 0.5
+    t *= 1.0 / q
+    np.floor(t, out=t)
+    t *= q
+    return np.subtract(x, t, out=x if out is None else out, casting="unsafe")
+
+
 def encode_matrix(params: CodeParams) -> np.ndarray:
     """The (n*alpha) x F linear map from one stripe to all node shards."""
     layout = message_layout(params)
@@ -111,23 +152,34 @@ def encode_matrix(params: CodeParams) -> np.ndarray:
 def stripe_encoder(params: CodeParams):
     """Build the encoding map once; returns a function that encodes one batch.
 
-    The function maps a (stripes, F) source batch to an array indexed
-    [node-1, stripe, symbol]. The builder refuses a function that does not
-    reproduce the stepwise encoder's payloads of the self-check batch.
+    The function maps a (stripes, F) batch of residues to a C-contiguous
+    `<u2` array indexed [node-1, stripe, symbol]. The builder refuses a
+    function that does not reproduce the stepwise encoder's payloads of the
+    self-check batch.
     """
-    enc = encode_matrix(params).reshape(params.n, params.alpha, params.file_symbols)
+    n, alpha, q, w = params.n, params.alpha, params.q, params.k - 1
+    enc = encode_matrix(params).reshape(n, alpha, params.file_symbols)
     bands = []
-    for c in range(params.alpha):
-        # Stored column c reads only the source symbols of its block band.
-        support = np.flatnonzero(enc[:, c].any(axis=0))
-        bands.append((support, enc[:, c, support].T))
+    for c in range(0, alpha, w):
+        # The k-1 stored columns of one block column read the same band of
+        # source blocks: one product per band, zero where a column skips a symbol.
+        cols = slice(c, c + w)
+        reads = np.flatnonzero(enc[:, cols].any(axis=(0, 1)))
+        band = slice(reads[0], reads[-1] + 1)
+        coefficients = enc[:, cols, band].reshape(n * w, -1).T.astype(np.float64)
+        _check_exact(q, len(coefficients), "encoder")
+        bands.append((cols, band, coefficients))
+
+    rows = max(1, _CACHED_SYMBOLS // (n * w))  # stripes per product
 
     def encode(source: np.ndarray) -> np.ndarray:
-        out = np.empty((params.n, source.shape[0], params.alpha), dtype=np.int64)
-        for c, (support, coefficients) in enumerate(bands):
-            coded = source[:, support] @ coefficients  # (stripes, n)
-            coded %= params.q
-            out[:, :, c] = coded.T
+        source = np.asarray(source, dtype=np.float64)
+        out = np.empty((n, source.shape[0], alpha), dtype="<u2")
+        for s in range(0, source.shape[0], rows):
+            for cols, band, coefficients in bands:
+                coded = source[s : s + rows, band] @ coefficients  # (rows, n*(k-1))
+                view = out[:, s : s + rows, cols].transpose(1, 0, 2)
+                _reduce(coded.reshape(view.shape), q, out=view)
         return out
 
     source, payloads = _self_check_batch(params)
@@ -136,7 +188,7 @@ def stripe_encoder(params: CodeParams):
 
 
 def encode_stripes(source: np.ndarray, params: CodeParams) -> np.ndarray:
-    """Encode every stripe; result indexed [node-1, stripe, symbol]."""
+    """Encode every stripe; result a `<u2` array indexed [node-1, stripe, symbol]."""
     return stripe_encoder(params)(source)
 
 
@@ -153,10 +205,10 @@ def stripe_decoder(params: CodeParams, nodes):
     singular exactly when two of the nodes share a (k-1)-th power, which
     `CodeParams.check_decodable` refuses first.
 
-    The function maps a dict of (stripes, alpha) payloads, holding at least
-    those nodes, to the (stripes, F) source; payloads of any integer dtype
-    are widened to int64 on entry. The builder refuses a function that does
-    not return the self-check source from the nodes' self-check payloads.
+    The function maps a dict of (stripes, alpha) payloads of residues, of
+    any integer dtype and holding at least those nodes, to the (stripes, F)
+    `<u2` source. The builder refuses a function that does not return the
+    self-check source from the nodes' self-check payloads.
     """
     k, z, q = params.k, params.z_delta, params.q
     nodes = sorted(nodes)
@@ -164,6 +216,8 @@ def stripe_decoder(params: CodeParams, nodes):
     w = k - 1
     pair = k * w  # symbols per block column of the k nodes, and per block pair
     half = pair // 2
+    # a peeled block sums one step's products and the carried block's
+    _check_exact(q, pair + half, "decoder")
     enc = encode_matrix(params).reshape(params.n, params.alpha, params.file_symbols)
     a0 = enc[np.array(nodes) - 1, :w, :pair].reshape(pair, pair)
     a0_inv = invert(Matrix(params.field, a0)).data
@@ -174,20 +228,21 @@ def stripe_decoder(params: CodeParams, nodes):
         steps[i] = a0_inv * scale % q
         scale = scale * lam_inv % q
     carry = -(a0_inv @ (lam_inv[:, None] * a0[:, :half] % q)) % q
+    steps, carry = steps.astype(np.float64), carry.astype(np.float64)
 
     def decode(payloads: dict) -> np.ndarray:
         stripes = payloads[nodes[0]].shape[0]
         # Rows are symbols and columns are stripes, so every step reads and
         # writes whole contiguous rows.
-        observed = np.empty((z, k, w, stripes), dtype=np.int64)
+        observed = np.empty((z, k, w, stripes))
         for m, j in enumerate(nodes):
             observed[:, m] = payloads[j].T.reshape(z, w, stripes)
-        peeled = np.einsum("iab,ibs->ias", steps, observed.reshape(z, pair, stripes))
-        peeled[0] %= q
+        peeled = np.matmul(steps, observed.reshape(z, pair, stripes))
+        _reduce(peeled[0], q)
         for i in range(1, z):
-            peeled[i] += np.einsum("ab,bs->as", carry, peeled[i - 1, half:])
-            peeled[i] %= q
-        return peeled.reshape(params.file_symbols, stripes).T
+            peeled[i] += carry @ peeled[i - 1, half:]
+            _reduce(peeled[i], q)
+        return np.ascontiguousarray(peeled.reshape(params.file_symbols, stripes).T, dtype="<u2")
 
     source, payloads = _self_check_batch(params)
     _self_check("decoder", decode({j: payloads[j - 1] for j in nodes}), source)
@@ -195,7 +250,8 @@ def stripe_decoder(params: CodeParams, nodes):
 
 
 def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
-    """Decode all stripes from exactly k node payloads of shape (stripes, alpha)."""
+    """Decode all stripes from exactly k node payloads of shape (stripes, alpha);
+    the result is the (stripes, F) `<u2` source."""
     return stripe_decoder(params, payloads)(payloads)
 
 
@@ -236,26 +292,32 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     """Build the repair map for node f from the given helpers once; returns
     a function that rebuilds one batch.
 
-    The function maps a dict of the helpers' (stripes, alpha) payloads, of
-    any integer dtype, to node f's (stripes, alpha) int64 payload. The
+    The function maps a dict of the helpers' (stripes, alpha) payloads of
+    residues, of any integer dtype, to node f's (stripes, alpha) `<u2`
+    payload, through the d*beta bundle symbols the helpers would send. The
     builder refuses a function that does not return node f's self-check
     payload from the helpers'.
     """
     helpers = sorted(helpers)
     check_repair_nodes(params, f, helpers)
-    d = len(helpers)
+    d, alpha, q = len(helpers), params.alpha, params.q
     seg, beta = session_shape(params, d)
-    psi_seg = coefficient_matrix(params).data[f - 1, : params.alpha].reshape(beta, seg)
-    decode_t = repair_matrix(params, f, helpers).T
+    # a bundle symbol sums seg products, a rebuilt symbol d*beta
+    _check_exact(q, max(seg, d * beta), "repairer")
+    # bundle symbol b of a helper is its segment b against node f's row
+    psi_f = coefficient_matrix(params).data[f - 1, :alpha]
+    bundle_map = np.zeros((alpha, beta))
+    bundle_map[np.arange(alpha), np.arange(alpha) // seg] = psi_f
+    decode_t = repair_matrix(params, f, helpers).T.astype(np.float64)
 
     def rebuild(payloads: dict) -> np.ndarray:
         stripes = payloads[helpers[0]].shape[0]
-        bundles = np.empty((stripes, d, beta), dtype=np.int64)
+        bundles = np.empty((stripes, d * beta))
         for i, h in enumerate(helpers):
-            segments = np.asarray(payloads[h], dtype=np.int64).reshape(stripes, beta, seg)
-            np.einsum("sbt,bt->sb", segments, psi_seg, out=bundles[:, i])
-        bundles %= params.q
-        return (bundles.reshape(stripes, d * beta) @ decode_t) % params.q
+            payload = np.asarray(payloads[h], dtype=np.float64)
+            np.matmul(payload, bundle_map, out=bundles[:, i * beta : (i + 1) * beta])
+        _reduce(bundles, q)
+        return _reduce(bundles @ decode_t, q, out=np.empty((stripes, alpha), dtype="<u2"))
 
     _, payloads = _self_check_batch(params)
     _self_check("repairer", rebuild({h: payloads[h - 1] for h in helpers}), payloads[f - 1])
@@ -263,5 +325,6 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
 
 
 def repair_stripes(payloads: dict, f: int, params: CodeParams) -> np.ndarray:
-    """Rebuild node f's payload for all stripes from d helper payloads."""
+    """Rebuild node f's (stripes, alpha) `<u2` payload for all stripes from d
+    helper payloads."""
     return stripe_repairer(params, f, payloads)(payloads)

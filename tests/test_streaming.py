@@ -448,6 +448,68 @@ def test_encode_that_cannot_rename_a_shard_leaves_the_old_set_in_place(tmp_path,
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == old
 
 
+def corrupt_last_symbol(shard, q):
+    blob = bytearray(shard.read_bytes())
+    blob[-2:] = q.to_bytes(2, "little")  # last symbol of the last stripe
+    shard.write_bytes(bytes(blob))
+
+
+def test_a_failed_reconstruct_removes_the_directories_it_created(tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params)
+    data = np.random.default_rng(7).integers(0, 256, 10 * params.file_symbols, dtype=np.uint8).tobytes()
+    _, _, shards = encode_file(tmp_path, params, data)
+    corrupt_last_symbol(shards[3], params.q)
+    capsys.readouterr()
+    rc = main(["reconstruct", *(str(shards[j]) for j in (1, 2, 3)), "-o", str(tmp_path / "new" / "deep" / "out.bin")])
+    assert rc == 2
+    assert f"{shards[3]}: payload symbol >= q = {params.q}" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_failed_repair_removes_the_directories_it_created(tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params)
+    data = np.random.default_rng(8).integers(0, 256, 10 * params.file_symbols, dtype=np.uint8).tobytes()
+    _, _, shards = encode_file(tmp_path, params, data)
+    corrupt_last_symbol(shards[5], params.q)
+    (tmp_path / "n2").mkdir()  # existed before, so it stays
+    capsys.readouterr()
+    rc = main(["repair", *(str(shards[h]) for h in (2, 3, 4, 5)), "-f", "1",
+               "--out", str(tmp_path / "n2" / "x" / "y" / "r.shard")])
+    assert rc == 2
+    assert f"{shards[5]}: payload symbol >= q = {params.q}" in capsys.readouterr().err
+    assert list((tmp_path / "n2").iterdir()) == []
+
+
+def test_an_encode_that_cannot_rename_removes_the_directories_it_created(tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(range(200)))
+    real_replace = os.replace
+
+    def failing_replace(source, target):
+        if Path(target).name == "in.bin.manifest":  # after every shard is in place
+            raise OSError("rename refused")
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    rc = main(["encode", str(src), "-o", str(tmp_path / "a" / "b"), *code_flags(params)])
+    monkeypatch.undo()
+    assert rc == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+
+def test_a_discarded_file_keeps_a_created_directory_that_holds_something_else(tmp_path):
+    from pmba.shardio import AtomicFile
+
+    fh = AtomicFile(tmp_path / "a" / "b" / "x")
+    (tmp_path / "a" / "other").write_bytes(b"")
+    fh.discard()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "other"]
+
+
 # ---------------------------------------------------------------------------
 # written files follow the umask
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from .encoder import NodeShard, build_message_matrix, encode_all
 from .params import CodeParams
 from .reconstructor import reconstruct
-from .repairer import make_repair_bundle, repair
+from .repairer import check_helper_count, make_repair_bundle, repair
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,17 @@ class HelperPolicy:
         raise ValueError(f"unknown policy {text!r}; use max-d, min-d or fixed:<d>")
 
     def choose_d(self, helper_counts, alive_count: int) -> int:
-        feasible = [d for d in helper_counts if d <= alive_count]
-        valid = "{" + ", ".join(map(str, helper_counts)) + "}"
         if self.strategy == "fixed":
-            if self.fixed_d not in helper_counts:
-                raise ValueError(
-                    f"d = {self.fixed_d} is not a supported helper count; valid D = {valid}"
-                )
+            check_helper_count(helper_counts, self.fixed_d)
             if self.fixed_d > alive_count:
                 raise ValueError(
                     f"policy wants d = {self.fixed_d} helpers but only "
                     f"{alive_count} nodes are alive"
                 )
             return self.fixed_d
+        feasible = [d for d in helper_counts if d <= alive_count]
         if not feasible:
+            valid = "{" + ", ".join(map(str, helper_counts)) + "}"
             raise ValueError(
                 f"no supported helper count fits {alive_count} alive nodes; "
                 f"valid D = {valid}"

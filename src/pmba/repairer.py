@@ -1,21 +1,27 @@
 """Exact repair of one failed node from any supported helper count.
 
 Each helper splits its shard into beta(d) segments and sends one inner
-product per segment, projected onto the failed node's Vandermonde row. The
-decoder inverts one d x d generalized Vandermonde per segment. Consecutive
-segments of the message matrix share one symmetric block, so from step two
-onward the decoder first cancels the shared block's contribution (the
-carry) and afterwards adds it back into the rebuilt segment. Per helper
-exactly beta(d) = alpha / (d-k+1) symbols move, which is the minimum any
-MDS code can achieve, for every d in D simultaneously.
+product per segment, projected onto the failed node's Vandermonde row;
+`bundle_map` is that (alpha, beta) map. The new node inverts one d x d
+generalized Vandermonde per segment. Consecutive segments of the message
+matrix share one symmetric block, so from step two onward it first
+cancels the shared block's contribution (the carry) and afterwards adds it
+back into the rebuilt segment; `repair_matrix` runs this peel once on all
+d*beta unit bundles, giving the linear map from stacked bundles to node f.
+`make_repair_bundle` and `repair` apply the two maps to one stripe, and
+`striping.stripe_repairer` to a batch of stripes. Per helper exactly
+beta(d) = alpha / (d-k+1) symbols move, which is the minimum any MDS code
+can achieve, for every d in D simultaneously.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .encoder import NodeShard
-from .matrix import Matrix, build_gvm, invert
+from .matrix import build_gvm, invert
 from .params import CodeParams
 
 
@@ -27,11 +33,16 @@ class RepairBundle:
     symbols: tuple  # beta(d) FieldElement values
 
 
+def check_helper_count(helper_counts, d: int) -> None:
+    """Refuse a helper count d outside D = helper_counts, listing D."""
+    if d not in helper_counts:
+        valid = "{" + ", ".join(map(str, helper_counts)) + "}"
+        raise ValueError(f"d = {d} is not a supported helper count; valid D = {valid}")
+
+
 def session_shape(params: CodeParams, d: int):
     """Segment length and per-helper symbol count for helper count d."""
-    if d not in params.helper_counts:
-        valid = "{" + ", ".join(map(str, params.helper_counts)) + "}"
-        raise ValueError(f"d = {d} is not a supported helper count; valid D = {valid}")
+    check_helper_count(params.helper_counts, d)
     seg = d - params.k + 1  # segment length, = m(k-1)
     return seg, params.per_node_bandwidth[d]
 
@@ -46,10 +57,54 @@ def check_repair_nodes(params: CodeParams, f: int, helpers) -> None:
         raise ValueError(f"node {f} cannot appear among its own helpers")
 
 
+def bundle_map(params: CodeParams, f: int, d: int) -> np.ndarray:
+    """The alpha x beta map from one helper's payload to its bundle for
+    node f: bundle symbol b is segment b against the same entries of the
+    first alpha of node f's Vandermonde row."""
+    seg, beta = session_shape(params, d)
+    e_f, alpha = params.eval_point(f).value, params.alpha
+    out = np.zeros((alpha, beta), dtype=np.int64)
+    out[np.arange(alpha), np.arange(alpha) // seg] = [pow(e_f, t, params.q) for t in range(alpha)]
+    return out
+
+
+def repair_matrix(params: CodeParams, f: int, helpers) -> np.ndarray:
+    """The alpha x (d*beta) linear map from stacked repair bundles to node f.
+
+    Column h*beta + i stands for symbol i of the bundle from the h-th
+    helper in ascending order. This is the segment peel run on the d*beta
+    unit bundles at once: each of the beta steps inverts one d x d
+    generalized Vandermonde and cancels the (k-1)-block carried over from
+    the step before.
+    """
+    helpers = sorted(helpers)
+    d = len(helpers)
+    seg, beta = session_shape(params, d)
+    q, w = params.q, params.k - 1
+    points = [params.eval_point(h) for h in helpers]
+    ef_w = (params.eval_point(f) ** w).value
+    units = np.eye(d * beta, dtype=np.int64)
+    decode = np.empty((params.alpha, d * beta), dtype=np.int64)
+    carry = None  # (k-1) x (d*beta): the shared block recovered at the previous step
+    for i in range(beta):
+        upsilon = units[i::beta]  # symbol i of every helper's bundle
+        if carry is not None:
+            cancel = build_gvm(points, i * seg - w, w).data @ carry % q
+            upsilon = (upsilon - cancel * ef_w) % q
+        solved = invert(build_gvm(points, i * seg, d)).data @ upsilon % q
+        piece = solved[:seg]
+        piece[seg - w :] += solved[seg:] * ef_w
+        if carry is not None:
+            piece[:w] += carry
+        decode[i * seg : (i + 1) * seg] = piece % q
+        carry = solved[seg:]
+    return decode
+
+
 def make_repair_bundle(
     helper_shard: NodeShard, f: int, d: int, params: CodeParams
 ) -> RepairBundle:
-    seg, beta = session_shape(params, d)
+    session_shape(params, d)  # refuses a d outside D before the node checks
     h = helper_shard.node_index
     check_repair_nodes(params, f, [h])
     if len(helper_shard.symbols) != params.alpha:
@@ -57,16 +112,9 @@ def make_repair_bundle(
             f"helper shard holds {len(helper_shard.symbols)} symbols, "
             f"expected alpha = {params.alpha}"
         )
-    e_f = params.eval_point(f)
-    # The first alpha entries of the failed node's coefficient row.
-    psi_f = [e_f**t for t in range(params.alpha)]
-    symbols = []
-    for i in range(beta):
-        acc = params.field.zero()
-        for t in range(i * seg, (i + 1) * seg):
-            acc = acc + helper_shard.symbols[t] * psi_f[t]
-        symbols.append(acc)
-    return RepairBundle(helper_index=h, failed_index=f, d=d, symbols=tuple(symbols))
+    payload = np.array([int(s) % params.q for s in helper_shard.symbols], dtype=np.int64)
+    symbols = params.field.elements(payload @ bundle_map(params, f, d) % params.q)
+    return RepairBundle(helper_index=h, failed_index=f, d=d, symbols=symbols)
 
 
 def repair(f: int, bundles, params: CodeParams) -> NodeShard:
@@ -75,7 +123,7 @@ def repair(f: int, bundles, params: CodeParams) -> NodeShard:
     if not bundles:
         raise ValueError("no repair bundles supplied")
     d = bundles[0].d
-    seg, beta = session_shape(params, d)
+    _, beta = session_shape(params, d)
     if len(bundles) != d:
         raise ValueError(f"need exactly d = {d} bundles, got {len(bundles)}")
     helpers = [b.helper_index for b in bundles]
@@ -94,36 +142,7 @@ def repair(f: int, bundles, params: CodeParams) -> NodeShard:
                 f"expected beta = {beta}"
             )
 
-    field = params.field
-    k = params.k
-    w = k - 1
-    e_points = [params.eval_point(h) for h in helpers]
-    e_f = params.eval_point(f)
-    ef_w = (e_f**w).value
-
-    segments = []
-    w_prev = None  # the projected shared block from the previous step
-    for i in range(1, beta + 1):
-        upsilon = Matrix.column_vector(field, [b.symbols[i - 1] for b in bundles])
-        if i >= 2:
-            cancel_rows = build_gvm(e_points, (i - 1) * seg - w, w)
-            carry = w_prev.transpose().scaled(ef_w)
-            upsilon = upsilon - cancel_rows @ carry
-        omega_inv = invert(build_gvm(e_points, (i - 1) * seg, d))
-        theta = omega_inv.submatrix(row_indices=range(seg))
-        xi = omega_inv.submatrix(row_indices=range(seg, d))
-        piece = (theta @ upsilon).transpose()  # 1 x seg
-        w_i = (xi @ upsilon).transpose()  # 1 x (k-1)
-        vals = list(piece.data[0])
-        tail = w_i.data[0] * ef_w % params.q
-        for t in range(w):
-            vals[seg - w + t] = (vals[seg - w + t] + tail[t]) % params.q
-        if i >= 2:
-            head = w_prev.data[0]
-            for t in range(w):
-                vals[t] = (vals[t] + head[t]) % params.q
-        segments.extend(int(v) for v in vals)
-        w_prev = w_i
-
-    symbols = tuple(field.element(v) for v in segments)
-    return NodeShard(node_index=f, eval_point=e_f, symbols=symbols)
+    # each of the d*beta products is below q**2 <= 2**32, so int64 sums stay exact
+    stacked = np.array([int(s) % params.q for b in bundles for s in b.symbols], dtype=np.int64)
+    symbols = params.field.elements(repair_matrix(params, f, helpers) @ stacked % params.q)
+    return NodeShard(node_index=f, eval_point=params.eval_point(f), symbols=symbols)

@@ -212,11 +212,6 @@ def atomic_set():
         os.unlink(aside)
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    with AtomicFile(path) as fh:
-        fh.write(data)
-
-
 class ShardWriter(AtomicFile):
     """A shard file written as its header, then appended (stripes, alpha)
     payload batches, each checked for shape and range.
@@ -363,10 +358,6 @@ def manifest_file(path, original_name: str, header0: ShardHeader, shard_entries)
     return fh
 
 
-def write_manifest(path, original_name: str, header0: ShardHeader, shard_entries) -> None:
-    manifest_file(path, original_name, header0, shard_entries).commit()
-
-
 def read_manifest(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -427,7 +418,7 @@ class ShardSet(contextlib.AbstractContextManager):
     def check_manifest(self, path) -> None:
         """Demand that the manifest at `path` records the code of `header` and
         the CRC-32 each of `readers` has read, so call it after the last
-        batch. Values are compared as the text `write_manifest` writes."""
+        batch. Values are compared as the text `manifest_file` writes."""
         entries = read_manifest(path)
         for key, want in _manifest_code(self.header).items():
             if entries.get(key) != str(want):

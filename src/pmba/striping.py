@@ -6,13 +6,14 @@ linear over the field, and each path derives its linear map in closed form
 from the construction: the encoding map places each node's Vandermonde
 row into the banded message-matrix layout, decoding peels the source one
 block pair per block column with a single k(k-1)-square inverse shared by
-every step, and the repair map runs the segment peel of the repairer on
-all unit bundles at once. Each of `stripe_encoder`, `stripe_decoder` and
-`stripe_repairer` builds its map once and returns a function that applies
-it to one batch of stripes in float64 BLAS matrix products. They stay
-exact: every product of residues and every sum of them is an integer, and
-each builder refuses inner dimensions whose sums could reach 2**51, the
-bound below which both the products and the reduction mod q are exact.
+every step, and repair applies the repairer's `bundle_map` to each
+helper's payload and its `repair_matrix` to the stacked bundles. Each of
+`stripe_encoder`, `stripe_decoder` and `stripe_repairer` builds its map
+once and returns a function that applies it to one batch of stripes in
+float64 BLAS matrix products. They stay exact: every product of residues
+and every sum of them is an integer, and each builder refuses inner
+dimensions whose sums could reach 2**51, the bound below which both the
+products and the reduction mod q are exact.
 Encoding reads, for each block column, only the band of source blocks its
 k-1 stored columns share, and each decode step only one block column and
 the block carried over from the step before. Each kernel returns `<u2`
@@ -30,9 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from .encoder import build_message_matrix, coefficient_matrix, encode_all, message_layout
-from .matrix import InconsistencyError, Matrix, build_gvm, invert
+from .matrix import InconsistencyError, Matrix, invert
 from .params import BYTE_SAFE_MIN_Q, CodeParams
-from .repairer import check_repair_nodes, session_shape
+from .repairer import bundle_map, check_repair_nodes, repair_matrix, session_shape
 
 
 BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
@@ -45,13 +46,14 @@ def batch_stripes(params: CodeParams) -> int:
 
 
 def bytes_to_source(data, params: CodeParams) -> np.ndarray:
-    """Map bytes one-to-one onto symbols, zero-padded to whole stripes."""
+    """Map bytes one-to-one onto symbols, zero-padded to whole stripes, in
+    the float64 batch `stripe_encoder` multiplies without a copy."""
     if params.q < BYTE_SAFE_MIN_Q:
         raise ValueError(
             f"q = {params.q} cannot carry byte payloads; need q >= {BYTE_SAFE_MIN_Q}"
         )
     arr = np.frombuffer(data, dtype=np.uint8)
-    padded = np.zeros((params.file_stripes(len(arr)), params.file_symbols), dtype=np.int64)
+    padded = np.zeros((params.file_stripes(len(arr)), params.file_symbols))
     padded.reshape(-1)[: len(arr)] = arr
     return padded
 
@@ -255,39 +257,6 @@ def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
     return stripe_decoder(params, payloads)(payloads)
 
 
-def repair_matrix(params: CodeParams, f: int, helpers) -> np.ndarray:
-    """The alpha x (d*beta) linear map from stacked repair bundles to node f.
-
-    Column h*beta + i stands for symbol i of the bundle from the h-th
-    helper in ascending order. This is the repairer's segment peel run on
-    the d*beta unit bundles at once: each of the beta steps inverts one
-    d x d generalized Vandermonde and cancels the (k-1)-block carried over
-    from the step before.
-    """
-    helpers = sorted(helpers)
-    d = len(helpers)
-    seg, beta = session_shape(params, d)
-    q, w = params.q, params.k - 1
-    points = [params.eval_point(h) for h in helpers]
-    ef_w = (params.eval_point(f) ** w).value
-    units = np.eye(d * beta, dtype=np.int64)
-    decode = np.empty((params.alpha, d * beta), dtype=np.int64)
-    carry = None  # (k-1) x (d*beta): the shared block recovered at the previous step
-    for i in range(beta):
-        upsilon = units[i::beta]  # symbol i of every helper's bundle
-        if carry is not None:
-            cancel = build_gvm(points, i * seg - w, w).data @ carry % q
-            upsilon = (upsilon - cancel * ef_w) % q
-        solved = invert(build_gvm(points, i * seg, d)).data @ upsilon % q
-        piece = solved[:seg]
-        piece[seg - w :] += solved[seg:] * ef_w
-        if carry is not None:
-            piece[:w] += carry
-        decode[i * seg : (i + 1) * seg] = piece % q
-        carry = solved[seg:]
-    return decode
-
-
 def stripe_repairer(params: CodeParams, f: int, helpers):
     """Build the repair map for node f from the given helpers once; returns
     a function that rebuilds one batch.
@@ -304,10 +273,7 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     seg, beta = session_shape(params, d)
     # a bundle symbol sums seg products, a rebuilt symbol d*beta
     _check_exact(q, max(seg, d * beta), "repairer")
-    # bundle symbol b of a helper is its segment b against node f's row
-    psi_f = coefficient_matrix(params).data[f - 1, :alpha]
-    bundle_map = np.zeros((alpha, beta))
-    bundle_map[np.arange(alpha), np.arange(alpha) // seg] = psi_f
+    bundling = bundle_map(params, f, d).astype(np.float64)
     decode_t = repair_matrix(params, f, helpers).T.astype(np.float64)
 
     def rebuild(payloads: dict) -> np.ndarray:
@@ -315,7 +281,7 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
         bundles = np.empty((stripes, d * beta))
         for i, h in enumerate(helpers):
             payload = np.asarray(payloads[h], dtype=np.float64)
-            np.matmul(payload, bundle_map, out=bundles[:, i * beta : (i + 1) * beta])
+            np.matmul(payload, bundling, out=bundles[:, i * beta : (i + 1) * beta])
         _reduce(bundles, q)
         return _reduce(bundles @ decode_t, q, out=np.empty((stripes, alpha), dtype="<u2"))
 

@@ -7,7 +7,7 @@ import pytest
 from pmba.encoder import NodeShard, build_message_matrix, encode_all, encode_node
 from pmba.params import derive_params
 from pmba.repairer import RepairBundle, make_repair_bundle, repair, session_shape
-from pmba.striping import repair_matrix
+from pmba.striping import repair_stripes
 
 WORKED = derive_params(3, 2, 7, q=11)
 
@@ -219,40 +219,40 @@ def test_repair_rejects_inconsistent_bundle_sets():
 
 
 # ---------------------------------------------------------------------------
-# the batched repair map against the stepwise decoder
+# the stepwise and batched repairs against the encoder
 # ---------------------------------------------------------------------------
-
-
-def probed_repair_matrix(params, f, helpers):
-    """The repair map read off the stepwise decoder, one unit bundle at a time."""
-    d = len(helpers)
-    _, beta = session_shape(params, d)
-    zero, one = params.field.zero(), params.field.one()
-    decode = np.zeros((params.alpha, d * beta), dtype=np.int64)
-    for u in range(d * beta):
-        probe = [
-            RepairBundle(
-                helper_index=h,
-                failed_index=f,
-                d=d,
-                symbols=tuple(one if h_idx * beta + i == u else zero for i in range(beta)),
-            )
-            for h_idx, h in enumerate(helpers)
-        ]
-        decode[:, u] = repair(f, probe, params).symbol_values()
-    return decode
 
 
 @pytest.mark.parametrize(
     "params", [WORKED, derive_params(4, 3, 13, q=17)], ids=["3-2-7-q11", "4-3-13-q17"]
 )
-def test_closed_form_repair_map_matches_the_stepwise_decoder(params):
+def test_stepwise_and_batched_repairs_give_the_encoded_payload(params):
     rng = np.random.default_rng(59)
+    sources = rng.integers(0, params.q, size=(3, params.file_symbols))
+    coded = [encoded(source.tolist(), params)[0] for source in sources]
+    payloads = np.array([[shard.symbol_values() for shard in shards] for shards in coded])
     for d in params.helper_counts:
-        for _ in range(2):
+        for _ in range(3):
             f = int(rng.integers(1, params.n + 1))
             others = [h for h in range(1, params.n + 1) if h != f]
             helpers = sorted(int(h) for h in rng.choice(others, size=d, replace=False))
-            assert np.array_equal(
-                repair_matrix(params, f, helpers), probed_repair_matrix(params, f, helpers)
-            ), (d, f, helpers)
+            for shards in coded:
+                got = repair(f, bundles_for(shards, helpers, f, d, params), params)
+                assert got.symbol_values() == shards[f - 1].symbol_values(), (d, f, helpers)
+            batched = repair_stripes({h: payloads[:, h - 1] for h in helpers}, f, params)
+            assert np.array_equal(batched, payloads[:, f - 1]), (d, f, helpers)
+
+
+@pytest.mark.parametrize("fill", ["all-q-1", "random"])
+def test_stepwise_repair_is_exact_at_the_largest_modulus(fill):
+    # the stepwise repair sums d*beta products of residues in int64
+    params = derive_params(3, 5, 20, q=65521)
+    if fill == "all-q-1":
+        source = [params.q - 1] * params.file_symbols
+    else:
+        source = np.random.default_rng(61).integers(0, params.q, params.file_symbols).tolist()
+    shards, _ = encoded(source, params)
+    for d in (4, 12):
+        helpers = [h for h in range(1, params.n + 1) if h != 9][-d:]
+        got = repair(9, bundles_for(shards, helpers, 9, d, params), params)
+        assert got.symbol_values() == shards[8].symbol_values(), d

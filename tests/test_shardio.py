@@ -19,14 +19,13 @@ from pmba.shardio import (
     ShardReader,
     ShardSet,
     atomic_set,
-    atomic_write_bytes,
     header_for,
+    manifest_file,
     pack_header,
     payload_crc,
     read_manifest,
     read_shard,
     shard_params,
-    write_manifest,
     write_shard,
 )
 from pmba.striping import (
@@ -282,10 +281,10 @@ def test_payload_crc_detects_single_symbol_change():
 def test_manifest_round_trip(tmp_path):
     header = header_for(BYTE_PARAMS, 1, original_length=100)
     path = tmp_path / "file.manifest"
-    write_manifest(
+    manifest_file(
         path, "file.bin", header,
         [(1, "file.shard01", 0xDEADBEEF), (2, "file.shard02", 0x5)],
-    )
+    ).commit()
     entries = read_manifest(path)
     assert entries["file"] == "file.bin"
     assert entries["length_bytes"] == "100"
@@ -333,7 +332,7 @@ def shard_set(tmp_path, params=BYTE_PARAMS, original_length=None):
         write_shard(paths[j], header_for(params, j, original_length), coded[j - 1])
         entries.append((j, paths[j].name, payload_crc(coded[j - 1])))
     manifest = tmp_path / "set.manifest"
-    write_manifest(manifest, "set", header_for(params, 1, original_length), entries)
+    manifest_file(manifest, "set", header_for(params, 1, original_length), entries).commit()
     return coded, paths, manifest
 
 
@@ -441,7 +440,8 @@ def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path):
 def test_atomic_write_replaces_and_leaves_no_residue(tmp_path):
     target = tmp_path / "out.bin"
     target.write_bytes(b"old")
-    atomic_write_bytes(target, b"new contents")
+    with AtomicFile(target) as fh:
+        fh.write(b"new contents")
     assert target.read_bytes() == b"new contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
@@ -471,7 +471,7 @@ def test_an_atomic_file_refuses_a_directory_target_before_making_a_temp_file(
     monkeypatch.setattr(tempfile, "mkstemp", lambda **kw: pytest.fail("temp file made"))
     header = header_for(BYTE_PARAMS, 1, 12)
     for write in (
-        lambda: atomic_write_bytes(target, b"data"),
+        lambda: AtomicFile(target),
         lambda: write_shard(target, header, np.zeros((1, BYTE_PARAMS.alpha), dtype=np.int64)),
     ):
         with pytest.raises(IsADirectoryError, match=re.escape(f"Is a directory: '{target}'")):

@@ -27,9 +27,9 @@ from pmba.shardio import (
     ShardReader,
     ShardWriter,
     header_for,
+    manifest_file,
     payload_crc,
     read_shard,
-    write_manifest,
     write_shard,
 )
 
@@ -66,7 +66,7 @@ def write_reference(ref_dir, params, data):
         name = f"in.bin.shard{j:02d}"
         write_shard(ref_dir / name, header, coded[j - 1])
         entries.append((j, name, payload_crc(coded[j - 1])))
-    write_manifest(ref_dir / "in.bin.manifest", "in.bin", headers[0], entries)
+    manifest_file(ref_dir / "in.bin.manifest", "in.bin", headers[0], entries).commit()
 
 
 def count_calls(monkeypatch, names):

@@ -100,7 +100,7 @@ def cmd_reconstruct(args) -> int:
         chosen = sorted(readers)[: header.k]
         if args.nodes is not None:
             try:
-                chosen = sorted({int(t) for t in args.nodes.split(",")})
+                chosen = sorted(int(t) for t in args.nodes.split(","))
             except ValueError:
                 raise ValueError(
                     f"--nodes takes comma-separated node indices, got {args.nodes!r}"

@@ -25,18 +25,23 @@ class HelperPolicy:
     strategy: str  # "max-d", "min-d" or "fixed"
     fixed_d: int | None = None
 
+    def __post_init__(self):
+        text = self.strategy if self.fixed_d is None else f"{self.strategy}:{self.fixed_d}"
+        if self.strategy == "fixed":
+            if not isinstance(self.fixed_d, int):
+                raise ValueError(f"bad fixed helper count in policy {text!r}")
+        elif self.strategy not in ("max-d", "min-d") or self.fixed_d is not None:
+            raise ValueError(f"unknown policy {text!r}; use max-d, min-d or fixed:<d>")
+
     @classmethod
     def parse(cls, text: str) -> "HelperPolicy":
-        if text == "max-d":
-            return cls("max-d")
-        if text == "min-d":
-            return cls("min-d")
         if text.startswith("fixed:"):
             try:
-                return cls("fixed", int(text.split(":", 1)[1]))
+                fixed_d = int(text.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad fixed helper count in policy {text!r}") from None
-        raise ValueError(f"unknown policy {text!r}; use max-d, min-d or fixed:<d>")
+            return cls("fixed", fixed_d)
+        return cls(text)
 
     def choose_d(self, helper_counts, alive_count: int) -> int:
         if self.strategy == "fixed":

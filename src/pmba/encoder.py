@@ -4,7 +4,7 @@ A stripe of F = k * alpha source symbols fills 2z symmetric (k-1) x (k-1)
 blocks S_1 .. S_{2z}. Block column j of the assembled matrix M carries
 S_{2j-2} above the diagonal block S_{2j-1} with S_{2j} below, and node j
 stores the alpha-symbol product of its Vandermonde row with M. The band
-shape is what lets both decoders peel one block pair per step.
+shape is what lets the decoder peel one block pair per step.
 """
 
 from __future__ import annotations
@@ -32,6 +32,21 @@ class NodeShard:
 
     def symbol_values(self) -> tuple:
         return tuple(s.value for s in self.symbols)
+
+
+def check_shard(shard: NodeShard, params: CodeParams) -> None:
+    """Refuse a shard whose node index `check_nodes` refuses, whose
+    evaluation point is not its node's, or that holds other than alpha symbols."""
+    j = shard.node_index
+    if shard.eval_point != params.eval_point(j):
+        raise ValueError(
+            f"shard {j} carries evaluation point {shard.eval_point.value}, "
+            f"parameters say {params.eval_points[j - 1]}"
+        )
+    if len(shard.symbols) != params.alpha:
+        raise ValueError(
+            f"shard {j} holds {len(shard.symbols)} symbols, expected alpha = {params.alpha}"
+        )
 
 
 def coefficient_matrix(params: CodeParams) -> Matrix:
@@ -68,6 +83,19 @@ def message_layout(params: CodeParams):
     return layout
 
 
+def node_maps(params: CodeParams, nodes) -> np.ndarray:
+    """The (len(nodes), alpha, F) int64 map from one stripe to the payloads
+    of the given 1-based nodes."""
+    layout = message_layout(params)
+    rows, cols = np.nonzero(layout >= 0)
+    psi = coefficient_matrix(params).data[np.asarray(nodes) - 1]
+    out = np.zeros((len(psi), params.alpha, params.file_symbols), dtype=np.int64)
+    # Each source symbol appears at most once per column of the layout, so
+    # every map entry is one coefficient and needs no reduction.
+    out[:, cols, layout[rows, cols]] = psi[:, rows]
+    return out
+
+
 def build_message_matrix(source, params: CodeParams) -> MessageMatrix:
     vals = [int(s) % params.q for s in source]
     if len(vals) != params.file_symbols:
@@ -85,16 +113,6 @@ def build_message_matrix(source, params: CodeParams) -> MessageMatrix:
     return MessageMatrix(
         blocks=tuple(blocks), assembled=Matrix(params.field, assembled)
     )
-
-
-def flatten_blocks(blocks, k: int) -> tuple:
-    """Inverse of the fill order: blocks back to the flat source sequence."""
-    positions = block_fill_order(k)
-    out = []
-    for block in blocks:
-        for r, c in positions:
-            out.append(block.entry(r, c))
-    return tuple(out)
 
 
 def encode_node(m: MessageMatrix, params: CodeParams, node_index: int) -> NodeShard:

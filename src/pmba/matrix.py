@@ -3,8 +3,8 @@
 Entries live in a numpy int64 array of canonical residues; every product is
 reduced immediately, and the field's modulus bound keeps every inner
 product exact in int64.
-Includes the generalized Vandermonde constructor and the two-symmetric-
-unknowns solver that both decoders are built on.
+Includes the generalized Vandermonde constructor, the inverse the decode
+and repair maps are built from, and the standalone `solve_symmetric_pair`.
 """
 
 from __future__ import annotations

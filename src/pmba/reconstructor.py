@@ -1,81 +1,81 @@
 """Recover all F source symbols from any k shards.
 
-Stacking the k accessed shards gives X = Psi_DC * M. Because consecutive
-column blocks of Psi_DC differ by the diagonal factor Lambda_DC of the
-points' (k-1)-th powers, column block i of X reads
-
-    X(i) = Psi_DC(i-1) * S_{2i-2} + Psi_DC(i) * S_{2i-1} + Lambda_DC * Psi_DC(i) * S_{2i}
-
-so after subtracting the block pair recovered in the previous step, each
-step is one two-symmetric-unknowns solve. The whole procedure only works
-when the (k-1)-th powers of the accessed evaluation points are pairwise
-distinct; the session refuses to start otherwise, through
-`CodeParams.check_decodable`, naming the colliding nodes.
+Write u_i for the block pair (S_{2i+1}, S_{2i+2}) of the message matrix,
+contiguous in source order, x_i for block column i (0-based) of the k
+nodes' payloads, P = k(k-1)/2 for the block size, Lambda for the nodes'
+(k-1)-th powers and A_0 for the k(k-1)-square map from u_0 to x_0. The
+band shape gives x_i = Lambda^i A_0 u_i + Lambda^(i-1) A_0[:, :P] u_(i-1)[P:],
+so one inverse of A_0 peels every step. `peel_maps` builds the step and
+carry maps once per node set; `ReconstructionSession` applies them to one
+stripe in int64, and `striping.stripe_decoder` to a batch in float64.
+A_0 is singular exactly when two of the nodes share a (k-1)-th power,
+which both refuse first through `CodeParams.check_decodable`, naming the
+colliding nodes.
 """
 
 from __future__ import annotations
 
-from .encoder import coefficient_matrix, flatten_blocks
-from .matrix import Matrix, solve_symmetric_pair
+import numpy as np
+
+from .encoder import check_shard, node_maps
+from .matrix import Matrix, invert
 from .params import CodeParams
 
 
+def peel_maps(params: CodeParams, nodes, a0: np.ndarray):
+    """The block peel's int64 maps for the k ascending `nodes`, whose
+    k(k-1)-square block A_0 is `a0`.
+
+    Returns `steps`, of shape (z, k(k-1), k(k-1)) with steps[i] =
+    A_0^-1 Lambda^-i, and `carry` = -A_0^-1 Lambda^-1 A_0[:, :P], of shape
+    (k(k-1), P), all residues mod q.
+    """
+    q, w = params.q, params.k - 1
+    a0_inv = invert(Matrix(params.field, a0)).data
+    lam_inv = np.repeat([pow(params.eval_points[j - 1], -w, q) for j in nodes], w)
+    steps = np.empty((params.z_delta, *a0.shape), dtype=np.int64)
+    scale = np.ones(len(lam_inv), dtype=np.int64)
+    for i in range(params.z_delta):
+        steps[i] = a0_inv * scale % q
+        scale = scale * lam_inv % q
+    carry = -(a0_inv @ (lam_inv[:, None] * a0[:, : len(a0) // 2] % q)) % q
+    return steps, carry
+
+
 class ReconstructionSession:
-    """Precomputed matrices for one choice of k accessed nodes."""
+    """The peel's maps for one choice of k accessed nodes, and their payloads."""
 
     def __init__(self, shards, params: CodeParams):
-        k, z, alpha = params.k, params.z_delta, params.alpha
+        k, z, w = params.k, params.z_delta, params.k - 1
         shards = tuple(shards)
         indices = [s.node_index for s in shards]
         params.check_decodable(indices)
         for s in shards:
-            if len(s.symbols) != alpha:
-                raise ValueError(
-                    f"shard {s.node_index} holds {len(s.symbols)} symbols, "
-                    f"expected alpha = {alpha}"
-                )
-            if s.eval_point != params.eval_point(s.node_index):
-                raise ValueError(
-                    f"shard {s.node_index} carries evaluation point "
-                    f"{s.eval_point.value}, parameters say "
-                    f"{params.eval_points[s.node_index - 1]}"
-                )
+            check_shard(s, params)
 
         self.params = params
         self.accessed_nodes = tuple(indices)
-
-        powers = [(s.eval_point ** (k - 1)).value for s in shards]
+        powers = [(s.eval_point ** w).value for s in shards]
         self.lambda_dc = Matrix.diagonal(params.field, powers)
 
-        psi = coefficient_matrix(params)
-        psi_dc = psi.submatrix(row_indices=[i - 1 for i in indices])
-        w = k - 1
-        self.psi_dc_blocks = [
-            psi_dc.submatrix(col_indices=range(i * w, (i + 1) * w)) for i in range(z + 1)
-        ]
-        for i in range(z):
-            assert self.lambda_dc @ self.psi_dc_blocks[i] == self.psi_dc_blocks[i + 1]
-
-        x_dc = Matrix.from_rows(params.field, (s.symbol_values() for s in shards))
-        self.x_dc_blocks = [
-            x_dc.submatrix(col_indices=range(i * w, (i + 1) * w)) for i in range(z)
-        ]
+        nodes = sorted(indices)
+        pair = k * w
+        a0 = node_maps(params, nodes)[:, :w, :pair].reshape(pair, pair)
+        self.steps, self.carry = peel_maps(params, nodes, a0)
+        ordered = sorted(shards, key=lambda s: s.node_index)
+        payloads = np.array([s.symbol_values() for s in ordered], dtype=np.int64)
+        # row i is block column i of the ascending nodes' payloads
+        self.x_dc = payloads.reshape(k, z, w).swapaxes(0, 1).reshape(z, pair)
 
     def run(self) -> tuple:
         """Peel the block pairs in order and return the flat source."""
-        blocks = []
-        prev_even = None
-        for i in range(self.params.z_delta):
-            x_i = self.x_dc_blocks[i]
-            if prev_even is not None:
-                x_i = x_i - self.psi_dc_blocks[i - 1] @ prev_even
-            odd, even = solve_symmetric_pair(
-                x_i, self.psi_dc_blocks[i], self.lambda_dc
-            )
-            blocks.append(odd)
-            blocks.append(even)
-            prev_even = even
-        return flatten_blocks(blocks, self.params.k)
+        q, half = self.params.q, self.carry.shape[1]
+        # each product is below q**2 <= 2**32 and each sum has at most
+        # k(k-1) terms, so int64 stays exact
+        peeled = np.einsum("ist,it->is", self.steps, self.x_dc) % q
+        for i in range(1, len(peeled)):
+            peeled[i] = (peeled[i] + self.carry @ peeled[i - 1, half:]) % q
+        return self.params.field.elements(peeled.reshape(-1))
 
 
 def reconstruct(shards, params: CodeParams) -> tuple:

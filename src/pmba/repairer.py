@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NodeShard
+from .encoder import NodeShard, check_shard
 from .matrix import build_gvm, invert
 from .params import CodeParams
 
@@ -107,11 +107,7 @@ def make_repair_bundle(
     session_shape(params, d)  # refuses a d outside D before the node checks
     h = helper_shard.node_index
     check_repair_nodes(params, f, [h])
-    if len(helper_shard.symbols) != params.alpha:
-        raise ValueError(
-            f"helper shard holds {len(helper_shard.symbols)} symbols, "
-            f"expected alpha = {params.alpha}"
-        )
+    check_shard(helper_shard, params)
     payload = np.array([int(s) % params.q for s in helper_shard.symbols], dtype=np.int64)
     symbols = params.field.elements(payload @ bundle_map(params, f, d) % params.q)
     return RepairBundle(helper_index=h, failed_index=f, d=d, symbols=symbols)

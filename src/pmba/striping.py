@@ -4,10 +4,10 @@ File payloads are striped: every F consecutive symbols form one stripe that
 is encoded independently. Encoding, reconstruction and repair are all
 linear over the field, and each path derives its linear map in closed form
 from the construction: the encoding map places each node's Vandermonde
-row into the banded message-matrix layout, decoding peels the source one
-block pair per block column with a single k(k-1)-square inverse shared by
-every step, and repair applies the repairer's `bundle_map` to each
-helper's payload and its `repair_matrix` to the stacked bundles. Each of
+row into the banded message-matrix layout, decoding applies the
+reconstructor's `peel_maps` (one k(k-1)-square inverse peels every block
+pair), and repair applies the repairer's `bundle_map` to each helper's
+payload and its `repair_matrix` to the stacked bundles. Each of
 `stripe_encoder`, `stripe_decoder` and `stripe_repairer` builds its map
 once and returns a function that applies it to one batch of stripes in
 float64 BLAS matrix products. They stay exact: every product of residues
@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import build_message_matrix, coefficient_matrix, encode_all, message_layout
-from .matrix import InconsistencyError, Matrix, invert
+from .encoder import build_message_matrix, encode_all, node_maps
+from .matrix import InconsistencyError
 from .params import BYTE_SAFE_MIN_Q, CodeParams
+from .reconstructor import peel_maps
 from .repairer import bundle_map, check_repair_nodes, repair_matrix, session_shape
 
 
@@ -141,14 +142,7 @@ def _reduce(x: np.ndarray, q: int, out=None) -> np.ndarray:
 
 def encode_matrix(params: CodeParams) -> np.ndarray:
     """The (n*alpha) x F linear map from one stripe to all node shards."""
-    layout = message_layout(params)
-    rows, cols = np.nonzero(layout >= 0)
-    psi = coefficient_matrix(params).data
-    out = np.zeros((params.n, params.alpha, params.file_symbols), dtype=np.int64)
-    # Each source symbol appears at most once per column of the layout, so
-    # every map entry is one coefficient and needs no reduction.
-    out[:, cols, layout[rows, cols]] = psi[:, rows]
-    return out.reshape(params.n * params.alpha, params.file_symbols)
+    return node_maps(params, range(1, params.n + 1)).reshape(-1, params.file_symbols)
 
 
 def stripe_encoder(params: CodeParams):
@@ -198,14 +192,8 @@ def stripe_decoder(params: CodeParams, nodes):
     """Build the block peel for the k given nodes once; returns a function
     that decodes one batch.
 
-    Write u_i for source blocks 2i and 2i+1 (contiguous in source order),
-    x_i for block column i of the nodes' payloads, P = k(k-1)/2 for the
-    block size, Lambda for the nodes' (k-1)-th powers and A_0 for the
-    k(k-1)-square map from u_0 to x_0. Then x_i = Lambda^i A_0 u_i +
-    Lambda^(i-1) A_0[:, :P] u_(i-1)[P:], so one inverse of A_0 peels every
-    step; this is `ReconstructionSession.run` in array form. A_0 is
-    singular exactly when two of the nodes share a (k-1)-th power, which
-    `CodeParams.check_decodable` refuses first.
+    The peel is derived in `reconstructor`, whose `peel_maps` builds its
+    step and carry maps from A_0, here the nodes' slice of `encode_matrix`.
 
     The function maps a dict of (stripes, alpha) payloads of residues, of
     any integer dtype and holding at least those nodes, to the (stripes, F)
@@ -222,15 +210,7 @@ def stripe_decoder(params: CodeParams, nodes):
     _check_exact(q, pair + half, "decoder")
     enc = encode_matrix(params).reshape(params.n, params.alpha, params.file_symbols)
     a0 = enc[np.array(nodes) - 1, :w, :pair].reshape(pair, pair)
-    a0_inv = invert(Matrix(params.field, a0)).data
-    lam_inv = np.repeat([pow(params.eval_points[j - 1], -w, q) for j in nodes], w)
-    steps = np.empty((z, pair, pair), dtype=np.int64)  # A_0^-1 * Lambda^-i
-    scale = np.ones(pair, dtype=np.int64)
-    for i in range(z):
-        steps[i] = a0_inv * scale % q
-        scale = scale * lam_inv % q
-    carry = -(a0_inv @ (lam_inv[:, None] * a0[:, :half] % q)) % q
-    steps, carry = steps.astype(np.float64), carry.astype(np.float64)
+    steps, carry = (m.astype(np.float64) for m in peel_maps(params, nodes, a0))
 
     def decode(payloads: dict) -> np.ndarray:
         stripes = payloads[nodes[0]].shape[0]

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from pmba import shardio, striping
+from pmba import reconstructor, shardio, striping
 from pmba.cli import main
 from pmba.cluster import CSV_HEADER, Cluster
 from pmba.encoder import build_message_matrix, encode_all
@@ -172,6 +172,15 @@ def test_reconstruct_node_selection_errors(encoded, tmp_path, capsys):
     rc = main(["reconstruct", shards[0], shards[1], "-o", out])
     assert rc == 1
     assert "need exactly k = 3 node payloads, got 2" in capsys.readouterr().err
+
+    # a repeated node is refused, not dropped
+    rc = main(["reconstruct", *shards, "-o", out, "--nodes", "1,1,2,4"])
+    assert rc == 1
+    assert "need exactly k = 3 node payloads, got 4" in capsys.readouterr().err
+    rc = main(["reconstruct", *shards, "-o", out, "--nodes", "4,1,1"])
+    assert rc == 1
+    assert "node indices must be distinct, got [1, 1, 4]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("nodes", ["1,x", "1,2,3,", ""])
@@ -522,9 +531,9 @@ def test_a_forged_length_is_refused_by_verify_and_reconstruct(length, tmp_path, 
 # ---------------------------------------------------------------------------
 
 
-def skew_map(monkeypatch, name, row, col):
-    """Make striping.<name> return its linear map with entry (row, col) one larger."""
-    real = getattr(striping, name)
+def skew_map(monkeypatch, name, row, col, module=striping):
+    """Make module.<name> return its linear map with entry (row, col) one larger."""
+    real = getattr(module, name)
 
     def skewed(*args):
         out = real(*args)
@@ -532,7 +541,7 @@ def skew_map(monkeypatch, name, row, col):
         data[row, col] += 1
         return Matrix(out.field, data) if isinstance(out, Matrix) else data
 
-    monkeypatch.setattr(striping, name, skewed)
+    monkeypatch.setattr(module, name, skewed)
 
 
 def assert_refused_at_stripe_0(rc, capsys, out_path):
@@ -570,7 +579,8 @@ def test_encode_refuses_a_skewed_map_whatever_the_file_holds(data, tmp_path, mon
 def test_reconstruct_refuses_a_map_that_disagrees_on_stripe_0(encoded, tmp_path, monkeypatch, capsys):
     _, _, out_dir = encoded
     observed = np.concatenate([read_shard(shard_path(out_dir, j))[1][0] for j in (1, 2, 3)])
-    skew_map(monkeypatch, "invert", 0, int(np.flatnonzero(observed)[0]))
+    # the decoder's one inverse, of A_0, runs in reconstructor.peel_maps
+    skew_map(monkeypatch, "invert", 0, int(np.flatnonzero(observed)[0]), reconstructor)
     out = tmp_path / "out.bin"
     rc = main(["reconstruct", *(str(shard_path(out_dir, j)) for j in (1, 2, 3)), "-o", str(out)])
     assert_refused_at_stripe_0(rc, capsys, out)

@@ -36,6 +36,19 @@ def test_policy_parsing():
         HelperPolicy.parse("fixed:lots")
 
 
+def test_a_policy_refuses_a_strategy_it_would_not_follow():
+    # "bogus" once acted as min-d, and max-d ignored a fixed count
+    with pytest.raises(ValueError, match=r"unknown policy 'bogus'; use max-d, min-d or fixed:<d>"):
+        HelperPolicy("bogus")
+    with pytest.raises(ValueError, match=r"unknown policy 'max-d:4'; use max-d"):
+        HelperPolicy("max-d", fixed_d=4)
+    with pytest.raises(ValueError, match=r"bad fixed helper count in policy 'fixed'"):
+        HelperPolicy("fixed")
+    with pytest.raises(ValueError, match=r"bad fixed helper count in policy 'fixed:6'"):
+        HelperPolicy("fixed", "6")
+    assert HelperPolicy("fixed", 6) == HelperPolicy.parse("fixed:6")
+
+
 def test_policy_choice_follows_the_alive_count():
     counts = WORKED.helper_counts  # (4, 6)
     assert HelperPolicy.parse("max-d").choose_d(counts, 6) == 6

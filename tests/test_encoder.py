@@ -8,7 +8,6 @@ from pmba.encoder import (
     coefficient_matrix,
     encode_all,
     encode_node,
-    flatten_blocks,
 )
 from pmba.matrix import Matrix
 from pmba.params import derive_params
@@ -88,13 +87,6 @@ def test_wrong_source_length_is_rejected():
         build_message_matrix([1] * 11, WORKED)
     with pytest.raises(ValueError):
         build_message_matrix([1] * 13, WORKED)
-
-
-def test_flatten_blocks_inverts_the_fill():
-    src = list(range(1, 13))
-    m = worked_message(src)
-    flat = [int(s) for s in flatten_blocks(m.blocks, WORKED.k)]
-    assert flat == [v % 11 for v in src]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pmba.reconstructor as reconstructor_module
 from pmba.encoder import NodeShard, build_message_matrix, encode_all
 from pmba.matrix import Matrix, SingularMatrixError, invert, transpose
 from pmba.params import derive_params
-from pmba.reconstructor import ReconstructionSession, reconstruct
+from pmba.reconstructor import ReconstructionSession, peel_maps, reconstruct
 from pmba.striping import encode_matrix, encode_stripes, stripe_decoder
 
 WORKED = derive_params(3, 2, 7, q=11)
@@ -184,28 +184,62 @@ def test_thirteen_node_instance_decodes_from_sampled_subsets():
         assert got == source, subset
 
 
-def test_single_step_decoding_when_only_one_helper_count_exists():
-    # delta=1 means one block pair and exactly one solver call
+def inverse_sizes(params, nodes, monkeypatch):
+    """Sizes of the matrices one stepwise reconstruct from `nodes` inverts,
+    after checking that it returns the source."""
+    rng = np.random.default_rng(41)
+    source = [int(v) for v in rng.integers(0, params.q, size=params.file_symbols)]
+    shards = encoded(source, params)
+    sizes = []
+    real = reconstructor_module.invert
+
+    def recorded(a):
+        sizes.append(a.rows)
+        return real(a)
+
+    monkeypatch.setattr(reconstructor_module, "invert", recorded)
+    assert [int(s) for s in reconstruct(pick(shards, nodes), params)] == source
+    return sizes
+
+
+def test_single_step_decoding_when_only_one_helper_count_exists(monkeypatch):
+    # delta=1 means one block pair and one inverse, of the 6 x 6 A_0
     params = derive_params(3, 1, 5, q=11)
     assert params.z_delta == 1
-    rng = np.random.default_rng(41)
-    source = [int(v) for v in rng.integers(0, 11, size=params.file_symbols)]
-    shards = encoded(source, params)
+    assert inverse_sizes(params, (1, 3, 5), monkeypatch) == [6]
 
-    calls = []
-    original = reconstructor_module.solve_symmetric_pair
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+def test_sixty_steps_share_the_one_inverse(monkeypatch):
+    params = derive_params(3, 5, 20, q=65521)
+    assert params.z_delta == 60
+    assert inverse_sizes(params, (4, 9, 17), monkeypatch) == [6]
 
-    reconstructor_module.solve_symmetric_pair = counting
-    try:
-        got = [int(s) for s in reconstruct(pick(shards, (1, 3, 5)), params)]
-    finally:
-        reconstructor_module.solve_symmetric_pair = original
-    assert got == source
-    assert len(calls) == 1
+
+@pytest.mark.parametrize(
+    "params, nodes",
+    [
+        (WORKED, (1, 2, 4)),
+        (derive_params(4, 3, 13, q=17), (2, 5, 11, 13)),
+        (derive_params(3, 5, 20, q=65521), (4, 9, 17)),
+    ],
+    ids=["3-2-7-q11", "4-3-13-q17", "3-5-20-q65521"],
+)
+def test_peel_maps_invert_each_step_and_cancel_the_carried_block(params, nodes):
+    # steps[i] undoes Lambda^i A_0, and carry cancels what the second half
+    # of u_(i-1) adds to block column i: Lambda^(i-1) A_0[:, :P] for every i
+    q, w, pair = params.q, params.k - 1, params.k * (params.k - 1)
+    a0 = encode_matrix(params).reshape(params.n, params.alpha, -1)[np.array(nodes) - 1, :w, :pair]
+    a0 = a0.reshape(pair, pair)
+    steps, carry = peel_maps(params, nodes, a0)
+    assert steps.shape == (params.z_delta, pair, pair) and carry.shape == (pair, pair // 2)
+    lam = np.repeat([pow(params.eval_points[j - 1], w, q) for j in nodes], w)
+    lam_i = np.ones(pair, dtype=np.int64)  # the diagonal of Lambda^i
+    for i in range(params.z_delta):
+        product = steps[i] @ (lam_i[:, None] * a0 % q) % q
+        assert np.array_equal(product, np.eye(pair, dtype=np.int64)), i
+        lam_i = lam_i * lam % q
+    # carry = -A_0^-1 Lambda^-1 A_0[:, :P], so Lambda A_0 carry + A_0[:, :P] = 0
+    assert not (((lam[:, None] * a0 % q) @ carry + a0[:, : pair // 2]) % q).any()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from pmba.encoder import NodeShard, build_message_matrix, encode_all, encode_node
 from pmba.params import derive_params
+from pmba.reconstructor import reconstruct
 from pmba.repairer import RepairBundle, make_repair_bundle, repair, session_shape
 from pmba.striping import repair_stripes
 
@@ -86,6 +87,16 @@ def test_bundle_validation():
     short = NodeShard(1, WORKED.eval_point(1), shards[0].symbols[:2])
     with pytest.raises(ValueError, match="alpha"):
         make_repair_bundle(short, 7, 4, WORKED)
+
+
+def test_a_forged_evaluation_point_is_refused_by_bundle_and_read_alike():
+    shards, _ = encoded(list(range(1, 13)))
+    forged = NodeShard(2, WORKED.eval_point(5), shards[1].symbols)
+    message = "shard 2 carries evaluation point 5, parameters say 2"
+    with pytest.raises(ValueError, match=message):
+        make_repair_bundle(forged, 7, 4, WORKED)
+    with pytest.raises(ValueError, match=message):
+        reconstruct([shards[0], forged, shards[3]], WORKED)
 
 
 # ---------------------------------------------------------------------------

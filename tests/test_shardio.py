@@ -658,17 +658,18 @@ def test_the_peel_stays_exact_through_a_long_carry_chain():
 def test_the_decoder_inverts_one_small_block_not_the_whole_map(monkeypatch):
     # The peel inverts the k(k-1)-square block A_0 once; the F x F map of
     # the k nodes' rows (360 x 360 here) is never built.
+    import pmba.reconstructor as reconstructor
     import pmba.striping as striping
 
     params = derive_params(3, 5, 20)
     shapes = []
-    real = striping.invert
+    real = reconstructor.invert
 
     def recorded(a):
         shapes.append((a.rows, a.cols))
         return real(a)
 
-    monkeypatch.setattr(striping, "invert", recorded)
+    monkeypatch.setattr(reconstructor, "invert", recorded)
     striping.stripe_decoder(params, (4, 9, 17))
     assert shapes == [(6, 6)]
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pmba import striping
+from pmba import reconstructor, striping
 from pmba.cli import main
 from pmba.matrix import InconsistencyError, Matrix
 from pmba.params import derive_params
@@ -69,17 +69,17 @@ def write_reference(ref_dir, params, data):
     manifest_file(ref_dir / "in.bin.manifest", "in.bin", headers[0], entries).commit()
 
 
-def count_calls(monkeypatch, names):
-    """Count calls of the named striping module attributes."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(striping, name)
+def count_calls(monkeypatch, targets):
+    """Count calls of module attributes, given as {name: module}."""
+    counts = dict.fromkeys(targets, 0)
+    for name, module in targets.items():
+        real = getattr(module, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(striping, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -198,7 +198,9 @@ def test_each_command_builds_its_map_and_checks_stripe_0_once(tmp_path, monkeypa
     _, _, shards = encode_file(tmp_path, params, data)
 
     # encode_all is the stepwise oracle, run once per stripe of the self-check
-    names = ["encode_matrix", "repair_matrix", "invert", "encode_all"]
+    # the decode maps' one inverse runs in the reconstructor's peel_maps
+    names = dict.fromkeys(["encode_matrix", "repair_matrix", "encode_all"], striping)
+    names["invert"] = reconstructor
     counts = count_calls(monkeypatch, names)
     encode_file(tmp_path, params, data)
     assert (counts["encode_matrix"], counts["encode_all"]) == (1, 2)
@@ -262,7 +264,8 @@ def test_a_skewed_map_is_refused_even_when_stripe_0_is_zero(name, monkeypatch):
         "invert": lambda: striping.reconstruct_stripes({j: coded[j - 1] for j in (1, 2, 3)}, params),
         "repair_matrix": lambda: striping.repair_stripes({h: coded[h - 1] for h in (2, 3, 4, 5)}, 1, params),
     }
-    real = getattr(striping, name)
+    module = reconstructor if name == "invert" else striping  # peel_maps inverts A_0
+    real = getattr(module, name)
 
     def skewed(*args):
         out = real(*args)
@@ -270,7 +273,7 @@ def test_a_skewed_map_is_refused_even_when_stripe_0_is_zero(name, monkeypatch):
         data[0, 0] += 1
         return Matrix(out.field, data) if isinstance(out, Matrix) else data
 
-    monkeypatch.setattr(striping, name, skewed)
+    monkeypatch.setattr(module, name, skewed)
     with pytest.raises(InconsistencyError, match="disagree on stripe"):
         kernels[name]()
 

@@ -10,6 +10,7 @@ shape is what lets the decoder peel one block pair per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,8 +50,9 @@ def check_shard(shard: NodeShard, params: CodeParams) -> None:
         )
 
 
+@lru_cache(maxsize=16)
 def coefficient_matrix(params: CodeParams) -> Matrix:
-    """The n x (z+1)(k-1) encoding matrix; row j encodes node j."""
+    """The n x (z+1)(k-1) encoding matrix; row j encodes node j, cached per code."""
     points = [params.field.element(e) for e in params.eval_points]
     return build_gvm(points, 0, (params.z_delta + 1) * (params.k - 1))
 
@@ -60,14 +62,15 @@ def block_fill_order(k: int):
     return [(r, c) for r in range(k - 1) for c in range(r, k - 1)]
 
 
+@lru_cache(maxsize=16)
 def message_layout(params: CodeParams):
     """Source index held by each entry of the assembled message matrix.
 
-    Returns a (z+1)(k-1) x z(k-1) int64 array; entries off the block band
-    are -1. S_{2j} sits both below S_{2j-1} in block column j and above
-    S_{2j+1} in block column j+1, but within one column no source index
-    repeats, so the map from a stripe to one stored column has exactly one
-    coefficient per source symbol it reads.
+    Returns a read-only (z+1)(k-1) x z(k-1) int64 array, cached per code;
+    entries off the block band are -1. S_{2j} sits both below S_{2j-1} in
+    block column j and above S_{2j+1} in block column j+1, but within one
+    column no source index repeats, so the map from a stripe to one stored
+    column has exactly one coefficient per source symbol it reads.
     """
     k, z = params.k, params.z_delta
     w = k - 1
@@ -80,6 +83,7 @@ def message_layout(params: CodeParams):
         for b in range(max(2 * j - 1, 0), 2 * j + 2):
             row = b - j
             layout[row * w : (row + 1) * w, j * w : (j + 1) * w] = b * len(positions) + tri
+    layout.flags.writeable = False
     return layout
 
 
@@ -123,10 +127,9 @@ def encode_node(m: MessageMatrix, params: CodeParams, node_index: int) -> NodeSh
 def encode_all(m: MessageMatrix, params: CodeParams) -> tuple:
     psi = coefficient_matrix(params)
     product = psi @ m.assembled
-    shards = []
-    for j in range(1, params.n + 1):
-        symbols = tuple(product.entry(j - 1, c) for c in range(params.alpha))
-        shards.append(
-            NodeShard(node_index=j, eval_point=params.eval_point(j), symbols=symbols)
-        )
-    return tuple(shards)
+    # a list, not a generator: tuple() regrows a generator's result as it
+    # goes, and over repeated `Cluster.store` calls that raised peak RSS
+    return tuple([
+        NodeShard(node_index=j, eval_point=params.eval_point(j), symbols=params.field.elements(row))
+        for j, row in enumerate(product.data.tolist(), start=1)
+    ])

@@ -7,13 +7,16 @@ nodes' payloads, P = k(k-1)/2 for the block size, Lambda for the nodes'
 band shape gives x_i = Lambda^i A_0 u_i + Lambda^(i-1) A_0[:, :P] u_(i-1)[P:],
 so one inverse of A_0 peels every step. `peel_maps` builds the step and
 carry maps once per node set; `ReconstructionSession` applies them to one
-stripe in int64, and `striping.stripe_decoder` to a batch in float64.
+stripe in int64, through `decode_maps`, which holds them per code and node
+set in a bounded cache, and `striping.stripe_decoder` to a batch in float64.
 A_0 is singular exactly when two of the nodes share a (k-1)-th power,
 which both refuse first through `CodeParams.check_decodable`, naming the
 colliding nodes.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +45,17 @@ def peel_maps(params: CodeParams, nodes, a0: np.ndarray):
     return steps, carry
 
 
+@lru_cache(maxsize=32)
+def decode_maps(params: CodeParams, nodes: tuple):
+    """`peel_maps` for the ascending tuple `nodes`, with A_0 sliced from
+    their `node_maps`; read-only and built once per code and node set."""
+    w, pair = params.k - 1, params.k * (params.k - 1)
+    a0 = node_maps(params, nodes)[:, :w, :pair].reshape(pair, pair)
+    steps, carry = peel_maps(params, nodes, a0)
+    steps.flags.writeable = carry.flags.writeable = False
+    return steps, carry
+
+
 class ReconstructionSession:
     """The peel's maps for one choice of k accessed nodes, and their payloads."""
 
@@ -58,14 +72,11 @@ class ReconstructionSession:
         powers = [(s.eval_point ** w).value for s in shards]
         self.lambda_dc = Matrix.diagonal(params.field, powers)
 
-        nodes = sorted(indices)
-        pair = k * w
-        a0 = node_maps(params, nodes)[:, :w, :pair].reshape(pair, pair)
-        self.steps, self.carry = peel_maps(params, nodes, a0)
+        self.steps, self.carry = decode_maps(params, tuple(sorted(indices)))
         ordered = sorted(shards, key=lambda s: s.node_index)
         payloads = np.array([s.symbol_values() for s in ordered], dtype=np.int64)
         # row i is block column i of the ascending nodes' payloads
-        self.x_dc = payloads.reshape(k, z, w).swapaxes(0, 1).reshape(z, pair)
+        self.x_dc = payloads.reshape(k, z, w).swapaxes(0, 1).reshape(z, k * w)
 
     def run(self) -> tuple:
         """Peel the block pairs in order and return the flat source."""

@@ -8,8 +8,10 @@ matrix share one symmetric block, so from step two onward it first
 cancels the shared block's contribution (the carry) and afterwards adds it
 back into the rebuilt segment; `repair_matrix` runs this peel once on all
 d*beta unit bundles, giving the linear map from stacked bundles to node f.
-`make_repair_bundle` and `repair` apply the two maps to one stripe, and
-`striping.stripe_repairer` to a batch of stripes. Per helper exactly
+Both maps depend only on the code, f and the helpers, never on the stripe,
+so each is built once per such choice and held, read-only, in a bounded
+cache. `make_repair_bundle` and `repair` apply the two maps to one stripe,
+and `striping.stripe_repairer` to a batch of stripes. Per helper exactly
 beta(d) = alpha / (d-k+1) symbols move, which is the minimum any MDS code
 can achieve, for every d in D simultaneously.
 """
@@ -17,6 +19,7 @@ can achieve, for every d in D simultaneously.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,27 +60,36 @@ def check_repair_nodes(params: CodeParams, f: int, helpers) -> None:
         raise ValueError(f"node {f} cannot appear among its own helpers")
 
 
+@lru_cache(maxsize=32)
 def bundle_map(params: CodeParams, f: int, d: int) -> np.ndarray:
-    """The alpha x beta map from one helper's payload to its bundle for
-    node f: bundle symbol b is segment b against the same entries of the
-    first alpha of node f's Vandermonde row."""
+    """The read-only alpha x beta map from one helper's payload to its
+    bundle for node f: bundle symbol b is segment b against the same
+    entries of the first alpha of node f's Vandermonde row."""
     seg, beta = session_shape(params, d)
     e_f, alpha = params.eval_point(f).value, params.alpha
     out = np.zeros((alpha, beta), dtype=np.int64)
     out[np.arange(alpha), np.arange(alpha) // seg] = [pow(e_f, t, params.q) for t in range(alpha)]
+    out.flags.writeable = False
     return out
 
 
 def repair_matrix(params: CodeParams, f: int, helpers) -> np.ndarray:
-    """The alpha x (d*beta) linear map from stacked repair bundles to node f.
+    """The read-only alpha x (d*beta) linear map from stacked repair bundles
+    to node f, for helpers given in any order.
 
     Column h*beta + i stands for symbol i of the bundle from the h-th
     helper in ascending order. This is the segment peel run on the d*beta
     unit bundles at once: each of the beta steps inverts one d x d
     generalized Vandermonde and cancels the (k-1)-block carried over from
-    the step before.
+    the step before. The map is built once per code, f and helper set.
     """
     helpers = sorted(helpers)
+    check_repair_nodes(params, f, helpers)
+    return _repair_matrix(params, f, tuple(helpers))
+
+
+@lru_cache(maxsize=32)  # the largest entry, at (3,5,20) with d = 12, is 135 KiB
+def _repair_matrix(params: CodeParams, f: int, helpers: tuple) -> np.ndarray:
     d = len(helpers)
     seg, beta = session_shape(params, d)
     q, w = params.q, params.k - 1
@@ -98,6 +110,7 @@ def repair_matrix(params: CodeParams, f: int, helpers) -> np.ndarray:
             piece[:w] += carry
         decode[i * seg : (i + 1) * seg] = piece % q
         carry = solved[seg:]
+    decode.flags.writeable = False
     return decode
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pmba.cluster
+import pmba.repairer
 from pmba.cluster import CSV_HEADER, Cluster, HelperPolicy, LedgerEntry
 from pmba.params import derive_params
 from pmba.repairer import make_repair_bundle
@@ -144,6 +145,18 @@ def test_min_d_prefers_the_cheapest_per_helper_load():
     entry = c.run_repair(1, HelperPolicy.parse("min-d"), rng_seed=4)
     assert entry.d == 4
     assert len(entry.helpers) == 4
+
+
+def test_a_min_d_repair_of_400_stripes_runs_beta_inverses(monkeypatch):
+    params = derive_params(4, 3, 13)
+    c, _ = loaded_cluster(stripes=400, params=params)
+    c.fail_node(7)
+    pmba.repairer._repair_matrix.cache_clear()
+    calls = []
+    real = pmba.repairer.invert
+    monkeypatch.setattr(pmba.repairer, "invert", lambda a: (calls.append(a.rows), real(a))[1])
+    entry = c.run_repair(7, HelperPolicy.parse("min-d"), rng_seed=8)
+    assert entry.d == 6 and len(calls) == params.per_node_bandwidth[6]
 
 
 def test_repaired_node_holds_exactly_the_lost_shards():

@@ -8,7 +8,7 @@ import pmba.reconstructor as reconstructor_module
 from pmba.encoder import NodeShard, build_message_matrix, encode_all
 from pmba.matrix import Matrix, SingularMatrixError, invert, transpose
 from pmba.params import derive_params
-from pmba.reconstructor import ReconstructionSession, peel_maps, reconstruct
+from pmba.reconstructor import ReconstructionSession, decode_maps, peel_maps, reconstruct
 from pmba.striping import encode_matrix, encode_stripes, stripe_decoder
 
 WORKED = derive_params(3, 2, 7, q=11)
@@ -185,8 +185,9 @@ def test_thirteen_node_instance_decodes_from_sampled_subsets():
 
 
 def inverse_sizes(params, nodes, monkeypatch):
-    """Sizes of the matrices one stepwise reconstruct from `nodes` inverts,
-    after checking that it returns the source."""
+    """Sizes of the matrices one stepwise reconstruct from `nodes` inverts
+    when it builds its maps afresh, after checking that it returns the source."""
+    reconstructor_module.decode_maps.cache_clear()
     rng = np.random.default_rng(41)
     source = [int(v) for v in rng.integers(0, params.q, size=params.file_symbols)]
     shards = encoded(source, params)
@@ -213,6 +214,42 @@ def test_sixty_steps_share_the_one_inverse(monkeypatch):
     params = derive_params(3, 5, 20, q=65521)
     assert params.z_delta == 60
     assert inverse_sizes(params, (4, 9, 17), monkeypatch) == [6]
+
+
+THIRTEEN = derive_params(4, 3, 13)
+
+
+def test_two_reconstructs_on_one_node_set_run_one_inverse(monkeypatch):
+    decode_maps.cache_clear()
+    calls = []
+    real = reconstructor_module.invert
+    monkeypatch.setattr(reconstructor_module, "invert", lambda a: (calls.append(a.rows), real(a))[1])
+    rng = np.random.default_rng(43)
+    nodes = (2, 5, 11, 13)
+    for _ in range(2):
+        source = [int(v) for v in rng.integers(0, THIRTEEN.q, size=THIRTEEN.file_symbols)]
+        shards = encoded(source, THIRTEEN)
+        assert [int(s) for s in reconstruct(pick(shards, nodes), THIRTEEN)] == source
+    assert calls == [12]
+
+
+def test_a_decode_map_cannot_be_changed_through_what_it_returns():
+    nodes = (1, 4, 6, 9)
+    steps, carry = decode_maps(THIRTEEN, nodes)
+    want = steps.copy(), carry.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        steps[0, 0, 0] += 1
+    with pytest.raises(ValueError, match="read-only"):
+        carry[0, 0] += 1
+    again = decode_maps(THIRTEEN, nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(again, want))
+
+
+def test_the_decode_map_cache_stays_within_its_bound():
+    size = decode_maps.cache_info().maxsize
+    for nodes in itertools.islice(itertools.combinations(range(1, 14), 4), size + 1):
+        decode_maps(THIRTEEN, nodes)
+    assert decode_maps.cache_info().currsize <= size
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,18 @@ import itertools
 import numpy as np
 import pytest
 
+import pmba.repairer as repairer_module
 from pmba.encoder import NodeShard, build_message_matrix, encode_all, encode_node
 from pmba.params import derive_params
 from pmba.reconstructor import reconstruct
-from pmba.repairer import RepairBundle, make_repair_bundle, repair, session_shape
+from pmba.repairer import (
+    RepairBundle,
+    bundle_map,
+    make_repair_bundle,
+    repair,
+    repair_matrix,
+    session_shape,
+)
 from pmba.striping import repair_stripes
 
 WORKED = derive_params(3, 2, 7, q=11)
@@ -227,6 +235,74 @@ def test_repair_rejects_inconsistent_bundle_sets():
             helper_index=9, failed_index=7, d=4, symbols=good[0].symbols
         )
         repair(7, good[:3] + [alien], WORKED)
+
+
+def test_repair_matrix_refuses_what_the_repairs_refuse():
+    p = derive_params(3, 2, 7)
+    with pytest.raises(ValueError, match="node 1 cannot appear among its own helpers"):
+        repair_matrix(p, 1, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="distinct"):
+        repair_matrix(p, 7, [1, 2, 2, 4])
+    with pytest.raises(ValueError, match="outside 1..7"):
+        repair_matrix(p, 7, [1, 2, 3, 9])
+    with pytest.raises(ValueError, match="failed index must be in 1..7"):
+        repair_matrix(p, 8, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match=r"valid D = \{4, 6\}"):
+        repair_matrix(p, 7, [1, 2, 3, 4, 5])
+
+
+# ---------------------------------------------------------------------------
+# the maps are built once per code and node set
+# ---------------------------------------------------------------------------
+
+THIRTEEN = derive_params(4, 3, 13)
+
+
+def count_inverses(monkeypatch):
+    repairer_module._repair_matrix.cache_clear()
+    calls = []
+    real = repairer_module.invert
+    monkeypatch.setattr(repairer_module, "invert", lambda a: (calls.append(a.rows), real(a))[1])
+    return calls
+
+
+def test_two_repairs_from_one_helper_set_run_beta_inverses(monkeypatch):
+    calls = count_inverses(monkeypatch)
+    rng = np.random.default_rng(47)
+    f, helpers = 3, (1, 4, 6, 8, 10, 12)
+    for _ in range(2):
+        source = [int(v) for v in rng.integers(0, THIRTEEN.q, size=THIRTEEN.file_symbols)]
+        shards, _ = encoded(source, THIRTEEN)
+        got = repair(f, bundles_for(shards, helpers, f, 6, THIRTEEN), THIRTEEN)
+        assert got == shards[f - 1]
+    assert calls == [6] * THIRTEEN.per_node_bandwidth[6]
+
+
+def test_helpers_in_any_order_share_one_repair_map():
+    unsorted = repair_matrix(THIRTEEN, 2, [12, 3, 7, 1, 9, 5])
+    assert repair_matrix(THIRTEEN, 2, (1, 3, 5, 7, 9, 12)) is unsorted
+    assert np.array_equal(unsorted, repair_matrix(THIRTEEN, 2, iter([9, 7, 5, 3, 1, 12])))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: repair_matrix(THIRTEEN, 2, [1, 3, 5, 7, 9, 12]), lambda: bundle_map(THIRTEEN, 2, 9)],
+    ids=["repair_matrix", "bundle_map"],
+)
+def test_a_repair_map_cannot_be_changed_through_what_it_returns(build):
+    got = build()
+    want = got.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0] += 1
+    assert np.array_equal(build(), want)
+
+
+def test_the_repair_map_cache_stays_within_its_bound():
+    size = repairer_module._repair_matrix.cache_info().maxsize
+    helper_sets = itertools.combinations(range(2, 14), 6)
+    for helpers in itertools.islice(helper_sets, size + 1):
+        repair_matrix(THIRTEEN, 1, helpers)
+    assert repairer_module._repair_matrix.cache_info().currsize <= size
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # The largest modulus any code may use. A symbol is stored in two bytes on
 # disk. Below this bound a product of two residues is under 2**32, so an
 # int64 inner product of fewer than 2**31 such terms is exact, and so is a
-# float64 BLAS product while its terms sum below 2**51, which the striping
-# kernels check for their own inner dimensions: over 524 000 terms at
-# q = 65521, against at most 1200 in the default parameter grid.
+# float64 BLAS product while its terms sum below 2**51: over 524 000 terms
+# at q = 65521, against at most 1200 in the default parameter grid. A
+# float32 BLAS product is exact while its terms sum below 2**22: 63 terms
+# at q = 257, none at q = 65521. The striping kernels check their own
+# inner dimensions and run float32 where that bound allows, else float64.
 MAX_MODULUS = 65535
 
 

@@ -8,7 +8,8 @@ band shape gives x_i = Lambda^i A_0 u_i + Lambda^(i-1) A_0[:, :P] u_(i-1)[P:],
 so one inverse of A_0 peels every step. `peel_maps` builds the step and
 carry maps once per node set; `ReconstructionSession` applies them to one
 stripe in int64, through `decode_maps`, which holds them per code and node
-set in a bounded cache, and `striping.stripe_decoder` to a batch in float64.
+set in a bounded cache, and `striping.stripe_decoder` to a batch in
+float32 or float64 BLAS, one tile of stripes at a time.
 A_0 is singular exactly when two of the nodes share a (k-1)-th power,
 which both refuse first through `CodeParams.check_decodable`, naming the
 colliding nodes.

@@ -10,10 +10,16 @@ pair), and repair applies the repairer's `bundle_map` to each helper's
 payload and its `repair_matrix` to the stacked bundles. Each of
 `stripe_encoder`, `stripe_decoder` and `stripe_repairer` builds its map
 once and returns a function that applies it to one batch of stripes in
-float64 BLAS matrix products. They stay exact: every product of residues
-and every sum of them is an integer, and each builder refuses inner
-dimensions whose sums could reach 2**51, the bound below which both the
-products and the reduction mod q are exact.
+BLAS matrix products, one tile of stripes at a time: a tile holds about
+TILE_VALUES float values, so each product and its reduction mod q run in
+cache. The products stay exact: every product of residues and every sum
+of them is an integer, and each builder picks the float dtype from the
+largest sum its inner dimensions allow, float32 below 2**22 and float64
+below 2**51, the bounds below which both the products and the reduction
+mod q are exact; past 2**51 it refuses. At the default q = 257 the
+encoders and decoders of (3,2,7), (4,3,13) and (3,5,20) and the
+repairers of the first two run float32; the (3,5,20) repairers, which sum
+144 to 240 products, run float64.
 Encoding reads, for each block column, only the band of source blocks its
 k-1 stored columns share, and each decode step only one block column and
 the block carried over from the step before. Each kernel returns `<u2`
@@ -38,7 +44,7 @@ from .repairer import bundle_map, check_repair_nodes, repair_matrix, session_sha
 
 
 BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
-_CACHED_SYMBOLS = 2**15  # float64 values per encode product; it and its reduction stay in cache
+TILE_VALUES = 2**18  # float values a kernel's arrays hold per stripe tile, so they stay in cache
 
 
 def batch_stripes(params: CodeParams) -> int:
@@ -47,14 +53,14 @@ def batch_stripes(params: CodeParams) -> int:
 
 
 def bytes_to_source(data, params: CodeParams) -> np.ndarray:
-    """Map bytes one-to-one onto symbols, zero-padded to whole stripes, in
-    the float64 batch `stripe_encoder` multiplies without a copy."""
+    """Map bytes one-to-one onto `<u2` symbols, the dtype shard files hold,
+    zero-padded to whole stripes."""
     if params.q < BYTE_SAFE_MIN_Q:
         raise ValueError(
             f"q = {params.q} cannot carry byte payloads; need q >= {BYTE_SAFE_MIN_Q}"
         )
     arr = np.frombuffer(data, dtype=np.uint8)
-    padded = np.zeros((params.file_stripes(len(arr)), params.file_symbols))
+    padded = np.zeros((params.file_stripes(len(arr)), params.file_symbols), dtype="<u2")
     padded.reshape(-1)[: len(arr)] = arr
     return padded
 
@@ -104,40 +110,65 @@ def _self_check(kernel: str, got: np.ndarray, want: np.ndarray) -> None:
             )
 
 
-# float64 holds every integer below 2**53, so a BLAS product of residues
-# is exact while its largest possible sum stays below that; `_reduce` needs
-# sums below 2**51, so that is the bound every kernel keeps.
+# float64 holds every integer below 2**53 and float32 every one below 2**24,
+# so a BLAS product of residues is exact while its largest possible sum
+# stays below that; `_reduce` needs sums below 2**51 in float64 and below
+# 2**22 in float32, so those are the bounds every kernel keeps.
 _EXACT_BELOW = 2**51
+_SINGLE_BELOW = 2**22
 
 
-def _check_exact(q: int, terms: int, kernel: str) -> None:
-    """Refuse a kernel whose sums of `terms` products of two residues mod q
-    could reach 2**51."""
+def _check_exact(q: int, terms: int, kernel: str):
+    """The float dtype whose BLAS sums of `terms` products of two residues
+    mod q stay exact: float32 below 2**22, else float64 below 2**51; a
+    kernel whose sums could reach 2**51 is refused."""
     worst = terms * (q - 1) ** 2
+    if worst < _SINGLE_BELOW:
+        return np.float32
     if worst >= _EXACT_BELOW:
         raise ValueError(
             f"the {kernel} sums {terms} products of residues mod q = {q}, up to "
             f"{worst}; float64 products stay exact only below 2**51"
         )
+    return np.float64
 
 
 def _reduce(x: np.ndarray, q: int, out=None) -> np.ndarray:
-    """x mod q, for a float64 array of integers 0 <= x < 2**51, in place or
-    into `out`, which may be of any dtype holding 0..q-1.
+    """x mod q, for a float64 array of integers 0 <= x < 2**51 or a float32
+    one of integers 0 <= x < 2**22, in place or into `out`, which may be of
+    any dtype holding 0..q-1.
 
     Write x = m*q + r with 0 <= r < q. Then (x + 0.5)/q = m + (r + 0.5)/q
-    lies at least 0.5/q from every integer. x + 0.5 is exact below 2**52,
-    and t = fl(fl(x + 0.5) * fl(1/q)) takes two roundings of relative error
-    at most u = 2**-53 each, so |t - (x + 0.5)/q| <= (x + 0.5)(2u + u**2)/q.
-    For x < 2**51, (x + 0.5) * 2u <= 0.5 - 2**-53 and (x + 0.5) * u**2 <
-    2**-55, so that error is below 0.5/q and floor(t) = m exactly. q*m and
-    x - q*m are then exact too, and no fix-up pass is needed.
+    lies at least 0.5/q from every integer. Let u be the unit roundoff:
+    2**-53 in float64, 2**-24 in float32. x + 0.5 is exact below 2**52 in
+    float64 and below 2**23 in float32, and t = fl(fl(x + 0.5) * fl(1/q))
+    takes two roundings of relative error at most u each, so
+    |t - (x + 0.5)/q| <= (x + 0.5)(2u + u**2)/q.
+    In float64, for x < 2**51, (x + 0.5) * 2u <= 0.5 - 2**-53 and
+    (x + 0.5) * u**2 < 2**-55. In float32, for x < 2**22, (x + 0.5) * 2u <=
+    0.5 - 2**-24 and (x + 0.5) * u**2 < 2**-26. Either way that error is
+    below 0.5/q and floor(t) = m exactly. q*m and x - q*m are integers no
+    larger than x, so they are exact too, and no fix-up pass is needed.
+    fl(1/q) is the dtype's own correctly rounded quotient: q <= 65535 is
+    exact in float32, and 1 and q are divided in x's dtype.
+
+    The float32 sums a kernel hands in are exact as well, in whatever order
+    BLAS adds them: every term is an integer product of two residues, and
+    every partial sum is a non-negative integer no larger than the whole
+    sum, so below 2**22 < 2**24, where float32 holds every integer.
     """
     t = x + 0.5
-    t *= 1.0 / q
+    t *= x.dtype.type(1) / x.dtype.type(q)
     np.floor(t, out=t)
     t *= q
     return np.subtract(x, t, out=x if out is None else out, casting="unsafe")
+
+
+def _tile_rows(width: int) -> int:
+    """Stripes per tile of a kernel whose tile arrays hold `width` float
+    values per stripe: TILE_VALUES values in all, but at least 64 stripes,
+    so that a wide code's products keep a useful inner dimension."""
+    return max(64, TILE_VALUES // width)
 
 
 def encode_matrix(params: CodeParams) -> np.ndarray:
@@ -154,28 +185,37 @@ def stripe_encoder(params: CodeParams):
     self-check batch.
     """
     n, alpha, q, w = params.n, params.alpha, params.q, params.k - 1
-    enc = encode_matrix(params).reshape(n, alpha, params.file_symbols)
+    f_sym = params.file_symbols
+    enc = encode_matrix(params).reshape(n, alpha, f_sym)
     bands = []
     for c in range(0, alpha, w):
         # The k-1 stored columns of one block column read the same band of
         # source blocks: one product per band, zero where a column skips a symbol.
-        cols = slice(c, c + w)
-        reads = np.flatnonzero(enc[:, cols].any(axis=(0, 1)))
+        reads = np.flatnonzero(enc[:, c : c + w].any(axis=(0, 1)))
         band = slice(reads[0], reads[-1] + 1)
-        coefficients = enc[:, cols, band].reshape(n * w, -1).T.astype(np.float64)
-        _check_exact(q, len(coefficients), "encoder")
-        bands.append((cols, band, coefficients))
-
-    rows = max(1, _CACHED_SYMBOLS // (n * w))  # stripes per product
+        bands.append((band, enc[:, c : c + w, band].reshape(n * w, -1)))
+    dtype = _check_exact(q, max(coefficients.shape[1] for _, coefficients in bands), "encoder")
+    bands = [(band, coefficients.astype(dtype)) for band, coefficients in bands]
+    rows = _tile_rows(f_sym + n * alpha)  # a source tile and its coded tile
 
     def encode(source: np.ndarray) -> np.ndarray:
-        source = np.asarray(source, dtype=np.float64)
-        out = np.empty((n, source.shape[0], alpha), dtype="<u2")
-        for s in range(0, source.shape[0], rows):
-            for cols, band, coefficients in bands:
-                coded = source[s : s + rows, band] @ coefficients  # (rows, n*(k-1))
-                view = out[:, s : s + rows, cols].transpose(1, 0, 2)
-                _reduce(coded.reshape(view.shape), q, out=view)
+        source = np.asarray(source)
+        stripes = source.shape[0]
+        out = np.empty((n, stripes, alpha), dtype="<u2")
+        source_t, coded = np.empty(f_sym * rows, dtype), np.empty(n * alpha * rows, dtype)
+        for s in range(0, stripes, rows):
+            m = min(rows, stripes - s)
+            # A tile of m stripes is a contiguous prefix of each buffer. It is
+            # symbol-major: row i holds symbol i of the tile's stripes.
+            tile = source_t[: f_sym * m].reshape(f_sym, m)
+            tile[...] = source[s : s + m].T
+            block_columns = coded[: n * alpha * m].reshape(len(bands), n * w, m)
+            for (band, coefficients), column in zip(bands, block_columns):
+                np.matmul(coefficients, tile[band], out=column)
+            # The reduction writes each block column's symbols straight into
+            # their places in `out`, running along the tile's contiguous rows.
+            written = out[:, s : s + m].reshape(n, m, len(bands), w).transpose(2, 0, 3, 1)
+            _reduce(block_columns.reshape(written.shape), q, out=written)
         return out
 
     source, payloads = _self_check_batch(params)
@@ -200,31 +240,38 @@ def stripe_decoder(params: CodeParams, nodes):
     `<u2` source. The builder refuses a function that does not return the
     self-check source from the nodes' self-check payloads.
     """
-    k, z, q = params.k, params.z_delta, params.q
+    k, z, q, f_sym = params.k, params.z_delta, params.q, params.file_symbols
     nodes = sorted(nodes)
     params.check_decodable(nodes)
     w = k - 1
     pair = k * w  # symbols per block column of the k nodes, and per block pair
     half = pair // 2
     # a peeled block sums one step's products and the carried block's
-    _check_exact(q, pair + half, "decoder")
-    enc = encode_matrix(params).reshape(params.n, params.alpha, params.file_symbols)
+    dtype = _check_exact(q, pair + half, "decoder")
+    enc = encode_matrix(params).reshape(params.n, params.alpha, f_sym)
     a0 = enc[np.array(nodes) - 1, :w, :pair].reshape(pair, pair)
-    steps, carry = (m.astype(np.float64) for m in peel_maps(params, nodes, a0))
+    steps, carry = (m.astype(dtype) for m in peel_maps(params, nodes, a0))
+    rows = _tile_rows(2 * f_sym)  # the observed and the peeled tile, k*alpha = F each
 
     def decode(payloads: dict) -> np.ndarray:
         stripes = payloads[nodes[0]].shape[0]
-        # Rows are symbols and columns are stripes, so every step reads and
-        # writes whole contiguous rows.
-        observed = np.empty((z, k, w, stripes))
-        for m, j in enumerate(nodes):
-            observed[:, m] = payloads[j].T.reshape(z, w, stripes)
-        peeled = np.matmul(steps, observed.reshape(z, pair, stripes))
-        _reduce(peeled[0], q)
-        for i in range(1, z):
-            peeled[i] += carry @ peeled[i - 1, half:]
-            _reduce(peeled[i], q)
-        return np.ascontiguousarray(peeled.reshape(params.file_symbols, stripes).T, dtype="<u2")
+        out = np.empty((stripes, f_sym), dtype="<u2")
+        observed, peeled = np.empty(f_sym * rows, dtype), np.empty(f_sym * rows, dtype)
+        for s in range(0, stripes, rows):
+            m = min(rows, stripes - s)
+            # A tile is a contiguous prefix of each buffer. Rows are symbols and
+            # columns are stripes, so every step reads and writes whole rows.
+            tile = observed[: f_sym * m].reshape(z, k, w, m)
+            for i, j in enumerate(nodes):
+                tile[:, i] = payloads[j][s : s + m].T.reshape(z, w, m)
+            blocks = peeled[: f_sym * m].reshape(z, pair, m)
+            np.matmul(steps, tile.reshape(z, pair, m), out=blocks)
+            _reduce(blocks[0], q)
+            for i in range(1, z):
+                blocks[i] += carry @ blocks[i - 1, half:]
+                _reduce(blocks[i], q)
+            out[s : s + m] = blocks.reshape(f_sym, m).T
+        return out
 
     source, payloads = _self_check_batch(params)
     _self_check("decoder", decode({j: payloads[j - 1] for j in nodes}), source)
@@ -252,18 +299,23 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     d, alpha, q = len(helpers), params.alpha, params.q
     seg, beta = session_shape(params, d)
     # a bundle symbol sums seg products, a rebuilt symbol d*beta
-    _check_exact(q, max(seg, d * beta), "repairer")
-    bundling = bundle_map(params, f, d).astype(np.float64)
-    decode_t = repair_matrix(params, f, helpers).T.astype(np.float64)
+    dtype = _check_exact(q, max(seg, d * beta), "repairer")
+    bundling = bundle_map(params, f, d).astype(dtype)
+    decode_t = repair_matrix(params, f, helpers).T.astype(dtype)
+    rows = _tile_rows(2 * alpha + d * beta)  # a payload, its bundles and node f's rebuilt tile
 
     def rebuild(payloads: dict) -> np.ndarray:
         stripes = payloads[helpers[0]].shape[0]
-        bundles = np.empty((stripes, d * beta))
-        for i, h in enumerate(helpers):
-            payload = np.asarray(payloads[h], dtype=np.float64)
-            np.matmul(payload, bundling, out=bundles[:, i * beta : (i + 1) * beta])
-        _reduce(bundles, q)
-        return _reduce(bundles @ decode_t, q, out=np.empty((stripes, alpha), dtype="<u2"))
+        out = np.empty((stripes, alpha), dtype="<u2")
+        payload, bundles = np.empty((rows, alpha), dtype), np.empty((rows, d * beta), dtype)
+        for s in range(0, stripes, rows):
+            m = min(rows, stripes - s)
+            for i, h in enumerate(helpers):
+                payload[:m] = payloads[h][s : s + m]
+                np.matmul(payload[:m], bundling, out=bundles[:m, i * beta : (i + 1) * beta])
+            _reduce(bundles[:m], q)
+            _reduce(bundles[:m] @ decode_t, q, out=out[s : s + m])
+        return out
 
     _, payloads = _self_check_batch(params)
     _self_check("repairer", rebuild({h: payloads[h - 1] for h in helpers}), payloads[f - 1])

@@ -1,10 +1,15 @@
 # tests/test_exactness.py
 #
-# The striping kernels run their modular products in float64 BLAS. These
-# tests pin what keeps that exact: the mod-q reduction at and around every
-# multiple of q up to the largest sum the guard allows, the guard itself,
-# each kernel against an int64 reference at the largest modulus, and the
-# dtype and layout the kernels hand to the shard writer.
+# The striping kernels run their modular products in float32 BLAS where
+# every sum stays below 2**22, and in float64 BLAS where it stays below
+# 2**51. These tests pin what keeps that exact: the mod-q reduction at and
+# around every multiple of q up to the largest sum each dtype allows, the
+# guard that picks the dtype or refuses, each kernel against an int64
+# reference at the default and the largest modulus and at every edge of
+# its stripe tiles, and the dtype and layout the kernels hand to the shard
+# writer.
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -39,6 +44,24 @@ def test_the_reduction_is_exact_around_every_multiple_of_q(q):
     assert striping._reduce(top_x, q)[0] == LARGEST % q
 
 
+@pytest.mark.parametrize("q", [2, 3, 257, 263, 65519, 65521])
+def test_the_float32_reduction_is_exact_on_every_sum_below_2_22(q):
+    x = np.arange(striping._SINGLE_BELOW)  # every multiple of q and both its neighbours
+    want = x % q
+    got = striping._reduce(x.astype(np.float32), q)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+    into = np.empty(x.shape, dtype="<u2")
+    striping._reduce(x.astype(np.float32), q, out=into)
+    assert np.array_equal(into, want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 257, 263])
+def test_the_guard_picks_float32_below_2_22_and_float64_past_it(q):
+    last = (striping._SINGLE_BELOW - 1) // (q - 1) ** 2  # the most terms float32 sums exactly
+    assert striping._check_exact(q, last, "encoder") is np.float32
+    assert striping._check_exact(q, last + 1, "encoder") is np.float64
+
+
 @pytest.mark.parametrize("q", [257, 65521])
 def test_the_guard_refuses_one_term_past_its_bound(q):
     bound = LARGEST // (q - 1) ** 2  # the most terms whose sum stays allowed
@@ -64,16 +87,31 @@ def test_each_builder_refuses_past_the_bound_before_its_self_check(kernel, monke
 
 
 def reference_encode(source, params):
-    """The int64 product the float64 encoder must match."""
+    """The int64 product the float encoder must match."""
     coded = source @ striping.encode_matrix(params).T % params.q  # exact: F (q-1)**2 < 2**63
     return coded.reshape(len(source), params.n, params.alpha).transpose(1, 0, 2)
 
 
-@pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
-def test_every_kernel_matches_an_int64_reference_at_the_largest_modulus(code):
-    params = derive_params(*code, q=65521)
+def record_dtypes(monkeypatch):
+    """Wrap `_check_exact`; returns the {kernel: set of dtypes} it picks."""
+    picked = {}
+    real = striping._check_exact
+
+    def spy(q, terms, kernel):
+        dtype = real(q, terms, kernel)
+        picked.setdefault(kernel, set()).add(dtype)
+        return dtype
+
+    monkeypatch.setattr(striping, "_check_exact", spy)
+    return picked
+
+
+def check_every_kernel(params, seed):
+    """Encode five stripes, the first all q-1, then decode them from a random
+    k-subset and rebuild a random node from every helper count, each
+    against the int64 reference."""
     q = params.q
-    rng = np.random.default_rng(sum(code))
+    rng = np.random.default_rng(seed)
     source = rng.integers(0, q, (5, params.file_symbols))
     source[0] = q - 1  # every product and every sum as large as it gets
     coded = striping.stripe_encoder(params)(source)
@@ -87,6 +125,95 @@ def test_every_kernel_matches_an_int64_reference_at_the_largest_modulus(code):
         helpers = sorted(int(h) for h in rng.choice(others, d, replace=False))
         rebuilt = striping.stripe_repairer(params, f, helpers)({h: coded[h - 1] for h in helpers})
         assert np.array_equal(rebuilt, coded[f - 1]), d
+
+
+@pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
+def test_every_kernel_matches_an_int64_reference_at_the_largest_modulus(code, monkeypatch):
+    picked = record_dtypes(monkeypatch)
+    check_every_kernel(derive_params(*code, q=65521), sum(code))
+    assert picked == {kernel: {np.float64} for kernel in ("encoder", "decoder", "repairer")}
+
+
+# The dtype each kernel of the default grid runs at the default q = 257,
+# where a product of two residues is at most 2**16, so float32 takes up to
+# 63 terms: the (3,5,20) repairer sums d*beta = 144 (d = 12) to 240 (d = 4).
+DEFAULT_Q_DTYPES = {
+    (3, 2, 7): {"encoder": np.float32, "decoder": np.float32, "repairer": np.float32},
+    (4, 3, 13): {"encoder": np.float32, "decoder": np.float32, "repairer": np.float32},
+    (3, 5, 20): {"encoder": np.float32, "decoder": np.float32, "repairer": np.float64},
+}
+
+
+@pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
+def test_every_kernel_matches_an_int64_reference_at_the_default_modulus(code, monkeypatch):
+    params = derive_params(*code)
+    assert params.q == 257
+    picked = record_dtypes(monkeypatch)
+    check_every_kernel(params, sum(code))
+    assert picked == {kernel: {dtype} for kernel, dtype in DEFAULT_Q_DTYPES[code].items()}
+
+
+PERIOD = 101  # distinct stripes in a tile-edge batch, repeated; prime, so a
+# kernel that drops, repeats or shifts stripes at a tile edge by fewer than
+# 101 returns some stripe another one's symbols
+
+
+@lru_cache(maxsize=None)
+def periodic_stripes(code, q):
+    """PERIOD random source stripes, the first all q-1, and their int64
+    reference payloads."""
+    params = derive_params(*code, q=q)
+    source = np.random.default_rng(sum(code) + q).integers(0, q, (PERIOD, params.file_symbols))
+    source[0] = q - 1
+    return params, source, reference_encode(source, params)
+
+
+def tile_edge_counts(monkeypatch, build):
+    """Build a kernel, reading the rows per tile it takes; returns the
+    kernel and the stripe counts at its tile edges."""
+    rows = []
+    real = striping._tile_rows
+
+    def spy(width):
+        rows.append(real(width))
+        return rows[-1]
+
+    monkeypatch.setattr(striping, "_tile_rows", spy)
+    kernel = build()
+    monkeypatch.setattr(striping, "_tile_rows", real)
+    (r,) = rows
+    return kernel, [1, r - 1, r, r + 1, 2 * r + 3]
+
+
+@pytest.mark.parametrize("q", [257, 65521])
+@pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
+def test_every_kernel_matches_the_reference_at_each_tile_edge(code, q, monkeypatch):
+    params, source, coded = periodic_stripes(code, q)
+    rng = np.random.default_rng(q)
+
+    encode, counts = tile_edge_counts(monkeypatch, lambda: striping.stripe_encoder(params))
+    for count in counts:
+        period = np.arange(count) % PERIOD
+        assert np.array_equal(encode(source[period]), coded[:, period]), ("encoder", count)
+
+    nodes = sorted(int(j) for j in rng.choice(params.n, params.k, replace=False) + 1)
+    decode, counts = tile_edge_counts(monkeypatch, lambda: striping.stripe_decoder(params, nodes))
+    for count in counts:
+        period = np.arange(count) % PERIOD
+        decoded = decode({j: coded[j - 1, period] for j in nodes})
+        assert np.array_equal(decoded, source[period]), ("decoder", count)
+
+    f = int(rng.integers(1, params.n + 1))
+    others = [h for h in range(1, params.n + 1) if h != f]
+    for d in params.helper_counts:
+        helpers = sorted(int(h) for h in rng.choice(others, d, replace=False))
+        rebuild, counts = tile_edge_counts(
+            monkeypatch, lambda: striping.stripe_repairer(params, f, helpers)
+        )
+        for count in counts:
+            period = np.arange(count) % PERIOD
+            rebuilt = rebuild({h: coded[h - 1, period] for h in helpers})
+            assert np.array_equal(rebuilt, coded[f - 1, period]), ("repairer", d, count)
 
 
 def test_the_kernels_return_u2_and_the_writer_writes_the_encoder_payload_as_is(tmp_path, monkeypatch):

@@ -150,6 +150,8 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # read first, so a manifest that cannot be read costs no payload read
+    manifest = shardio.read_manifest(args.manifest) if args.manifest else None
     with shardio.ShardSet(args.shards) as shards:
         for _ in shards.batches(striping.batch_stripes(shards.params)):
             pass  # reads every payload, checking its length and symbols
@@ -159,7 +161,7 @@ def cmd_verify(args) -> int:
         f"stripes={header.stripe_count} length={header.original_length}"
     )
     if args.manifest:
-        shards.check_manifest(args.manifest)
+        shards.check_manifest(args.manifest, manifest)
     for j in sorted(readers):
         print(f"node {j:2d}  {readers[j].path}  crc32={readers[j].crc:08x}  ok")
     if args.manifest:

@@ -1,9 +1,12 @@
 """Deterministic in-memory storage cluster simulation.
 
-Nodes are either alive with their striped shards or failed. Repairs pick
-the helper count through a policy, pick the helpers uniformly from a
-seeded generator, and append one traffic record per repair, so identical
-seeds replay identical histories.
+Nodes are either alive, each with one (stripes, alpha) `<u2` payload as a
+shard file holds, or failed. `store` encodes the whole source with the
+batch encoder the cluster builds once; `read_all` and `run_repair` run
+the stepwise codec one stripe at a time, the calls `perfbench/test_smoke.py`
+pins. Repairs pick the helper count through a policy and the helpers
+uniformly from a seeded generator, and append one traffic record per
+repair, so identical seeds replay identical histories.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NodeShard, build_message_matrix, encode_all
+from .encoder import NodeShard
 from .params import CodeParams
 from .reconstructor import reconstruct
 from .repairer import check_helper_count, make_repair_bundle, repair
+from .striping import stripe_encoder
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,10 @@ class Cluster:
         self.params = params
         self.stripes = 0
         self.traffic_ledger: list[LedgerEntry] = []
-        # node index -> list of per-stripe symbol tuples, or None when failed
-        self._stored: dict[int, list | None] = {j: [] for j in range(1, params.n + 1)}
+        self._encode = stripe_encoder(params)
+        # node index -> (stripes, alpha) `<u2` payload, or None when failed
+        empty = np.empty((0, params.alpha), dtype="<u2")
+        self._stored: dict[int, np.ndarray | None] = {j: empty for j in range(1, params.n + 1)}
 
     # state inspection ------------------------------------------------------
 
@@ -99,12 +105,8 @@ class Cluster:
         stored = self._stored[node_index]
         if stored is None:
             raise ValueError(f"node {node_index} is failed")
-        symbols = self.params.field.elements(stored[stripe])
-        return NodeShard(
-            node_index=node_index,
-            eval_point=self.params.eval_point(node_index),
-            symbols=symbols,
-        )
+        symbols = self.params.field.elements(stored[stripe].tolist())
+        return NodeShard(node_index, self.params.eval_point(node_index), symbols)
 
     # operations ------------------------------------------------------------
 
@@ -117,14 +119,10 @@ class Cluster:
             )
         if self.failed_nodes():
             raise ValueError("cannot store while nodes are failed")
-        self.stripes = len(vals) // f_sym
+        payloads = self._encode(np.array(vals, dtype=np.int64).reshape(-1, f_sym))
+        self.stripes = payloads.shape[1]
         for j in self._stored:
-            self._stored[j] = []
-        for s in range(self.stripes):
-            stripe = vals[s * f_sym : (s + 1) * f_sym]
-            m = build_message_matrix(stripe, self.params)
-            for shard in encode_all(m, self.params):
-                self._stored[shard.node_index].append(shard.symbol_values())
+            self._stored[j] = payloads[j - 1]
 
     def fail_node(self, f: int) -> None:
         self.params.check_nodes([f])
@@ -156,7 +154,7 @@ class Cluster:
         helpers = tuple(sorted(int(h) for h in rng.choice(alive, size=d, replace=False)))
 
         gamma = self.params.total_bandwidth[d]
-        rebuilt = []
+        rebuilt = np.empty((self.stripes, self.params.alpha), dtype="<u2")
         for s in range(self.stripes):
             bundles = [
                 make_repair_bundle(self.node_shard(h, s), f, d, self.params)
@@ -167,7 +165,7 @@ class Cluster:
                 raise AssertionError(
                     f"stripe {s}: helpers sent {moved} symbols, gamma({d}) = {gamma}"
                 )
-            rebuilt.append(repair(f, bundles, self.params).symbol_values())
+            rebuilt[s] = repair(f, bundles, self.params).symbol_values()
 
         self._stored[f] = rebuilt
         entry = LedgerEntry(

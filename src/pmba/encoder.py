@@ -127,9 +127,7 @@ def encode_node(m: MessageMatrix, params: CodeParams, node_index: int) -> NodeSh
 def encode_all(m: MessageMatrix, params: CodeParams) -> tuple:
     psi = coefficient_matrix(params)
     product = psi @ m.assembled
-    # a list, not a generator: tuple() regrows a generator's result as it
-    # goes, and over repeated `Cluster.store` calls that raised peak RSS
-    return tuple([
+    return tuple(
         NodeShard(node_index=j, eval_point=params.eval_point(j), symbols=params.field.elements(row))
         for j, row in enumerate(product.data.tolist(), start=1)
-    ])
+    )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .field import PrimeField, smallest_prime_geq
+from .field import MAX_MODULUS, PrimeField, smallest_prime_geq
 
 BYTE_SAFE_MIN_Q = 257  # one byte per symbol stays injective from here up
 
@@ -34,6 +34,13 @@ def comparison_subpacketization(n: int, delta: int) -> int:
     if n < 1:
         raise ValueError(f"n must satisfy n >= 1, got {n}")
     return lcm_upto(delta) ** n
+
+
+def _points_collide(k: int, n: int, q: int) -> bool:
+    """Whether points 1..n share a (k-1)-th power mod q; with fewer than n
+    power classes they must, and no power is computed."""
+    classes = (q - 1) // math.gcd(k - 1, q - 1)
+    return classes < n or len({pow(x, k - 1, q) for x in range(1, n + 1)}) < n
 
 
 def _groups(groups) -> str:
@@ -153,7 +160,10 @@ def derive_params(
 
     Every precondition failure names the violated inequality. When q is
     omitted it defaults to the smallest prime large enough for n distinct
-    nonzero evaluation points and a one-byte-per-symbol payload mapping.
+    nonzero evaluation points and a one-byte-per-symbol payload mapping;
+    when eval_points is omitted too, the smallest such prime at which the
+    default points 1..n have distinct (k-1)-th powers, so the default code
+    is MDS. If no prime up to MAX_MODULUS gives that, the default is refused.
     """
     if k < 2:
         raise ValueError(f"k must satisfy k >= 2, got {k}")
@@ -167,6 +177,13 @@ def derive_params(
         )
     if q is None:
         q = smallest_prime_geq(max(n + 1, BYTE_SAFE_MIN_Q))
+        while eval_points is None and q <= MAX_MODULUS and _points_collide(k, n, q):
+            q = smallest_prime_geq(q + 1)
+            if q > MAX_MODULUS:
+                raise ValueError(
+                    f"no prime q <= {MAX_MODULUS} gives the points 1..{n} distinct "
+                    f"(k-1)-th powers for k = {k}; give q or evaluation points"
+                )
     PrimeField(q)  # refuses a composite q and one wider than two bytes
     if q < n + 1:
         raise ValueError(

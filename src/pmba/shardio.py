@@ -415,11 +415,12 @@ class ShardSet(contextlib.AbstractContextManager):
             stripes = min(count, self.header.stripe_count - start)
             yield {j: reader.read(stripes) for j, reader in self.readers.items()}
 
-    def check_manifest(self, path) -> None:
-        """Demand that the manifest at `path` records the code of `header` and
-        the CRC-32 each of `readers` has read, so call it after the last
-        batch. Values are compared as the text `manifest_file` writes."""
-        entries = read_manifest(path)
+    def check_manifest(self, path, entries=None) -> None:
+        """Demand that the manifest at `path` (its `read_manifest` entries, if
+        given) records the code of `header` and the CRC-32 each of `readers`
+        has read, so call it after the last batch. Values are compared as
+        the text `manifest_file` writes."""
+        entries = read_manifest(path) if entries is None else entries
         for key, want in _manifest_code(self.header).items():
             if entries.get(key) != str(want):
                 raise ShardFormatError(

@@ -103,7 +103,9 @@ def test_encode_refuses_a_code_whose_points_share_a_power(tmp_path, capsys):
     src = tmp_path / "f.bin"
     src.write_bytes(b"x" * 100)
     out_dir = tmp_path / "sh"
-    rc = main(["encode", str(src), "-o", str(out_dir), "--k", "5", "--delta", "3", "--n", "17"])
+    rc = main(
+        ["encode", str(src), "-o", str(out_dir), "--k", "5", "--delta", "3", "--n", "17", "--q", "257"]
+    )
     err = capsys.readouterr().err
     assert rc == 1
     assert "q = 257" in err and "{1,16}" in err and "{15,17}" in err
@@ -478,6 +480,25 @@ def test_verify_names_a_manifest_that_is_not_utf8(encoded, tmp_path, capsys):
     assert f"error: {manifest}: manifest is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_verify_refuses_an_unreadable_manifest_before_reading_a_payload(
+    kind, encoded, tmp_path, capsys, monkeypatch
+):
+    _, _, out_dir = encoded
+    manifest = tmp_path / "data.bin.manifest"
+    if kind == "directory":
+        manifest.mkdir()
+    elif kind == "not utf-8":
+        manifest.write_bytes(b"\xff" * 16)
+    reads = []
+    real = ShardReader.read
+    monkeypatch.setattr(ShardReader, "read", lambda self, n: (reads.append(n), real(self, n))[1])
+    rc = main(["verify", *(str(shard_path(out_dir, j)) for j in range(1, 8)), "--manifest", str(manifest)])
+    captured = capsys.readouterr()
+    assert (rc, reads, captured.out) == ((2 if kind == "not utf-8" else 1), [], "")
+    assert str(manifest) in captured.err
+
+
 def test_verify_names_a_manifest_whose_length_is_not_a_number(encoded, tmp_path, capsys):
     _, _, out_dir = encoded
     manifest = forged_manifest(out_dir, tmp_path, "length_bytes", "abc")
@@ -615,7 +636,7 @@ def test_params_show_prints_every_derived_quantity(capsys):
 
 
 def test_params_show_names_the_colliding_nodes(capsys):
-    rc = main(["params", "show", "--k", "5", "--delta", "3", "--n", "17"])
+    rc = main(["params", "show", "--k", "5", "--delta", "3", "--n", "17", "--q", "257"])
     line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("colliding nodes")]
     assert rc == 0
     assert line and line[0].split()[-2:] == ["{1,16},", "{15,17}"]

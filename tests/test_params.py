@@ -78,7 +78,33 @@ def test_derive_a_thirteen_node_three_choice_instance():
 
 def test_default_modulus_is_byte_safe():
     assert derive_params(3, 2, 7).q == 257
-    assert derive_params(3, 2, 260).q == 263  # n+1 = 261 pushes past 257
+    # n+1 = 261 pushes past 257, and 263 = 3 + 260 gives 3 and 260 one square
+    assert derive_params(3, 2, 260).q == 521
+
+
+def test_no_default_code_of_the_grid_collides():
+    stepped = []
+    for k in range(2, 12):
+        for delta in range(1, 6):
+            d_max = (delta + 1) * (k - 1)
+            for n in range(d_max + 1, d_max + 25):
+                p = derive_params(k, delta, n)
+                assert p.power_collisions() == [], (k, delta, n)
+                if p.q != 257:
+                    stepped.append(p.q)
+    # 16^4 = 1 mod 257: (5, 1, 16) is one of 230 codes that 257 would not make MDS
+    assert derive_params(5, 1, 16).q == 263
+    assert derive_params(5, 1, 16, q=257).power_collisions() == [(1, 16)]
+    assert stepped == [263] * 230
+
+
+def test_the_default_modulus_keeps_the_given_points_and_names_a_dead_end():
+    # given points keep the smallest byte-safe prime, colliding or not
+    assert derive_params(5, 1, 16, eval_points=range(1, 17)).q == 257
+    # squares of x and q - x collide, so 40000 points need q > 80000
+    with pytest.raises(ValueError, match=r"no prime q <= 65535 gives the points 1\.\.40000 distinct"):
+        derive_params(3, 2, 40000)
+    assert derive_params(3, 2, 30000).q == 60013
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ to a temp file in the target directory that is synced to disk and renamed
 into place, so a crash never leaves a truncated file behind; a missing
 target directory is created, and synced into its parent with the file, or
 removed again, if left empty, when the write fails.
-`atomic_set` renames several such files as one set.
+`atomic_set` renames several such files as one set. `ShardSet` opens the
+shards of one encoding, reads only the nodes a command asks for, and
+checks a manifest's code fields at open and its CRC-32s after the last
+batch.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def _fsync_dir(directory) -> None:
         os.close(fd)
 
 
-class AtomicFile:
+class AtomicFile(contextlib.AbstractContextManager):
     """A binary file that replaces `path` only once it is complete.
 
     Data go to a temp file in the target directory, which is created, with
@@ -152,9 +155,6 @@ class AtomicFile:
         if os.path.exists(self._tmp):
             os.unlink(self._tmp)
         _remove_empty_dirs([self])
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
@@ -254,7 +254,7 @@ def write_shard(path, header: ShardHeader, symbols: np.ndarray) -> None:
         writer.write(symbols)
 
 
-class ShardReader:
+class ShardReader(contextlib.AbstractContextManager):
     """An open shard file whose header and payload length have been checked.
 
     The payload is read in batches of whole stripes; each batch is checked
@@ -319,9 +319,6 @@ class ShardReader:
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self):
-        return self
-
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
@@ -370,8 +367,10 @@ def read_manifest(path) -> dict:
             continue
         if "=" not in line:
             raise ShardFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ShardFormatError(f"{path}:{lineno}: repeated key {key!r}")
+        entries[key] = value
     return entries
 
 
@@ -382,13 +381,27 @@ class ShardSet(contextlib.AbstractContextManager):
     the same file given twice is read once. `header` and `params` are the
     first file's, `readers` maps each node to its reader. Every file is
     closed on exit, and at once on a refusal while opening.
+
+    A `manifest` is read before any shard is opened and its code fields are
+    compared with the first header; `batches` compares each node it read
+    with the manifest's CRC-32 after the last batch. Values are compared as
+    the text `manifest_file` writes.
     """
 
-    def __init__(self, paths):
+    def __init__(self, paths, manifest=None):
+        self.manifest = manifest
+        self._entries = entries = None if manifest is None else read_manifest(manifest)
         self.readers, first = {}, None
         with contextlib.ExitStack() as stack:
             for p in paths:
                 reader = stack.enter_context(ShardReader(p))
+                if first is None and entries is not None:
+                    for key, want in _manifest_code(reader.header).items():
+                        if entries.get(key) != str(want):
+                            raise ShardFormatError(
+                                f"{manifest}: manifest {key}={entries.get(key)} does not "
+                                f"match shard headers ({want})"
+                            )
                 first = first or reader
                 if reader.header.code_key() != first.header.code_key():
                     raise ShardFormatError(
@@ -408,33 +421,33 @@ class ShardSet(contextlib.AbstractContextManager):
             self.close = stack.pop_all().close
         self.header, self.params = first.header, first.params
 
-    def batches(self, count: int):
+    def batches(self, count: int, nodes=None):
         """Yield {node: (stripes, alpha) payload} for `count` stripes at a
-        time, the last batch holding the rest, reading every file in step."""
+        time, the last batch holding the rest, reading the files of `nodes`
+        (default: every node held) in step and no other. A node the set does
+        not hold is refused here, before anything is read."""
+        nodes = self.readers if nodes is None else nodes
+        missing = sorted(set(nodes) - self.readers.keys())
+        if missing:
+            raise ValueError(
+                f"requested nodes {missing} are not among the given shards {sorted(self.readers)}"
+            )
+        return self._read(count, {j: self.readers[j] for j in nodes})
+
+    def _read(self, count: int, readers: dict):
         for start in range(0, self.header.stripe_count, count):
             stripes = min(count, self.header.stripe_count - start)
-            yield {j: reader.read(stripes) for j, reader in self.readers.items()}
-
-    def check_manifest(self, path, entries=None) -> None:
-        """Demand that the manifest at `path` (its `read_manifest` entries, if
-        given) records the code of `header` and the CRC-32 each of `readers`
-        has read, so call it after the last batch. Values are compared as
-        the text `manifest_file` writes."""
-        entries = read_manifest(path) if entries is None else entries
-        for key, want in _manifest_code(self.header).items():
-            if entries.get(key) != str(want):
-                raise ShardFormatError(
-                    f"{path}: manifest {key}={entries.get(key)} does not match "
-                    f"shard headers ({want})"
-                )
-        for j, reader in sorted(self.readers.items()):
+            yield {j: reader.read(stripes) for j, reader in readers.items()}
+        if self.manifest is None:
+            return
+        for j, reader in sorted(readers.items()):
             key = f"shard{j:02d}.crc32"
-            if key not in entries:
-                raise ShardFormatError(f"{reader.path}: manifest {path} has no {key} line")
-            if entries[key] != f"{reader.crc:08x}":
+            if key not in self._entries:
+                raise ShardFormatError(f"{reader.path}: manifest {self.manifest} has no {key} line")
+            if self._entries[key] != f"{reader.crc:08x}":
                 raise ShardFormatError(
                     f"{reader.path}: crc32 {reader.crc:08x} does not match manifest "
-                    f"{entries[key]}"
+                    f"{self._entries[key]}"
                 )
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -156,6 +156,26 @@ def test_reconstruct_from_any_chosen_k_subset(encoded, tmp_path):
         assert out.read_bytes() == data
 
 
+def counted_reads(monkeypatch):
+    """The node of every ShardReader.read call from here on."""
+    nodes = []
+    real = ShardReader.read
+    monkeypatch.setattr(
+        ShardReader, "read", lambda self, n: (nodes.append(self.header.node_index), real(self, n))[1]
+    )
+    return nodes
+
+
+def test_reconstruct_reads_only_the_chosen_nodes(encoded, tmp_path, monkeypatch):
+    data, _, out_dir = encoded
+    out = tmp_path / "picked.bin"
+    reads = counted_reads(monkeypatch)
+    shards = [str(shard_path(out_dir, j)) for j in range(1, 8)]
+    assert main(["reconstruct", *shards, "--nodes", "2,5,7", "-o", str(out)]) == 0
+    assert out.read_bytes() == data
+    assert reads and set(reads) == {2, 5, 7}
+
+
 def test_reconstruct_node_selection_errors(encoded, tmp_path, capsys):
     _, _, out_dir = encoded
     shards = [str(shard_path(out_dir, j)) for j in (1, 2, 4)]
@@ -497,6 +517,35 @@ def test_verify_refuses_an_unreadable_manifest_before_reading_a_payload(
     captured = capsys.readouterr()
     assert (rc, reads, captured.out) == ((2 if kind == "not utf-8" else 1), [], "")
     assert str(manifest) in captured.err
+
+
+def test_verify_refuses_a_manifest_of_another_code_before_reading_a_payload(
+    encoded, tmp_path, capsys, monkeypatch
+):
+    _, src, out_dir = encoded
+    other = tmp_path / "other"
+    assert main(["encode", str(src), "-o", str(other), "--k", "2", "--delta", "2", "--n", "5"]) == 0
+    capsys.readouterr()
+    reads = counted_reads(monkeypatch)
+    shards = [str(shard_path(out_dir, j)) for j in range(1, 8)]
+    rc = main(["verify", *shards, "--manifest", str(other / "data.bin.manifest")])
+    captured = capsys.readouterr()
+    assert (rc, reads, captured.out) == (2, [], "")
+    assert "manifest n=5 does not match shard headers (7)" in captured.err
+
+
+def test_verify_refuses_a_manifest_that_repeats_a_key(encoded, tmp_path, capsys, monkeypatch):
+    _, _, out_dir = encoded
+    manifest = tmp_path / "data.bin.manifest"
+    text = (out_dir / "data.bin.manifest").read_text()
+    manifest.write_text(text.replace("shard02.crc32=", "shard02.crc32=00000000\nshard02.crc32=", 1))
+    line = manifest.read_text().splitlines().index("shard02.crc32=00000000") + 2
+    reads = counted_reads(monkeypatch)
+    shards = [str(shard_path(out_dir, j)) for j in range(1, 8)]
+    rc = main(["verify", *shards, "--manifest", str(manifest)])
+    captured = capsys.readouterr()
+    assert (rc, reads, captured.out) == (2, [], "")
+    assert f"{manifest}:{line}: repeated key 'shard02.crc32'" in captured.err
 
 
 def test_verify_names_a_manifest_whose_length_is_not_a_number(encoded, tmp_path, capsys):

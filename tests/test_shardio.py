@@ -305,6 +305,13 @@ def test_manifest_rejects_junk_lines(tmp_path):
 
 
 
+def test_read_manifest_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.manifest"
+    path.write_text("file=a\nshard02.crc32=00000000\n\n shard02.crc32 = 12345678\n")
+    with pytest.raises(ShardFormatError, match=re.escape(f"{path}:4: repeated key 'shard02.crc32'")):
+        read_manifest(path)
+
+
 def test_read_manifest_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "binary.manifest"
     path.write_bytes(b"\xff\xfe\x00junk")
@@ -354,12 +361,11 @@ def opened_readers(monkeypatch):
 def test_a_shard_set_reads_every_file_in_batches_of_count(count, tmp_path, opened_readers):
     coded, paths, manifest = shard_set(tmp_path)
     nodes = (2, 5, 7)
-    with ShardSet([paths[j] for j in nodes]) as shards:
+    with ShardSet([paths[j] for j in nodes], manifest) as shards:
         assert shards.header == header_for(BYTE_PARAMS, 2, SET_STRIPES * 12 - 3)
         assert shards.params == BYTE_PARAMS
         assert sorted(shards.readers) == list(nodes)
-        batches = list(shards.batches(count))
-        shards.check_manifest(manifest)
+        batches = list(shards.batches(count))  # every node held, then the manifest's CRCs
     sizes = [batch[2].shape[0] for batch in batches]
     assert sizes == [min(count, SET_STRIPES - start) for start in range(0, SET_STRIPES, count)]
     for j in nodes:
@@ -387,10 +393,11 @@ def test_a_shard_set_closes_its_files_when_opening_or_reading_fails(tmp_path, op
         ShardSet([paths[1], paths[2], tmp_path / "short"])
     assert len(opened_readers) == 2 and all(r._fh.closed for r in opened_readers)
     with pytest.raises(RuntimeError):
-        with ShardSet([paths[1], paths[2], paths[3]]) as shards:
-            next(shards.batches(1))
+        with ShardSet([paths[1], paths[2], paths[3]], manifest) as shards:
+            next(shards.batches(1, [1, 3]))
             raise RuntimeError("stop mid-read")
     assert len(opened_readers) == 5 and all(r._fh.closed for r in opened_readers)
+    assert [r.stripes for r in opened_readers[2:]] == [1, 0, 1]
     with pytest.raises(ValueError, match="no shard files given"):
         ShardSet([])
 
@@ -412,29 +419,65 @@ def test_a_second_file_for_a_node_is_refused_and_the_same_file_is_read_once(
     again = tmp_path / "." / paths[1].name  # the same file under another spelling
     with ShardSet([paths[1], paths[2], paths[1], again]) as shards:
         assert sorted(shards.readers) == [1, 2] and shards.readers[1].path == paths[1]
-        batches = list(shards.batches(2))
+        batches = list(shards.batches(2, [1, 2]))
     assert np.array_equal(np.concatenate([b[1] for b in batches]), coded[0])
     assert [r.stripes for r in opened_readers] == [SET_STRIPES, SET_STRIPES, 0, 0]
     assert all(r._fh.closed for r in opened_readers)
 
 
-def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path):
+def test_a_shard_set_reads_only_the_nodes_it_is_asked_for(tmp_path, opened_readers):
     coded, paths, manifest = shard_set(tmp_path)
-    with ShardSet([paths[1], paths[2]]) as shards:
-        for _ in shards.batches(SET_STRIPES):
-            pass
-    shards.check_manifest(manifest)  # the CRCs stay after the files close
+    held = [paths[j] for j in (1, 2, 4, 5, 7)]
+    with ShardSet(held, manifest) as shards:
+        with pytest.raises(ValueError, match=re.escape(
+            "requested nodes [3, 6] are not among the given shards [1, 2, 4, 5, 7]"
+        )):
+            shards.batches(2, [6, 1, 3])  # refused at the call, before any read
+        assert [r.stripes for r in opened_readers] == [0] * 5
+        batches = list(shards.batches(2, [7, 2, 5]))
+    assert all(sorted(batch) == [2, 5, 7] for batch in batches)
+    for j in (2, 5, 7):
+        assert np.array_equal(np.concatenate([batch[j] for batch in batches]), coded[j - 1])
+    stripes = {r.header.node_index: r.stripes for r in opened_readers}
+    assert stripes == {1: 0, 2: SET_STRIPES, 4: 0, 5: SET_STRIPES, 7: SET_STRIPES}
+    assert all(r._fh.closed for r in opened_readers)
 
+
+def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path, opened_readers):
+    coded, paths, manifest = shard_set(tmp_path)
+
+    def read(nodes=(1, 2)):
+        opened_readers.clear()
+        try:
+            with ShardSet([paths[1], paths[2], paths[3]], manifest) as shards:
+                for _ in shards.batches(2, nodes):
+                    pass
+        finally:
+            assert len(opened_readers) == 3 and all(r._fh.closed for r in opened_readers)
+
+    read()
     text = manifest.read_text()
     crc = f"{payload_crc(coded[1]):08x}"
     manifest.write_text(text.replace(f"shard02.crc32={crc}", "shard02.crc32=00000000"))
     with pytest.raises(ShardFormatError, match=re.escape(
         f"{paths[2]}: crc32 {crc} does not match manifest 00000000"
     )):
-        shards.check_manifest(manifest)
+        read()
+    read(nodes=(1, 3))  # node 2 is not read, so its CRC is not compared
+    manifest.write_text(text.replace(f"shard02.crc32={crc}\n", ""))
+    with pytest.raises(ShardFormatError, match=re.escape(
+        f"{paths[2]}: manifest {manifest} has no shard02.crc32 line"
+    )):
+        read()
+
     manifest.write_text(text.replace("k=3", "k=4"))
-    with pytest.raises(ShardFormatError, match=r"manifest k=4 does not match shard headers \(3\)"):
-        shards.check_manifest(manifest)
+    opened_readers.clear()
+    with pytest.raises(ShardFormatError, match=re.escape(
+        f"{manifest}: manifest k=4 does not match shard headers (3)"
+    )):
+        ShardSet([paths[1], paths[2], paths[3]], manifest)
+    # refused while the first file is open: no other file is opened, and none read
+    assert [(r.stripes, r._fh.closed) for r in opened_readers] == [(0, True)]
 
 
 def test_atomic_write_replaces_and_leaves_no_residue(tmp_path):

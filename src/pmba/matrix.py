@@ -202,26 +202,24 @@ def build_gvm(points, start_power: int, cols: int) -> Matrix:
 
 
 def invert(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse with first-nonzero pivot selection."""
+    """Gauss-Jordan inverse with first-nonzero pivot selection; each column
+    is cleared by one outer-product update, exact in int64 as every
+    product is below q**2."""
     if a.rows != a.cols:
         raise ValueError(f"cannot invert a {a.rows}x{a.cols} matrix; it is not square")
     n = a.rows
     q = a.field.modulus
     aug = np.concatenate([a.data, np.eye(n, dtype=np.int64)], axis=1)
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot is None:
+        nonzero = np.flatnonzero(aug[col:, col])
+        if not nonzero.size:
             raise SingularMatrixError(f"matrix is singular mod {q} (column {col})")
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = aug[col] * pow(int(aug[col, col]), q - 2, q) % q
-        for r in range(n):
-            if r != col and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[col]) % q
+        aug[[col, col + nonzero[0]]] = aug[[col + nonzero[0], col]]
+        aug[col] = aug[col] * pow(int(aug[col, col]), -1, q) % q
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        aug -= np.outer(factors, aug[col])
+        aug %= q
     return Matrix(a.field, aug[:, n:])
 
 

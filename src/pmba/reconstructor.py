@@ -2,17 +2,16 @@
 
 Write u_i for the block pair (S_{2i+1}, S_{2i+2}) of the message matrix,
 contiguous in source order, x_i for block column i (0-based) of the k
-nodes' payloads, P = k(k-1)/2 for the block size, Lambda for the nodes'
-(k-1)-th powers and A_0 for the k(k-1)-square map from u_0 to x_0. The
-band shape gives x_i = Lambda^i A_0 u_i + Lambda^(i-1) A_0[:, :P] u_(i-1)[P:],
-so one inverse of A_0 peels every step. `peel_maps` builds the step and
-carry maps once per node set; `ReconstructionSession` applies them to one
-stripe in int64, through `decode_maps`, which holds them per code and node
-set in a bounded cache, and `striping.stripe_decoder` to a batch in
-float32 or float64 BLAS, one tile of stripes at a time.
-A_0 is singular exactly when two of the nodes share a (k-1)-th power,
-which both refuse first through `CodeParams.check_decodable`, naming the
-colliding nodes.
+nodes' payloads, P = k(k-1)/2 for the block size, Lambda for the diagonal
+of their x_j^(k-1), column k-1 of `coefficient_matrix`, and A_0 for the
+k(k-1)-square map from u_0 to x_0. The band shape gives
+x_i = Lambda^i A_0 u_i + Lambda^(i-1) A_0[:, :P] u_(i-1)[P:], so one
+inverse of A_0 peels every step. `peel_maps` builds the step and carry
+maps once per node set; `decode_maps` caches them per code and node set,
+`ReconstructionSession` applies them to one stripe in int64 and
+`striping.stripe_decoder` to a batch in float32 or float64 BLAS. A_0 is
+singular exactly when two of the nodes share a (k-1)-th power; both
+refuse such nodes first, by name, through `CodeParams.check_decodable`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoder import check_shard, node_maps
+from .encoder import check_shard, coefficient_matrix, node_maps
 from .matrix import Matrix, invert
 from .params import CodeParams
 
@@ -36,7 +35,8 @@ def peel_maps(params: CodeParams, nodes, a0: np.ndarray):
     """
     q, w = params.q, params.k - 1
     a0_inv = invert(Matrix(params.field, a0)).data
-    lam_inv = np.repeat([pow(params.eval_points[j - 1], -w, q) for j in nodes], w)
+    lam = coefficient_matrix(params).data[np.asarray(nodes) - 1, w]
+    lam_inv = np.repeat([pow(int(v), -1, q) for v in lam], w)
     steps = np.empty((params.z_delta, *a0.shape), dtype=np.int64)
     scale = np.ones(len(lam_inv), dtype=np.int64)
     for i in range(params.z_delta):
@@ -70,8 +70,8 @@ class ReconstructionSession:
 
         self.params = params
         self.accessed_nodes = tuple(indices)
-        powers = [(s.eval_point ** w).value for s in shards]
-        self.lambda_dc = Matrix.diagonal(params.field, powers)
+        lam = coefficient_matrix(params).data[np.array(indices) - 1, w]
+        self.lambda_dc = Matrix.diagonal(params.field, lam)
 
         self.steps, self.carry = decode_maps(params, tuple(sorted(indices)))
         ordered = sorted(shards, key=lambda s: s.node_index)

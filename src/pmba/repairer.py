@@ -1,19 +1,20 @@
 """Exact repair of one failed node from any supported helper count.
 
-Each helper splits its shard into beta(d) segments and sends one inner
-product per segment, projected onto the failed node's Vandermonde row;
-`bundle_map` is that (alpha, beta) map. The new node inverts one d x d
-generalized Vandermonde per segment. Consecutive segments of the message
-matrix share one symmetric block, so from step two onward it first
-cancels the shared block's contribution (the carry) and afterwards adds it
-back into the rebuilt segment; `repair_matrix` runs this peel once on all
-d*beta unit bundles, giving the linear map from stacked bundles to node f.
-Both maps depend only on the code, f and the helpers, never on the stripe,
-so each is built once per such choice and held, read-only, in a bounded
-cache. `make_repair_bundle` and `repair` apply the two maps to one stripe,
-and `striping.stripe_repairer` to a batch of stripes. Per helper exactly
-beta(d) = alpha / (d-k+1) symbols move, which is the minimum any MDS code
-can achieve, for every d in D simultaneously.
+Every map here slices rows of `encoder.coefficient_matrix`, where row j
+holds x_j^0 .. x_j^((z+1)(k-1)-1). Each helper splits its shard into
+beta(d) segments and sends one inner product per segment, against the first
+alpha entries of node f's row; `bundle_map` is that (alpha, beta) map.
+Step i of the rebuild inverts the helpers' d x d slice from column i(d-k+1).
+Consecutive segments of the message matrix share one symmetric block, so
+from step two onward it first cancels that block (the carry), through the
+k-1 columns before the slice and Lambda_f = x_f^(k-1), column k-1 of row f,
+and afterwards adds it back into the rebuilt segment; `repair_matrix` runs
+this peel once on all d*beta unit bundles, giving the map from stacked
+bundles to node f. Neither map depends on the stripe: each is built once
+per code, f and d or helper set and held, read-only, in a bounded cache.
+`make_repair_bundle` and `repair` apply them to one stripe, and
+`striping.stripe_repairer` to a batch. Per helper exactly beta(d) =
+alpha / (d-k+1) symbols move, the MDS minimum, for every d in D at once.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoder import NodeShard, check_shard
-from .matrix import build_gvm, invert
+from .encoder import NodeShard, check_shard, coefficient_matrix
+from .matrix import Matrix, invert
 from .params import CodeParams
 
 
@@ -64,11 +65,11 @@ def check_repair_nodes(params: CodeParams, f: int, helpers) -> None:
 def bundle_map(params: CodeParams, f: int, d: int) -> np.ndarray:
     """The read-only alpha x beta map from one helper's payload to its
     bundle for node f: bundle symbol b is segment b against the same
-    entries of the first alpha of node f's Vandermonde row."""
+    entries of the first alpha of node f's row of `coefficient_matrix`."""
     seg, beta = session_shape(params, d)
-    e_f, alpha = params.eval_point(f).value, params.alpha
+    alpha = params.alpha
     out = np.zeros((alpha, beta), dtype=np.int64)
-    out[np.arange(alpha), np.arange(alpha) // seg] = [pow(e_f, t, params.q) for t in range(alpha)]
+    out[np.arange(alpha), np.arange(alpha) // seg] = coefficient_matrix(params).data[f - 1, :alpha]
     out.flags.writeable = False
     return out
 
@@ -93,17 +94,16 @@ def _repair_matrix(params: CodeParams, f: int, helpers: tuple) -> np.ndarray:
     d = len(helpers)
     seg, beta = session_shape(params, d)
     q, w = params.q, params.k - 1
-    points = [params.eval_point(h) for h in helpers]
-    ef_w = (params.eval_point(f) ** w).value
+    psi = coefficient_matrix(params).data
+    rows, ef_w = psi[np.array(helpers) - 1], psi[f - 1, w]  # Lambda_f = x_f^(k-1)
     units = np.eye(d * beta, dtype=np.int64)
     decode = np.empty((params.alpha, d * beta), dtype=np.int64)
     carry = None  # (k-1) x (d*beta): the shared block recovered at the previous step
     for i in range(beta):
         upsilon = units[i::beta]  # symbol i of every helper's bundle
         if carry is not None:
-            cancel = build_gvm(points, i * seg - w, w).data @ carry % q
-            upsilon = (upsilon - cancel * ef_w) % q
-        solved = invert(build_gvm(points, i * seg, d)).data @ upsilon % q
+            upsilon = (upsilon - rows[:, i * seg - w : i * seg] @ carry % q * ef_w) % q
+        solved = invert(Matrix(params.field, rows[:, i * seg : i * seg + d])).data @ upsilon % q
         piece = solved[:seg]
         piece[seg - w :] += solved[seg:] * ef_w
         if carry is not None:

@@ -40,7 +40,7 @@ from .encoder import build_message_matrix, encode_all, node_maps
 from .matrix import InconsistencyError
 from .params import BYTE_SAFE_MIN_Q, CodeParams
 from .reconstructor import peel_maps
-from .repairer import bundle_map, check_repair_nodes, repair_matrix, session_shape
+from .repairer import bundle_map, repair_matrix, session_shape
 
 
 BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
@@ -295,13 +295,13 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     payload from the helpers'.
     """
     helpers = sorted(helpers)
-    check_repair_nodes(params, f, helpers)
+    decoding = repair_matrix(params, f, helpers)  # refuses f and the helpers
     d, alpha, q = len(helpers), params.alpha, params.q
     seg, beta = session_shape(params, d)
     # a bundle symbol sums seg products, a rebuilt symbol d*beta
     dtype = _check_exact(q, max(seg, d * beta), "repairer")
     bundling = bundle_map(params, f, d).astype(dtype)
-    decode_t = repair_matrix(params, f, helpers).T.astype(dtype)
+    decode_t = decoding.T.astype(dtype)
     rows = _tile_rows(2 * alpha + d * beta)  # a payload, its bundles and node f's rebuilt tile
 
     def rebuild(payloads: dict) -> np.ndarray:

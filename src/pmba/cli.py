@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
                 f"failed node {entry.failed}, repaired with d={entry.d} helpers "
                 f"{list(entry.helpers)}, moved {entry.symbols_moved} symbols/stripe"
             )
-        if cluster.read_all() != [int(v) % params.q for v in source]:
+        if cluster.read_all() != (source % params.q).tolist():
             raise InconsistencyError("data mismatch after repairs")
         print(f"data intact after {args.rounds} repairs")
         if to_file:

@@ -1,12 +1,14 @@
 """Deterministic in-memory storage cluster simulation.
 
 Nodes are either alive, each with one (stripes, alpha) `<u2` payload as a
-shard file holds, or failed. `store` encodes the whole source with the
-batch encoder the cluster builds once; `read_all` and `run_repair` run
-the stepwise codec one stripe at a time, the calls `perfbench/test_smoke.py`
-pins. Repairs pick the helper count through a policy and the helpers
-uniformly from a seeded generator, and append one traffic record per
-repair, so identical seeds replay identical histories.
+shard file holds, or failed. `store` reduces an integer array source mod q
+in one array operation and encodes it whole with the batch encoder the
+cluster builds once. `read_all` and `run_repair` turn each node payload
+they read into one tuple of canonical field elements, then run the
+stepwise codec one stripe at a time on slices of it, the calls
+`perfbench/test_smoke.py` pins. Repairs pick the helper count through a
+policy and the helpers uniformly from a seeded generator, and append one
+traffic record per repair, so identical seeds replay identical histories.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ class HelperPolicy:
         return max(feasible) if self.strategy == "max-d" else min(feasible)
 
 
+def _residues(source, q: int) -> np.ndarray:
+    """`[int(s) % q for s in source]` as an array: one array remainder for
+    a 1-D integer array, or a list numpy reads as one; ints beyond int64,
+    FieldElements, floats and bools go one at a time."""
+    try:
+        vals = np.asarray(source)
+    except ValueError:  # a ragged nested list, which int() refuses below
+        vals = None
+    if vals is not None and vals.ndim == 1 and vals.dtype.kind in "iu":
+        wide = np.dtype(vals.dtype.kind + "8")  # a uint64 stays unsigned, so 2**63.. reduce exactly
+        return (vals.astype(wide, copy=False) % wide.type(q)).astype(np.int64, copy=False)
+    return np.array([int(s) % q for s in source], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     stripe_count: int
@@ -105,13 +121,13 @@ class Cluster:
         stored = self._stored[node_index]
         if stored is None:
             raise ValueError(f"node {node_index} is failed")
-        symbols = self.params.field.elements(stored[stripe].tolist())
+        symbols = self.params.field.elements(stored[stripe])
         return NodeShard(node_index, self.params.eval_point(node_index), symbols)
 
     # operations ------------------------------------------------------------
 
     def store(self, source_symbols) -> None:
-        vals = [int(s) % self.params.q for s in source_symbols]
+        vals = _residues(source_symbols, self.params.q)
         f_sym = self.params.file_symbols
         if len(vals) % f_sym != 0:
             raise ValueError(
@@ -119,7 +135,7 @@ class Cluster:
             )
         if self.failed_nodes():
             raise ValueError("cannot store while nodes are failed")
-        payloads = self._encode(np.array(vals, dtype=np.int64).reshape(-1, f_sym))
+        payloads = self._encode(vals.reshape(-1, f_sym))
         self.stripes = payloads.shape[1]
         for j in self._stored:
             self._stored[j] = payloads[j - 1]
@@ -130,6 +146,15 @@ class Cluster:
             raise ValueError(f"node {f} is already failed")
         self._stored[f] = None
 
+    def _payload_elements(self, nodes) -> list:
+        """(node, evaluation point, elements of its whole payload) per node:
+        one `elements` call per node, which callers slice per stripe."""
+        field = self.params.field
+        return [
+            (j, self.params.eval_point(j), field.elements(self._stored[j].reshape(-1)))
+            for j in nodes
+        ]
+
     def read_all(self) -> list:
         alive = self.alive_nodes()
         k = self.params.k
@@ -137,10 +162,11 @@ class Cluster:
             raise ValueError(
                 f"read refused: only {len(alive)} alive nodes, need k = {k}"
             )
-        readers = alive[:k]
+        alpha, readers = self.params.alpha, self._payload_elements(alive[:k])
         out = []
         for s in range(self.stripes):
-            shards = [self.node_shard(j, s) for j in readers]
+            lo, hi = s * alpha, (s + 1) * alpha
+            shards = [NodeShard(j, point, symbols[lo:hi]) for j, point, symbols in readers]
             out.extend(sym.value for sym in reconstruct(shards, self.params))
         return out
 
@@ -154,11 +180,14 @@ class Cluster:
         helpers = tuple(sorted(int(h) for h in rng.choice(alive, size=d, replace=False)))
 
         gamma = self.params.total_bandwidth[d]
-        rebuilt = np.empty((self.stripes, self.params.alpha), dtype="<u2")
+        alpha = self.params.alpha
+        rebuilt = np.empty((self.stripes, alpha), dtype="<u2")
+        senders = self._payload_elements(helpers)
         for s in range(self.stripes):
+            lo, hi = s * alpha, (s + 1) * alpha
             bundles = [
-                make_repair_bundle(self.node_shard(h, s), f, d, self.params)
-                for h in helpers
+                make_repair_bundle(NodeShard(h, point, symbols[lo:hi]), f, d, self.params)
+                for h, point, symbols in senders
             ]
             moved = sum(len(b.symbols) for b in bundles)
             if moved != gamma:

@@ -7,6 +7,8 @@ residues immediately; there is no lazy reduction anywhere.
 
 from __future__ import annotations
 
+import numpy as np
+
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -61,9 +63,14 @@ def smallest_prime_geq(x: int) -> int:
 
 
 class PrimeField:
-    """The field of residues modulo a prime q."""
+    """The field of residues modulo a prime q.
 
-    __slots__ = ("modulus",)
+    `element` and `elements` return one shared, immutable `FieldElement`
+    per residue, made the first time that residue is asked for, so a field
+    holds only the residues it has seen, never a table of all q.
+    """
+
+    __slots__ = ("modulus", "_canonical")
 
     def __init__(self, modulus: int):
         if not is_prime(modulus):
@@ -73,6 +80,7 @@ class PrimeField:
                 f"q = {modulus} does not fit the two-byte shard header field (max {MAX_MODULUS})"
             )
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_canonical", {})  # residue -> its FieldElement
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeField is immutable")
@@ -87,7 +95,14 @@ class PrimeField:
         return f"PrimeField({self.modulus})"
 
     def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.modulus, self)
+        if isinstance(value, np.integer):  # a uint8 or int16 scalar cannot hold q
+            value = int(value)
+        value %= self.modulus
+        try:
+            return self._canonical[value]
+        except KeyError:
+            e = FieldElement(value, self)
+            return self._canonical.setdefault(e.value, e)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -96,7 +111,14 @@ class PrimeField:
         return self.element(1)
 
     def elements(self, values) -> tuple:
-        return tuple(self.element(v) for v in values)
+        """The canonical element of each value; a numpy array is read with
+        one `tolist()`, and residues already seen cost one lookup each."""
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        canonical = self._canonical
+        try:
+            return tuple([canonical[v] for v in values])
+        except KeyError:  # a residue not seen yet, or a value outside [0, q)
+            return tuple([self.element(v) for v in values])
 
 
 class FieldElement:

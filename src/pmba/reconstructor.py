@@ -16,7 +16,7 @@ refuse such nodes first, by name, through `CodeParams.check_decodable`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -70,14 +70,19 @@ class ReconstructionSession:
 
         self.params = params
         self.accessed_nodes = tuple(indices)
-        lam = coefficient_matrix(params).data[np.array(indices) - 1, w]
-        self.lambda_dc = Matrix.diagonal(params.field, lam)
-
         self.steps, self.carry = decode_maps(params, tuple(sorted(indices)))
         ordered = sorted(shards, key=lambda s: s.node_index)
         payloads = np.array([s.symbol_values() for s in ordered], dtype=np.int64)
         # row i is block column i of the ascending nodes' payloads
         self.x_dc = payloads.reshape(k, z, w).swapaxes(0, 1).reshape(z, k * w)
+
+    @cached_property
+    def lambda_dc(self) -> Matrix:
+        """diag(x_j^(k-1)) of the accessed nodes, in the order given. Built
+        when first read: the peel uses only `steps` and `carry`."""
+        w = self.params.k - 1
+        lam = coefficient_matrix(self.params).data[np.array(self.accessed_nodes) - 1, w]
+        return Matrix.diagonal(self.params.field, lam)
 
     def run(self) -> tuple:
         """Peel the block pairs in order and return the flat source."""

@@ -7,6 +7,7 @@ import pytest
 import pmba.cluster
 import pmba.repairer
 from pmba.cluster import CSV_HEADER, Cluster, HelperPolicy, LedgerEntry
+from pmba.field import PrimeField
 from pmba.params import derive_params
 from pmba.repairer import make_repair_bundle
 
@@ -302,3 +303,29 @@ def test_ledger_csv_format():
     second = c.traffic_ledger[1]
     assert lines[2] == "3,2,4,{},8".format(";".join(map(str, second.helpers)))
     assert text.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# element work per read
+# ---------------------------------------------------------------------------
+
+
+def test_read_all_makes_one_element_tuple_per_node(monkeypatch):
+    params = derive_params(4, 3, 13)
+    stripes = 7  # not k, so a node payload and a stripe's source differ in length
+    c, source = loaded_cluster(stripes=stripes, seed=101, params=params)
+    c.fail_node(2)
+    readers = c.alive_nodes()[: params.k]
+    stepwise = [  # each stripe decoded from its own node_shard calls
+        sym.value
+        for s in range(stripes)
+        for sym in pmba.cluster.reconstruct([c.node_shard(j, s) for j in readers], params)
+    ]
+    lengths = []
+    real = PrimeField.elements
+    monkeypatch.setattr(PrimeField, "elements", lambda f, v: (lengths.append(len(v)), real(f, v))[1])
+    out = c.read_all()
+    assert out == stepwise == source
+    assert lengths.count(stripes * params.alpha) == params.k
+    assert lengths.count(params.file_symbols) == stripes  # one per reconstructed stripe
+    assert len(lengths) == params.k + stripes

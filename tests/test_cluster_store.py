@@ -56,3 +56,51 @@ def test_a_cluster_builds_one_encoder_for_all_its_stores(monkeypatch):
         c.store(source[: stripes * MID.file_symbols])
         assert c.stripes == stripes
     assert built == [MID]
+
+
+WIDE_Q = derive_params(3, 2, 7, q=65521)
+
+
+def store_inputs(params, stripes):
+    q, count = params.q, stripes * params.file_symbols
+    rng = np.random.default_rng(97)
+    yield "uint8", rng.integers(0, 256, count).astype(np.uint8)
+    yield "int16", rng.integers(-(2**15), 2**15, count).astype(np.int16)
+    yield "int64", rng.integers(-(2**63), 2**63 - 1, count, dtype=np.int64, endpoint=True)
+    yield "uint64", rng.integers(0, 2**64 - 1, count, dtype=np.uint64, endpoint=True)
+    big = rng.integers(0, q, count).tolist()
+    big[:2] = [2**64 + 3, -(2**70)]
+    yield "list beyond int64", big
+    yield "list of floats", (rng.random(count) * 4 * q - 2 * q).tolist()
+    yield "list of bools", [bool(v) for v in rng.integers(0, 2, count)]
+    yield "list of FieldElements", list(params.field.elements(rng.integers(0, q, count)))
+
+
+@pytest.mark.parametrize("params", [WORKED, WIDE_Q], ids=["q11", "q65521"])
+def test_store_keeps_int_s_mod_q_whatever_the_input_type(params):
+    stripes = 3
+    for name, source in store_inputs(params, stripes):
+        want = [int(s) % params.q for s in source]
+        reference = Cluster(params)
+        reference.store(np.array(want, dtype=np.int64))
+        c = Cluster(params)
+        c.store(source)
+        assert c.stripes == stripes, name
+        assert c.read_all() == want, name
+        for j in range(1, params.n + 1):
+            for s in range(stripes):
+                got = c.node_shard(j, s).symbol_values()
+                assert got == reference.node_shard(j, s).symbol_values(), (name, j, s)
+        with pytest.raises(ValueError, match=f"source length {len(want) - 1} is not a multiple of F"):
+            Cluster(params).store(source[1:])
+
+
+def test_store_refuses_what_int_refuses():
+    c = Cluster(WORKED)
+    with pytest.raises(TypeError):
+        c.store([[1, 2], [3]])  # ragged: numpy cannot read it as an array either
+    with pytest.raises(TypeError):
+        c.store(np.zeros((2, WORKED.file_symbols), dtype=np.int64))  # rows are not symbols
+    with pytest.raises(ValueError):
+        c.store(["1", "x"] * 6)
+    assert c.stripes == 0

@@ -1,5 +1,6 @@
 # tests/test_field.py
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,3 +236,64 @@ def test_elements_are_hashable_and_usable_as_dict_keys():
     assert seen[f.element(14)] == 3
     assert PrimeField(11) == PrimeField(11)
     assert hash(f.element(5)) == hash(PrimeField(11).element(16))
+
+
+# ---------------------------------------------------------------------------
+# canonical elements
+# ---------------------------------------------------------------------------
+
+
+def canonical_inputs(q):
+    ints = [0, 1, 5, q - 1, q, q + 3, 3 * q + 7, -1, -q, -q - 2, 2**64 + 3, -(2**70)]
+    scalars = [t(v) for t in (np.uint8, np.int16, np.int32, np.uint64, np.int64) for v in (0, 7, 100)]
+    return ints + scalars + [np.int64(-5), np.uint64(2**64 - 1)]
+
+
+@pytest.mark.parametrize("q", [11, 257, 65521])
+def test_element_is_the_one_canonical_element_of_its_residue(q):
+    f = PrimeField(q)
+    for v in canonical_inputs(q):
+        e = f.element(v)
+        assert type(e) is FieldElement and e.field is f
+        assert (e.value, e) == (int(v) % q, FieldElement(int(v) % q, f)), v
+        assert hash(e) == hash(FieldElement(int(v) % q, f))
+        assert f.element(int(v) % q) is e and f.element(int(v) % q + 2 * q) is e
+        with pytest.raises(AttributeError):
+            e.value = 0
+    assert f.zero() is f.element(q) and f.one() is f.element(1 - q)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16, np.uint16, np.int32, np.int64, np.uint64])
+@pytest.mark.parametrize("q", [11, 65521])
+def test_elements_of_an_int_array_are_the_canonical_elements(q, dtype):
+    f = PrimeField(q)
+    info = np.iinfo(dtype)
+    values = np.array([0, 1, 7, info.max, info.min, info.max // 3], dtype=dtype)
+    got = f.elements(values)
+    assert type(got) is tuple and len(got) == len(values)
+    for e, v in zip(got, values.tolist()):
+        assert e is f.element(v) and e == FieldElement(v % q, f)
+    assert f.elements(values) == got and all(a is b for a, b in zip(f.elements(values), got))
+    assert f.elements(v for v in values.tolist()) == got  # any iterable, read once
+
+
+def test_equal_fields_give_equal_elements():
+    a, b = PrimeField(65521), PrimeField(65521)
+    for v in (0, 3, 65520, 70000, -4):
+        assert a.element(v) == b.element(v) and hash(a.element(v)) == hash(b.element(v))
+    assert a.elements(np.arange(-3, 5)) == b.elements(range(-3, 5))
+    assert {a.element(9): "nine"}[b.element(9 + 65521)] == "nine"
+    assert a.element(1) != PrimeField(65519).element(1)
+
+
+def test_the_first_element_of_a_large_field_allocates_little():
+    tracemalloc.start()
+    try:
+        f = PrimeField(65521)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f.element(12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2**20

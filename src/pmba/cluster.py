@@ -3,12 +3,16 @@
 Nodes are either alive, each with one (stripes, alpha) `<u2` payload as a
 shard file holds, or failed. `store` reduces an integer array source mod q
 in one array operation and encodes it whole with the batch encoder the
-cluster builds once. `read_all` and `run_repair` turn each node payload
-they read into one tuple of canonical field elements, then run the
-stepwise codec one stripe at a time on slices of it, the calls
-`perfbench/test_smoke.py` pins. Repairs pick the helper count through a
-policy and the helpers uniformly from a seeded generator, and append one
-traffic record per repair, so identical seeds replay identical histories.
+cluster builds once. `run_repair` builds one batch bundler per repair and
+computes each helper's bundles for every stripe in one call of it, after
+checking that each helper sends beta(d) symbols per stripe. `read_all`
+and the combining half of `run_repair` turn each node payload or bundle
+array they read into one tuple of canonical field elements, then run the
+stepwise `reconstruct` or `repair` one stripe at a time on slices of it,
+the calls `perfbench/test_smoke.py` pins. Repairs pick the helper count
+through a policy and the helpers uniformly from a seeded generator, and
+append one traffic record per repair, so identical seeds replay identical
+histories.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import NodeShard
+from .field import residues
 from .params import CodeParams
 from .reconstructor import reconstruct
-from .repairer import check_helper_count, make_repair_bundle, repair
-from .striping import stripe_encoder
+from .repairer import RepairBundle, check_helper_count, repair
+from .striping import stripe_bundler, stripe_encoder
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class HelperPolicy:
 def _residues(source, q: int) -> np.ndarray:
     """`[int(s) % q for s in source]` as an array: one array remainder for
     a 1-D integer array, or a list numpy reads as one; ints beyond int64,
-    FieldElements, floats and bools go one at a time."""
+    FieldElements, floats and bools go through `field.residues`."""
     try:
         vals = np.asarray(source)
     except ValueError:  # a ragged nested list, which int() refuses below
@@ -79,7 +84,7 @@ def _residues(source, q: int) -> np.ndarray:
     if vals is not None and vals.ndim == 1 and vals.dtype.kind in "iu":
         wide = np.dtype(vals.dtype.kind + "8")  # a uint64 stays unsigned, so 2**63.. reduce exactly
         return (vals.astype(wide, copy=False) % wide.type(q)).astype(np.int64, copy=False)
-    return np.array([int(s) % q for s in source], dtype=np.int64)
+    return residues(source, q)
 
 
 @dataclass(frozen=True)
@@ -146,15 +151,6 @@ class Cluster:
             raise ValueError(f"node {f} is already failed")
         self._stored[f] = None
 
-    def _payload_elements(self, nodes) -> list:
-        """(node, evaluation point, elements of its whole payload) per node:
-        one `elements` call per node, which callers slice per stripe."""
-        field = self.params.field
-        return [
-            (j, self.params.eval_point(j), field.elements(self._stored[j].reshape(-1)))
-            for j in nodes
-        ]
-
     def read_all(self) -> list:
         alive = self.alive_nodes()
         k = self.params.k
@@ -162,7 +158,12 @@ class Cluster:
             raise ValueError(
                 f"read refused: only {len(alive)} alive nodes, need k = {k}"
             )
-        alpha, readers = self.params.alpha, self._payload_elements(alive[:k])
+        alpha, field = self.params.alpha, self.params.field
+        # one `elements` call per node's whole payload, sliced per stripe
+        readers = [
+            (j, self.params.eval_point(j), field.elements(self._stored[j].reshape(-1)))
+            for j in alive[:k]
+        ]
         out = []
         for s in range(self.stripes):
             lo, hi = s * alpha, (s + 1) * alpha
@@ -179,21 +180,19 @@ class Cluster:
         rng = np.random.default_rng(rng_seed)
         helpers = tuple(sorted(int(h) for h in rng.choice(alive, size=d, replace=False)))
 
-        gamma = self.params.total_bandwidth[d]
-        alpha = self.params.alpha
-        rebuilt = np.empty((self.stripes, alpha), dtype="<u2")
-        senders = self._payload_elements(helpers)
+        gamma, beta = self.params.total_bandwidth[d], self.params.per_node_bandwidth[d]
+        bundle = stripe_bundler(self.params, f, d)
+        sent = [bundle(self._stored[h]) for h in helpers]
+        # a bundle array of another shape would misalign every stripe sliced from it
+        if any(b.shape != (self.stripes, beta) for b in sent):
+            moved = sum(b.shape[-1] for b in sent)
+            raise AssertionError(f"stripe 0: helpers sent {moved} symbols, gamma({d}) = {gamma}")
+        field = self.params.field
+        senders = [(h, field.elements(b.reshape(-1))) for h, b in zip(helpers, sent)]
+        rebuilt = np.empty((self.stripes, self.params.alpha), dtype="<u2")
         for s in range(self.stripes):
-            lo, hi = s * alpha, (s + 1) * alpha
-            bundles = [
-                make_repair_bundle(NodeShard(h, point, symbols[lo:hi]), f, d, self.params)
-                for h, point, symbols in senders
-            ]
-            moved = sum(len(b.symbols) for b in bundles)
-            if moved != gamma:
-                raise AssertionError(
-                    f"stripe {s}: helpers sent {moved} symbols, gamma({d}) = {gamma}"
-                )
+            lo, hi = s * beta, (s + 1) * beta
+            bundles = [RepairBundle(h, f, d, symbols[lo:hi]) for h, symbols in senders]
             rebuilt[s] = repair(f, bundles, self.params).symbol_values()
 
         self._stored[f] = rebuilt

@@ -36,10 +36,11 @@ class NodeShard:
 
 
 def check_shard(shard: NodeShard, params: CodeParams) -> None:
-    """Refuse a shard whose node index `check_nodes` refuses, whose
-    evaluation point is not its node's, or that holds other than alpha symbols."""
+    """Refuse a shard whose evaluation point is not its node's, or that
+    holds other than alpha symbols. Its node index must already have passed
+    `check_nodes`; every caller checks its whole node list first."""
     j = shard.node_index
-    if shard.eval_point != params.eval_point(j):
+    if shard.eval_point != params.field.element(params.eval_points[j - 1]):
         raise ValueError(
             f"shard {j} carries evaluation point {shard.eval_point.value}, "
             f"parameters say {params.eval_points[j - 1]}"

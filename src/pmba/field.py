@@ -225,3 +225,11 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.value}%{self.field.modulus}"
+
+
+def residues(values, q: int) -> np.ndarray:
+    """`[int(v) % q for v in values]` as an int64 array: a FieldElement's
+    value is read as it is and any other value reduced through `int`, then
+    one array remainder reduces them all."""
+    values = [v.value if isinstance(v, FieldElement) else int(v) % q for v in values]
+    return np.array(values, dtype=np.int64) % q

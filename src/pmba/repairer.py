@@ -12,8 +12,9 @@ and afterwards adds it back into the rebuilt segment; `repair_matrix` runs
 this peel once on all d*beta unit bundles, giving the map from stacked
 bundles to node f. Neither map depends on the stripe: each is built once
 per code, f and d or helper set and held, read-only, in a bounded cache.
-`make_repair_bundle` and `repair` apply them to one stripe, and
-`striping.stripe_repairer` to a batch. Per helper exactly beta(d) =
+`make_repair_bundle` and `repair` apply them to one stripe,
+`striping.stripe_repairer` both to a batch, and `striping.stripe_bundler`
+`bundle_map` alone to one helper's batch. Per helper exactly beta(d) =
 alpha / (d-k+1) symbols move, the MDS minimum, for every d in D at once.
 """
 
@@ -25,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .encoder import NodeShard, check_shard, coefficient_matrix
+from .field import residues
 from .matrix import Matrix, invert
 from .params import CodeParams
 
@@ -120,8 +122,8 @@ def make_repair_bundle(
     session_shape(params, d)  # refuses a d outside D before the node checks
     h = helper_shard.node_index
     check_repair_nodes(params, f, [h])
-    check_shard(helper_shard, params)
-    payload = np.array([int(s) % params.q for s in helper_shard.symbols], dtype=np.int64)
+    check_shard(helper_shard, params)  # after its node check above
+    payload = residues(helper_shard.symbols, params.q)
     symbols = params.field.elements(payload @ bundle_map(params, f, d) % params.q)
     return RepairBundle(helper_index=h, failed_index=f, d=d, symbols=symbols)
 
@@ -152,6 +154,9 @@ def repair(f: int, bundles, params: CodeParams) -> NodeShard:
             )
 
     # each of the d*beta products is below q**2 <= 2**32, so int64 sums stay exact
-    stacked = np.array([int(s) % params.q for b in bundles for s in b.symbols], dtype=np.int64)
-    symbols = params.field.elements(repair_matrix(params, f, helpers) @ stacked % params.q)
-    return NodeShard(node_index=f, eval_point=params.eval_point(f), symbols=symbols)
+    stacked = residues([s for b in bundles for s in b.symbols], params.q)
+    # f and the helpers are checked above, and the bundles sorted by helper
+    decoding = _repair_matrix(params, f, tuple(helpers))
+    symbols = params.field.elements(decoding @ stacked % params.q)
+    point = params.field.element(params.eval_points[f - 1])
+    return NodeShard(node_index=f, eval_point=point, symbols=symbols)

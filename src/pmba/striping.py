@@ -7,40 +7,51 @@ from the construction: the encoding map places each node's Vandermonde
 row into the banded message-matrix layout, decoding applies the
 reconstructor's `peel_maps` (one k(k-1)-square inverse peels every block
 pair), and repair applies the repairer's `bundle_map` to each helper's
-payload and its `repair_matrix` to the stacked bundles. Each of
-`stripe_encoder`, `stripe_decoder` and `stripe_repairer` builds its map
-once and returns a function that applies it to one batch of stripes in
-BLAS matrix products, one tile of stripes at a time: a tile holds about
-TILE_VALUES float values, so each product and its reduction mod q run in
-cache. The products stay exact: every product of residues and every sum
-of them is an integer, and each builder picks the float dtype from the
-largest sum its inner dimensions allow, float32 below 2**22 and float64
-below 2**51, the bounds below which both the products and the reduction
-mod q are exact; past 2**51 it refuses. At the default q = 257 the
-encoders and decoders of (3,2,7), (4,3,13) and (3,5,20) and the
-repairers of the first two run float32; the (3,5,20) repairers, which sum
-144 to 240 products, run float64.
+payload and its `repair_matrix` to the stacked bundles. Each of the four
+kernel builders, `stripe_encoder`, `stripe_decoder`, `stripe_repairer`
+and `stripe_bundler` (one helper's side of a repair: its payload through
+`bundle_map` alone), builds its map once and returns a function that
+applies it to one batch of stripes in BLAS matrix products, one tile of
+stripes at a time: a tile holds about TILE_VALUES float values, so each
+product and its reduction mod q run in cache. The products stay exact:
+every product of residues and every sum of them is an integer, and each
+builder picks the float dtype from the largest sum its inner dimensions
+allow, float32 below 2**22 and float64 below 2**51, the bounds below
+which both the products and the reduction mod q are exact; past 2**51 it
+refuses. At the default q = 257 the encoders and decoders of (3,2,7),
+(4,3,13) and (3,5,20), the repairers of the first two and every bundler
+run float32; the (3,5,20) repairers, which sum 144 to 240 products, run
+float64.
 Encoding reads, for each block column, only the band of source blocks its
 k-1 stored columns share, and each decode step only one block column and
 the block carried over from the step before. Each kernel returns `<u2`
-symbols, the dtype shard files hold. Each builder runs its function once on a fixed
-self-check batch before returning it, against the stepwise encoder alone:
-the encoder must give its payloads, the decoder the source and the
-repairer node f's payload, so no caller's data can blind the check.
+symbols, the dtype shard files hold. Each builder runs its function once,
+one self-check per kernel, on a fixed self-check batch before returning
+it, against the stepwise codec alone: the encoder must give the stepwise
+encoder's payloads, the decoder the source, the repairer node f's
+payload, and the bundler, on a helper's payload, the bundles
+`make_repair_bundle` makes of it, so no caller's data can blind the check.
 `encode_stripes`, `reconstruct_stripes` and `repair_stripes` are the same
 functions applied to one batch holding every stripe; the CLI streams files
-through them in batches of BATCH_SYMBOLS source symbols.
+through them in batches of BATCH_SYMBOLS source symbols. `Cluster` runs
+the encoder and the bundler.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .encoder import build_message_matrix, encode_all, node_maps
+from .encoder import NodeShard, build_message_matrix, encode_all, node_maps
 from .matrix import InconsistencyError
 from .params import BYTE_SAFE_MIN_Q, CodeParams
 from .reconstructor import peel_maps
-from .repairer import bundle_map, repair_matrix, session_shape
+from .repairer import (
+    bundle_map,
+    check_repair_nodes,
+    make_repair_bundle,
+    repair_matrix,
+    session_shape,
+)
 
 
 BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
@@ -100,12 +111,12 @@ def _self_check_batch(params: CodeParams):
     return source, np.array(symbols, dtype="<u2").swapaxes(0, 1)
 
 
-def _self_check(kernel: str, got: np.ndarray, want: np.ndarray) -> None:
+def _self_check(kernel: str, got: np.ndarray, want: np.ndarray, oracle="encoder") -> None:
     """Raise unless `got` equals `want`; both index stripes on axis -2."""
     for s in range(want.shape[-2]):
         if not np.array_equal(got[..., s, :], want[..., s, :]):
             raise InconsistencyError(
-                f"batched {kernel} and the stepwise encoder disagree on stripe {s} "
+                f"batched {kernel} and the stepwise {oracle} disagree on stripe {s} "
                 f"of the self-check"
             )
 
@@ -320,6 +331,47 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     _, payloads = _self_check_batch(params)
     _self_check("repairer", rebuild({h: payloads[h - 1] for h in helpers}), payloads[f - 1])
     return rebuild
+
+
+def stripe_bundler(params: CodeParams, f: int, d: int):
+    """Build one helper's side of the repair of node f from d helpers once;
+    returns a function that bundles one batch.
+
+    The function maps a helper's (stripes, alpha) payload of residues, of
+    any integer dtype, to the (stripes, beta) `<u2` bundle symbols it sends
+    node f, the symbols `make_repair_bundle` gives one stripe at a time.
+    The map does not depend on which helper sends. The builder refuses a
+    function that does not give the stepwise bundles of a helper's
+    self-check payload.
+    """
+    seg, beta = session_shape(params, d)  # refuses a d outside D
+    check_repair_nodes(params, f, ())
+    alpha, q = params.alpha, params.q
+    dtype = _check_exact(q, seg, "bundler")  # a bundle symbol sums one segment's products
+    bundling = bundle_map(params, f, d).astype(dtype)
+    rows = _tile_rows(alpha + beta)  # a payload tile and its bundles
+
+    def bundle(payload: np.ndarray) -> np.ndarray:
+        stripes = payload.shape[0]
+        out = np.empty((stripes, beta), dtype="<u2")
+        tile, sent = np.empty((rows, alpha), dtype), np.empty((rows, beta), dtype)
+        for s in range(0, stripes, rows):
+            m = min(rows, stripes - s)
+            tile[:m] = payload[s : s + m]
+            np.matmul(tile[:m], bundling, out=sent[:m])
+            _reduce(sent[:m], q, out=out[s : s + m])
+        return out
+
+    _, payloads = _self_check_batch(params)
+    h = 2 if f == 1 else 1  # any helper but f
+    point, field = params.eval_point(h), params.field
+    bundles = [
+        make_repair_bundle(NodeShard(h, point, field.elements(row)), f, d, params)
+        for row in payloads[h - 1]
+    ]
+    want = np.array([[s.value for s in b.symbols] for b in bundles], dtype="<u2")
+    _self_check("bundler", bundle(payloads[h - 1]), want, oracle="make_repair_bundle")
+    return bundle
 
 
 def repair_stripes(payloads: dict, f: int, params: CodeParams) -> np.ndarray:

@@ -1,15 +1,13 @@
 # tests/test_cluster.py
-import dataclasses
-
 import numpy as np
 import pytest
 
 import pmba.cluster
 import pmba.repairer
+import pmba.striping
 from pmba.cluster import CSV_HEADER, Cluster, HelperPolicy, LedgerEntry
 from pmba.field import PrimeField
 from pmba.params import derive_params
-from pmba.repairer import make_repair_bundle
 
 WORKED = derive_params(3, 2, 7, q=11)
 
@@ -230,16 +228,33 @@ def test_repair_on_an_empty_cluster_books_nominal_traffic():
     assert entry.symbols_moved == 6
 
 
-def test_repair_traffic_must_equal_gamma(monkeypatch):
-    def short_bundle(*args):
-        bundle = make_repair_bundle(*args)
-        return dataclasses.replace(bundle, symbols=bundle.symbols[:-1])
+def short_bundler(*args):
+    """A `stripe_bundler` whose bundles come back one column short."""
+    bundle = pmba.striping.stripe_bundler(*args)
+    return lambda payload: bundle(payload)[:, :-1]
 
+
+def test_repair_traffic_must_equal_gamma(monkeypatch):
     c, _ = loaded_cluster()
     c.fail_node(5)
-    monkeypatch.setattr(pmba.cluster, "make_repair_bundle", short_bundle)
+    monkeypatch.setattr(pmba.cluster, "stripe_bundler", short_bundler)
     with pytest.raises(AssertionError, match=r"stripe 0: .* gamma\(6\) = 6"):
         c.run_repair(5, HelperPolicy.parse("max-d"), rng_seed=3)
+    assert c.failed_nodes() == (5,)
+    assert c.traffic_ledger == []
+
+
+def test_a_short_bundle_column_is_refused_before_any_stripe_is_rebuilt(monkeypatch):
+    params = derive_params(4, 3, 13)  # d = 6 sends beta = 6 symbols per helper
+    c, _ = loaded_cluster(stripes=5, params=params)
+    c.fail_node(5)
+    rebuilt = []
+    real_repair = pmba.cluster.repair
+    monkeypatch.setattr(pmba.cluster, "repair", lambda *a: (rebuilt.append(a), real_repair(*a))[1])
+    monkeypatch.setattr(pmba.cluster, "stripe_bundler", short_bundler)
+    with pytest.raises(AssertionError, match=r"^stripe 0: helpers sent 30 symbols, gamma\(6\) = 36$"):
+        c.run_repair(5, HelperPolicy.parse("min-d"), rng_seed=3)
+    assert rebuilt == []
     assert c.failed_nodes() == (5,)
     assert c.traffic_ledger == []
 
@@ -329,3 +344,45 @@ def test_read_all_makes_one_element_tuple_per_node(monkeypatch):
     assert lengths.count(stripes * params.alpha) == params.k
     assert lengths.count(params.file_symbols) == stripes  # one per reconstructed stripe
     assert len(lengths) == params.k + stripes
+
+
+# ---------------------------------------------------------------------------
+# the helpers' side of a repair
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("code", [(4, 3, 13), (3, 5, 20)], ids=["4-3-13", "3-5-20"])
+def test_run_repair_rebuilds_the_stored_payload_at_every_d(code):
+    params = derive_params(*code)
+    c, source = loaded_cluster(stripes=9, seed=sum(code), params=params)
+    stored = [c.node_shard(4, s).symbol_values() for s in range(c.stripes)]
+    for d in params.helper_counts:
+        c.fail_node(4)
+        entry = c.run_repair(4, HelperPolicy.parse(f"fixed:{d}"), rng_seed=d)
+        assert (entry.d, entry.symbols_moved) == (d, params.total_bandwidth[d])
+        assert [c.node_shard(4, s).symbol_values() for s in range(c.stripes)] == stored, d
+    assert c.read_all() == source
+
+
+def test_each_run_repair_builds_one_bundler_and_bundles_no_stripe_stepwise(monkeypatch):
+    params = derive_params(4, 3, 13)
+    stripes = 40
+    c, source = loaded_cluster(stripes=stripes, seed=103, params=params)
+    builds, stepwise = [], []
+    real_build = pmba.cluster.stripe_bundler
+    monkeypatch.setattr(pmba.cluster, "stripe_bundler", lambda *a: (builds.append(a), real_build(*a))[1])
+    for module in (pmba.repairer, pmba.striping):
+        real = module.make_repair_bundle
+        monkeypatch.setattr(
+            module, "make_repair_bundle", lambda *a, real=real: (stepwise.append(a), real(*a))[1]
+        )
+    for policy, seed in (("min-d", 1), ("max-d", 2)):
+        c.fail_node(7)
+        c.run_repair(7, HelperPolicy.parse(policy), rng_seed=seed)
+    assert builds == [(params, 7, 6), (params, 7, 12)]
+    assert not hasattr(pmba.cluster, "make_repair_bundle")
+    # only the bundlers' self-checks run the stepwise bundle: one call per
+    # self-check stripe, not one per helper per stored stripe
+    check_stripes = len(pmba.striping._self_check_batch(params)[0])
+    assert len(stepwise) == 2 * check_stripes < stripes
+    assert c.read_all() == source

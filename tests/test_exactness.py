@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from pmba import shardio, striping
+from pmba.encoder import NodeShard
+from pmba.matrix import InconsistencyError
 from pmba.params import derive_params
+from pmba.repairer import make_repair_bundle, session_shape
 from pmba.shardio import ShardWriter, header_for
 
 LARGEST = striping._EXACT_BELOW - 1  # the largest sum the guard lets a kernel reach
@@ -236,3 +239,81 @@ def test_the_kernels_return_u2_and_the_writer_writes_the_encoder_payload_as_is(t
     with ShardWriter(tmp_path / "x.shard02", header) as writer:
         writer.write(coded[1])
     assert np.shares_memory(written[-1], coded)  # no copy
+
+
+# ---------------------------------------------------------------------------
+# the helpers' side of a repair: one helper's bundles for a batch
+# ---------------------------------------------------------------------------
+
+
+def stepwise_bundles(params, payload, h, f, d):
+    """Node h's bundle symbols for node f, one `make_repair_bundle` per stripe."""
+    point, field = params.eval_point(h), params.field
+    bundles = [
+        make_repair_bundle(NodeShard(h, point, field.elements(row)), f, d, params)
+        for row in payload
+    ]
+    return np.array([[s.value for s in b.symbols] for b in bundles])
+
+
+# seg = d-k+1 <= 10 in this grid: 10 * 256**2 < 2**22, while one product
+# mod 65521 already passes 2**22
+BUNDLER_DTYPES = {257: np.float32, 65521: np.float64}
+
+
+@pytest.mark.parametrize("q", [257, 65521])
+@pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
+def test_the_bundler_matches_the_stepwise_bundles_for_every_f_and_d(code, q, monkeypatch):
+    params, _, coded = periodic_stripes(code, q)
+    picked = record_dtypes(monkeypatch)
+    for f in range(1, params.n + 1):
+        h = f % params.n + 1  # a helper other than f
+        for d in params.helper_counts:
+            seg, beta = session_shape(params, d)
+            want = stepwise_bundles(params, coded[h - 1], h, f, d)
+            picked.clear()
+            bundle, counts = tile_edge_counts(monkeypatch, lambda: striping.stripe_bundler(params, f, d))
+            assert picked == {"bundler": {BUNDLER_DTYPES[q]}}
+            assert BUNDLER_DTYPES[q] is striping._check_exact(q, seg, "bundler")
+            for count in counts:
+                period = np.arange(count) % PERIOD
+                got = bundle(coded[h - 1, period])
+                assert got.dtype == np.dtype("<u2") and got.shape == (count, beta)
+                assert np.array_equal(got, want[period]), (f, d, count)
+
+
+def test_the_bundler_refuses_what_make_repair_bundle_refuses():
+    params = derive_params(3, 2, 7)
+    with pytest.raises(ValueError, match=r"d = 5 is not a supported helper count; valid D = \{4, 6\}"):
+        striping.stripe_bundler(params, 1, 5)
+    for f in (0, 8, -1):
+        with pytest.raises(ValueError, match=f"failed index must be in 1..7, got {f}"):
+            striping.stripe_bundler(params, f, 4)
+    # the helper count is judged first, as in make_repair_bundle
+    with pytest.raises(ValueError, match="valid D"):
+        striping.stripe_bundler(params, 0, 5)
+
+
+def test_the_bundler_refuses_past_the_bound_before_its_self_check(monkeypatch):
+    params = derive_params(3, 2, 7, q=65521)
+    monkeypatch.setattr(striping, "_EXACT_BELOW", (params.q - 1) ** 2)  # one term at most
+    monkeypatch.setattr(striping, "_self_check_batch", lambda p: pytest.fail("self-check ran"))
+    with pytest.raises(ValueError, match="the bundler sums 2 products of residues mod q = 65521"):
+        striping.stripe_bundler(params, 1, 4)
+
+
+@pytest.mark.parametrize("f", [1, 5])
+def test_the_bundler_refuses_a_map_the_stepwise_bundle_disagrees_with(f, monkeypatch):
+    params = derive_params(4, 3, 13)
+    real = striping.bundle_map
+
+    def skewed(*args):
+        out = np.array(real(*args))
+        out[0, 0] += 1
+        return out
+
+    monkeypatch.setattr(striping, "bundle_map", skewed)
+    with pytest.raises(
+        InconsistencyError, match="batched bundler and the stepwise make_repair_bundle disagree on stripe 0"
+    ):
+        striping.stripe_bundler(params, f, 6)

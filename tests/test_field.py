@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmba.field import FieldElement, PrimeField, is_prime, smallest_prime_geq
+from pmba.field import FieldElement, PrimeField, is_prime, residues, smallest_prime_geq
 
 
 def trial_division_is_prime(x):
@@ -297,3 +297,31 @@ def test_the_first_element_of_a_large_field_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak - before < 2**20
+
+
+# ---------------------------------------------------------------------------
+# symbols to residues, as the stepwise bundle and repair read them
+# ---------------------------------------------------------------------------
+
+MIXED = [
+    0, 1, 10, 11, 12, 250, 2**40 + 5, 2**70 + 3, -1, -12, -(2**70),
+    np.int64(-7), np.uint8(200), np.int16(-300), np.uint64(2**64 - 1),
+    True, 3.9,
+    PrimeField(11).element(7), PrimeField(257).element(200), PrimeField(65521).element(65520),
+]
+
+
+@pytest.mark.parametrize("q", [11, 257, 65521])
+def test_residues_equal_int_mod_q_for_every_kind_of_symbol(q):
+    got = residues(MIXED, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(s) % q for s in MIXED]
+    assert residues((), q).tolist() == []
+
+
+def test_residues_refuse_what_int_refuses():
+    with pytest.raises(ValueError):
+        residues([1, "x"], 257)
+    with pytest.raises(TypeError):
+        residues([1, [2, 3]], 257)
+

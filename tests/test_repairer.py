@@ -6,7 +6,8 @@ import pytest
 
 import pmba.repairer as repairer_module
 from pmba.encoder import NodeShard, build_message_matrix, encode_all, encode_node
-from pmba.params import derive_params
+from pmba.field import PrimeField
+from pmba.params import CodeParams, derive_params
 from pmba.reconstructor import reconstruct
 from pmba.repairer import (
     RepairBundle,
@@ -343,3 +344,56 @@ def test_stepwise_repair_is_exact_at_the_largest_modulus(fill):
         helpers = [h for h in range(1, params.n + 1) if h != 9][-d:]
         got = repair(9, bundles_for(shards, helpers, 9, d, params), params)
         assert got.symbol_values() == shards[8].symbol_values(), d
+
+
+# ---------------------------------------------------------------------------
+# mixed symbols, and one node check per call
+# ---------------------------------------------------------------------------
+
+def as_mixed(values, q):
+    """The same residues mod q as big and negative ints, numpy scalars and
+    elements of another field, in turn."""
+    kinds = [lambda v: v + q * 2**70, lambda v: v - q, np.int64, PrimeField(65521).element]
+    return tuple(kinds[i % 4](v) for i, v in enumerate(values))
+
+
+def test_bundles_and_repairs_of_mixed_symbols_equal_those_of_their_residues():
+    p = derive_params(3, 2, 7, q=257)
+    rng = np.random.default_rng(53)
+    shards, _ = encoded([int(v) for v in rng.integers(0, p.q, p.file_symbols)], p)
+    for f, helpers in ((7, (1, 2, 3, 4)), (1, (2, 3, 4, 5, 6, 7))):
+        d = len(helpers)
+        want = [make_repair_bundle(shards[h - 1], f, d, p) for h in helpers]
+        got = [
+            make_repair_bundle(
+                NodeShard(h, p.eval_point(h), as_mixed(shards[h - 1].symbol_values(), p.q)), f, d, p
+            )
+            for h in helpers
+        ]
+        assert got == want
+        mixed = [
+            RepairBundle(b.helper_index, f, d, as_mixed([s.value for s in b.symbols], p.q))
+            for b in want
+        ]
+        assert repair(f, mixed, p) == repair(f, want, p) == shards[f - 1]
+
+
+def count_node_checks(monkeypatch):
+    calls = []
+    real = CodeParams.check_nodes
+    monkeypatch.setattr(
+        CodeParams, "check_nodes", lambda self, nodes: (calls.append(list(nodes)), real(self, nodes))[1]
+    )
+    return calls
+
+
+def test_a_stepwise_bundle_and_repair_each_check_their_node_list_once(monkeypatch):
+    shards, _ = encoded(list(range(1, 13)))
+    helpers = (1, 2, 3, 4)
+    bundles = bundles_for(shards, helpers, 7, 4)
+    calls = count_node_checks(monkeypatch)
+    make_repair_bundle(shards[2], 7, 4, WORKED)
+    assert calls == [[3]]
+    calls.clear()
+    assert repair(7, bundles, WORKED) == shards[6]
+    assert calls == [list(helpers)]

@@ -4,15 +4,15 @@ Nodes are either alive, each with one (stripes, alpha) `<u2` payload as a
 shard file holds, or failed. `store` reduces an integer array source mod q
 in one array operation and encodes it whole with the batch encoder the
 cluster builds once. `run_repair` builds one batch bundler per repair and
-computes each helper's bundles for every stripe in one call of it, after
-checking that each helper sends beta(d) symbols per stripe. `read_all`
-and the combining half of `run_repair` turn each node payload or bundle
-array they read into one tuple of canonical field elements, then run the
-stepwise `reconstruct` or `repair` one stripe at a time on slices of it,
-the calls `perfbench/test_smoke.py` pins. Repairs pick the helper count
-through a policy and the helpers uniformly from a seeded generator, and
-append one traffic record per repair, so identical seeds replay identical
-histories.
+bundles every helper's every stripe in one call of it, after checking
+that the helpers send gamma(d) symbols per stripe. `read_all` and the
+combining half of `run_repair` turn the node payloads or the bundle array
+they read into tuples of canonical field elements, one per array, then
+run the stepwise `reconstruct` or `repair` one stripe at a time on slices
+of them, the calls `perfbench/test_smoke.py` pins. Repairs pick the helper
+count through a policy and the helpers uniformly from a seeded generator,
+and append one traffic record per repair, so identical seeds replay
+identical histories.
 """
 
 from __future__ import annotations
@@ -73,20 +73,6 @@ class HelperPolicy:
         return max(feasible) if self.strategy == "max-d" else min(feasible)
 
 
-def _residues(source, q: int) -> np.ndarray:
-    """`[int(s) % q for s in source]` as an array: one array remainder for
-    a 1-D integer array, or a list numpy reads as one; ints beyond int64,
-    FieldElements, floats and bools go through `field.residues`."""
-    try:
-        vals = np.asarray(source)
-    except ValueError:  # a ragged nested list, which int() refuses below
-        vals = None
-    if vals is not None and vals.ndim == 1 and vals.dtype.kind in "iu":
-        wide = np.dtype(vals.dtype.kind + "8")  # a uint64 stays unsigned, so 2**63.. reduce exactly
-        return (vals.astype(wide, copy=False) % wide.type(q)).astype(np.int64, copy=False)
-    return residues(source, q)
-
-
 @dataclass(frozen=True)
 class LedgerEntry:
     stripe_count: int
@@ -132,7 +118,7 @@ class Cluster:
     # operations ------------------------------------------------------------
 
     def store(self, source_symbols) -> None:
-        vals = _residues(source_symbols, self.params.q)
+        vals = residues(source_symbols, self.params.q)
         f_sym = self.params.file_symbols
         if len(vals) % f_sym != 0:
             raise ValueError(
@@ -181,18 +167,18 @@ class Cluster:
         helpers = tuple(sorted(int(h) for h in rng.choice(alive, size=d, replace=False)))
 
         gamma, beta = self.params.total_bandwidth[d], self.params.per_node_bandwidth[d]
-        bundle = stripe_bundler(self.params, f, d)
-        sent = [bundle(self._stored[h]) for h in helpers]
+        sent = stripe_bundler(self.params, f, d)({h: self._stored[h] for h in helpers})
         # a bundle array of another shape would misalign every stripe sliced from it
-        if any(b.shape != (self.stripes, beta) for b in sent):
-            moved = sum(b.shape[-1] for b in sent)
-            raise AssertionError(f"stripe 0: helpers sent {moved} symbols, gamma({d}) = {gamma}")
-        field = self.params.field
-        senders = [(h, field.elements(b.reshape(-1))) for h, b in zip(helpers, sent)]
+        if sent.shape != (self.stripes, gamma):
+            raise AssertionError(f"stripe 0: helpers sent {sent.shape[1]} symbols, gamma({d}) = {gamma}")
+        symbols = self.params.field.elements(sent.reshape(-1))
         rebuilt = np.empty((self.stripes, self.params.alpha), dtype="<u2")
         for s in range(self.stripes):
-            lo, hi = s * beta, (s + 1) * beta
-            bundles = [RepairBundle(h, f, d, symbols[lo:hi]) for h, symbols in senders]
+            lo = s * gamma  # a stripe's bundles, grouped by helper in ascending order
+            bundles = [
+                RepairBundle(h, f, d, symbols[lo + i * beta : lo + (i + 1) * beta])
+                for i, h in enumerate(helpers)
+            ]
             rebuilt[s] = repair(f, bundles, self.params).symbol_values()
 
         self._stored[f] = rebuilt

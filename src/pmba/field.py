@@ -228,8 +228,11 @@ class FieldElement:
 
 
 def residues(values, q: int) -> np.ndarray:
-    """`[int(v) % q for v in values]` as an int64 array: a FieldElement's
-    value is read as it is and any other value reduced through `int`, then
-    one array remainder reduces them all."""
+    """`[int(v) % q for v in values]` as an int64 array: one array remainder
+    for a 1-D integer ndarray, else a FieldElement's value read as it is
+    and any other value reduced through `int`, then one array remainder."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        wide = np.dtype(values.dtype.kind + "8")  # a uint64 stays unsigned, so 2**63.. reduce exactly
+        return (values.astype(wide, copy=False) % wide.type(q)).astype(np.int64, copy=False)
     values = [v.value if isinstance(v, FieldElement) else int(v) % q for v in values]
     return np.array(values, dtype=np.int64) % q

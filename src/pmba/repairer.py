@@ -12,10 +12,11 @@ and afterwards adds it back into the rebuilt segment; `repair_matrix` runs
 this peel once on all d*beta unit bundles, giving the map from stacked
 bundles to node f. Neither map depends on the stripe: each is built once
 per code, f and d or helper set and held, read-only, in a bounded cache.
-`make_repair_bundle` and `repair` apply them to one stripe,
-`striping.stripe_repairer` both to a batch, and `striping.stripe_bundler`
-`bundle_map` alone to one helper's batch. Per helper exactly beta(d) =
-alpha / (d-k+1) symbols move, the MDS minimum, for every d in D at once.
+`make_repair_bundle` and `repair` apply them to one stripe. On a batch,
+`striping.stripe_bundler` applies `bundle_map` to any helpers' payloads,
+and `striping.stripe_repairer` is that bundler followed by `repair_matrix`.
+Per helper exactly beta(d) = alpha / (d-k+1) symbols move, the MDS
+minimum, for every d in D at once.
 """
 
 from __future__ import annotations

@@ -6,28 +6,27 @@ linear over the field, and each path derives its linear map in closed form
 from the construction: the encoding map places each node's Vandermonde
 row into the banded message-matrix layout, decoding applies the
 reconstructor's `peel_maps` (one k(k-1)-square inverse peels every block
-pair), and repair applies the repairer's `bundle_map` to each helper's
-payload and its `repair_matrix` to the stacked bundles. Each of the four
-kernel builders, `stripe_encoder`, `stripe_decoder`, `stripe_repairer`
-and `stripe_bundler` (one helper's side of a repair: its payload through
-`bundle_map` alone), builds its map once and returns a function that
-applies it to one batch of stripes in BLAS matrix products, one tile of
-stripes at a time: a tile holds about TILE_VALUES float values, so each
-product and its reduction mod q run in cache. The products stay exact:
-every product of residues and every sum of them is an integer, and each
-builder picks the float dtype from the largest sum its inner dimensions
-allow, float32 below 2**22 and float64 below 2**51, the bounds below
-which both the products and the reduction mod q are exact; past 2**51 it
-refuses. At the default q = 257 the encoders and decoders of (3,2,7),
-(4,3,13) and (3,5,20), the repairers of the first two and every bundler
-run float32; the (3,5,20) repairers, which sum 144 to 240 products, run
-float64.
+pair), and repair takes the paper's two steps: `stripe_bundler` maps the
+helpers' payloads through the repairer's `bundle_map` to the beta symbols
+each sends, and `stripe_repairer` combines the d*beta of them through
+`repair_matrix`, one `_tiled_product` serving both. Each kernel builder,
+`stripe_encoder`, `stripe_decoder`, `stripe_bundler` and `stripe_repairer`,
+builds its maps once and returns a function that applies them to one batch
+of stripes in BLAS matrix products, one tile of stripes at a time: a tile
+holds about TILE_VALUES float values, so each product and its reduction
+mod q run in cache. The products stay exact: every product of residues and
+every sum of them is an integer, and each stage picks the float dtype from
+the largest sum its inner dimensions allow, float32 below 2**22 and float64
+below 2**51, the bounds below which both the products and the reduction
+mod q are exact; past 2**51 it refuses. At the default q = 257 every stage
+of (3,2,7), (4,3,13) and (3,5,20) runs float32 but the (3,5,20) combine
+stage, which sums 144 to 240 products and runs float64.
 Encoding reads, for each block column, only the band of source blocks its
 k-1 stored columns share, and each decode step only one block column and
 the block carried over from the step before. Each kernel returns `<u2`
 symbols, the dtype shard files hold. Each builder runs its function once,
-one self-check per kernel, on a fixed self-check batch before returning
-it, against the stepwise codec alone: the encoder must give the stepwise
+one self-check per kernel, on a self-check batch made once per code,
+against the stepwise codec alone: the encoder must give the stepwise
 encoder's payloads, the decoder the source, the repairer node f's
 payload, and the bundler, on a helper's payload, the bundles
 `make_repair_bundle` makes of it, so no caller's data can blind the check.
@@ -38,6 +37,8 @@ the encoder and the bundler.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,16 +100,20 @@ def source_to_bytes(source: np.ndarray, original_length: int) -> bytes:
     return b"".join(batches_to_bytes([source], original_length))
 
 
+@lru_cache(maxsize=32)
 def _self_check_batch(params: CodeParams):
     """Two source stripes and the stepwise encoder's `<u2` payloads for them,
-    indexed [node-1, stripe, symbol]. Stripe 0 is all q-1, so no source
-    symbol is zero; stripe 1 is 1, 2, .. (mod q-1), so a kernel that mixes
-    the stripes of a batch fails too."""
+    indexed [node-1, stripe, symbol], both read-only and made once per code.
+    Stripe 0 is all q-1, so no source symbol is zero; stripe 1 is 1, 2, ..
+    (mod q-1), so a kernel that mixes the stripes of a batch fails too."""
     f_sym, q = params.file_symbols, params.q
     source = np.stack([np.full(f_sym, q - 1), 1 + np.arange(f_sym) % (q - 1)])
     coded = [encode_all(build_message_matrix(row.tolist(), params), params) for row in source]
     symbols = [[shard.symbol_values() for shard in shards] for shards in coded]
-    return source, np.array(symbols, dtype="<u2").swapaxes(0, 1)
+    payloads = np.array(symbols, dtype="<u2").swapaxes(0, 1)
+    for a in (source, payloads):
+        a.flags.writeable = False
+    return source, payloads
 
 
 def _self_check(kernel: str, got: np.ndarray, want: np.ndarray, oracle="encoder") -> None:
@@ -295,72 +300,52 @@ def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
     return stripe_decoder(params, payloads)(payloads)
 
 
-def stripe_repairer(params: CodeParams, f: int, helpers):
-    """Build the repair map for node f from the given helpers once; returns
-    a function that rebuilds one batch.
+def _tiled_product(matrix: np.ndarray, q: int, terms: int, kernel: str, blocks: int = 1):
+    """The product mod q by one (a, b) map, in `_check_exact`'s dtype for sums
+    of `terms` products: a function from a list of (stripes, a) arrays of
+    residues to one C-contiguous (stripes, len(list)*b) `<u2` array, array
+    i's products in column block i, reduced one float tile at a time."""
+    dtype = _check_exact(q, terms, kernel)
+    matrix = matrix.astype(dtype)
+    a, b = matrix.shape
+    # an input tile and the products of `blocks` arrays, counted twice for
+    # the temporary `_reduce` makes, so that both stay in cache
+    rows = _tile_rows(a + 2 * blocks * b)
 
-    The function maps a dict of the helpers' (stripes, alpha) payloads of
-    residues, of any integer dtype, to node f's (stripes, alpha) `<u2`
-    payload, through the d*beta bundle symbols the helpers would send. The
-    builder refuses a function that does not return node f's self-check
-    payload from the helpers'.
-    """
-    helpers = sorted(helpers)
-    decoding = repair_matrix(params, f, helpers)  # refuses f and the helpers
-    d, alpha, q = len(helpers), params.alpha, params.q
-    seg, beta = session_shape(params, d)
-    # a bundle symbol sums seg products, a rebuilt symbol d*beta
-    dtype = _check_exact(q, max(seg, d * beta), "repairer")
-    bundling = bundle_map(params, f, d).astype(dtype)
-    decode_t = decoding.T.astype(dtype)
-    rows = _tile_rows(2 * alpha + d * beta)  # a payload, its bundles and node f's rebuilt tile
-
-    def rebuild(payloads: dict) -> np.ndarray:
-        stripes = payloads[helpers[0]].shape[0]
-        out = np.empty((stripes, alpha), dtype="<u2")
-        payload, bundles = np.empty((rows, alpha), dtype), np.empty((rows, d * beta), dtype)
+    def product(arrays) -> np.ndarray:
+        stripes, width = arrays[0].shape[0], len(arrays) * b
+        out = np.empty((stripes, width), dtype="<u2")
+        tile, products = np.empty((rows, a), dtype), np.empty((rows, width), dtype)
         for s in range(0, stripes, rows):
             m = min(rows, stripes - s)
-            for i, h in enumerate(helpers):
-                payload[:m] = payloads[h][s : s + m]
-                np.matmul(payload[:m], bundling, out=bundles[:m, i * beta : (i + 1) * beta])
-            _reduce(bundles[:m], q)
-            _reduce(bundles[:m] @ decode_t, q, out=out[s : s + m])
+            for i, x in enumerate(arrays):
+                tile[:m] = x[s : s + m]
+                np.matmul(tile[:m], matrix, out=products[:m, i * b : (i + 1) * b])
+            _reduce(products[:m], q, out=out[s : s + m])
         return out
 
-    _, payloads = _self_check_batch(params)
-    _self_check("repairer", rebuild({h: payloads[h - 1] for h in helpers}), payloads[f - 1])
-    return rebuild
+    return product
 
 
 def stripe_bundler(params: CodeParams, f: int, d: int):
-    """Build one helper's side of the repair of node f from d helpers once;
+    """Build the helpers' side of the repair of node f from d helpers once;
     returns a function that bundles one batch.
 
-    The function maps a helper's (stripes, alpha) payload of residues, of
-    any integer dtype, to the (stripes, beta) `<u2` bundle symbols it sends
-    node f, the symbols `make_repair_bundle` gives one stripe at a time.
-    The map does not depend on which helper sends. The builder refuses a
-    function that does not give the stepwise bundles of a helper's
-    self-check payload.
+    The function maps a dict of helpers' (stripes, alpha) payloads of
+    residues, of any integer dtype, to one (stripes, len(dict)*beta) `<u2`
+    array: each helper's beta bundle symbols for node f, the symbols
+    `make_repair_bundle` gives one stripe at a time, grouped by helper in
+    ascending node order as `repair_matrix`'s columns are. The map does not
+    depend on which helper sends. The builder refuses a function that does
+    not give the stepwise bundles of a helper's self-check payload.
     """
-    seg, beta = session_shape(params, d)  # refuses a d outside D
+    seg, _ = session_shape(params, d)  # refuses a d outside D
     check_repair_nodes(params, f, ())
-    alpha, q = params.alpha, params.q
-    dtype = _check_exact(q, seg, "bundler")  # a bundle symbol sums one segment's products
-    bundling = bundle_map(params, f, d).astype(dtype)
-    rows = _tile_rows(alpha + beta)  # a payload tile and its bundles
+    # a bundle symbol sums one segment's products
+    product = _tiled_product(bundle_map(params, f, d), params.q, seg, "bundler", blocks=d)
 
-    def bundle(payload: np.ndarray) -> np.ndarray:
-        stripes = payload.shape[0]
-        out = np.empty((stripes, beta), dtype="<u2")
-        tile, sent = np.empty((rows, alpha), dtype), np.empty((rows, beta), dtype)
-        for s in range(0, stripes, rows):
-            m = min(rows, stripes - s)
-            tile[:m] = payload[s : s + m]
-            np.matmul(tile[:m], bundling, out=sent[:m])
-            _reduce(sent[:m], q, out=out[s : s + m])
-        return out
+    def bundle(payloads: dict) -> np.ndarray:
+        return product([payloads[h] for h in sorted(payloads)])
 
     _, payloads = _self_check_batch(params)
     h = 2 if f == 1 else 1  # any helper but f
@@ -370,8 +355,32 @@ def stripe_bundler(params: CodeParams, f: int, d: int):
         for row in payloads[h - 1]
     ]
     want = np.array([[s.value for s in b.symbols] for b in bundles], dtype="<u2")
-    _self_check("bundler", bundle(payloads[h - 1]), want, oracle="make_repair_bundle")
+    _self_check("bundler", bundle({h: payloads[h - 1]}), want, oracle="make_repair_bundle")
     return bundle
+
+
+def stripe_repairer(params: CodeParams, f: int, helpers):
+    """Build the repair map for node f from the given helpers once; returns
+    a function that rebuilds one batch: `stripe_bundler` for d helpers, then
+    `repair_matrix` on their d*beta bundle symbols, each in its own dtype.
+
+    The function maps a dict of the helpers' (stripes, alpha) payloads of
+    residues, of any integer dtype, to node f's (stripes, alpha) `<u2`
+    payload. The builder refuses a function that does not return node f's
+    self-check payload from the helpers'.
+    """
+    helpers = sorted(helpers)
+    decoding = repair_matrix(params, f, helpers)  # refuses f and the helpers
+    # a rebuilt symbol sums all d*beta bundle symbols' products, the larger sum
+    combine = _tiled_product(decoding.T, params.q, decoding.shape[1], "repairer")
+    bundle = stripe_bundler(params, f, len(helpers))
+
+    def rebuild(payloads: dict) -> np.ndarray:
+        return combine([bundle({h: payloads[h] for h in helpers})])  # reads no other node
+
+    _, payloads = _self_check_batch(params)
+    _self_check("repairer", rebuild({h: payloads[h - 1] for h in helpers}), payloads[f - 1])
+    return rebuild
 
 
 def repair_stripes(payloads: dict, f: int, params: CodeParams) -> np.ndarray:

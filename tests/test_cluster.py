@@ -229,9 +229,15 @@ def test_repair_on_an_empty_cluster_books_nominal_traffic():
 
 
 def short_bundler(*args):
-    """A `stripe_bundler` whose bundles come back one column short."""
+    """A `stripe_bundler` whose bundles come back one column short per helper."""
     bundle = pmba.striping.stripe_bundler(*args)
-    return lambda payload: bundle(payload)[:, :-1]
+
+    def short(payloads):
+        sent = bundle(payloads)
+        beta = sent.shape[1] // len(payloads)
+        return np.delete(sent, np.s_[beta - 1 :: beta], axis=1)  # each helper's last column
+
+    return short
 
 
 def test_repair_traffic_must_equal_gamma(monkeypatch):
@@ -368,9 +374,18 @@ def test_each_run_repair_builds_one_bundler_and_bundles_no_stripe_stepwise(monke
     params = derive_params(4, 3, 13)
     stripes = 40
     c, source = loaded_cluster(stripes=stripes, seed=103, params=params)
-    builds, stepwise = [], []
+    builds, sends, stepwise = [], [], []
     real_build = pmba.cluster.stripe_bundler
-    monkeypatch.setattr(pmba.cluster, "stripe_bundler", lambda *a: (builds.append(a), real_build(*a))[1])
+
+    def build(*args):
+        builds.append(args)
+        bundle = real_build(*args)
+        return lambda payloads: (sends.append((args[2], sorted(payloads))), bundle(payloads))[1]
+
+    monkeypatch.setattr(pmba.cluster, "stripe_bundler", build)
+    lengths = []
+    real_elements = PrimeField.elements
+    monkeypatch.setattr(PrimeField, "elements", lambda f, v: (lengths.append(len(v)), real_elements(f, v))[1])
     for module in (pmba.repairer, pmba.striping):
         real = module.make_repair_bundle
         monkeypatch.setattr(
@@ -380,6 +395,12 @@ def test_each_run_repair_builds_one_bundler_and_bundles_no_stripe_stepwise(monke
         c.fail_node(7)
         c.run_repair(7, HelperPolicy.parse(policy), rng_seed=seed)
     assert builds == [(params, 7, 6), (params, 7, 12)]
+    # one bundler call per repair sends every helper's bundles, and the new
+    # node reads them as one element tuple
+    assert [d for d, _ in sends] == [6, 12]
+    assert [h for _, h in sends] == [list(e.helpers) for e in c.traffic_ledger]
+    gammas = [stripes * params.total_bandwidth[d] for d in (6, 12)]
+    assert [n for n in lengths if n in gammas] == gammas
     assert not hasattr(pmba.cluster, "make_repair_bundle")
     # only the bundlers' self-checks run the stepwise bundle: one call per
     # self-check stripe, not one per helper per stored stripe

@@ -134,16 +134,19 @@ def check_every_kernel(params, seed):
 def test_every_kernel_matches_an_int64_reference_at_the_largest_modulus(code, monkeypatch):
     picked = record_dtypes(monkeypatch)
     check_every_kernel(derive_params(*code, q=65521), sum(code))
-    assert picked == {kernel: {np.float64} for kernel in ("encoder", "decoder", "repairer")}
+    assert picked == {kernel: {np.float64} for kernel in ("encoder", "decoder", "bundler", "repairer")}
 
 
 # The dtype each kernel of the default grid runs at the default q = 257,
 # where a product of two residues is at most 2**16, so float32 takes up to
-# 63 terms: the (3,5,20) repairer sums d*beta = 144 (d = 12) to 240 (d = 4).
+# 63 terms. A repairer runs two stages: its bundler sums seg = d-k+1 <= 10
+# terms, and its combine stage ("repairer") d*beta, which at (3,5,20) is
+# 144 (d = 12) to 240 (d = 4), so there the bundles run float32 and the
+# combine float64.
 DEFAULT_Q_DTYPES = {
-    (3, 2, 7): {"encoder": np.float32, "decoder": np.float32, "repairer": np.float32},
-    (4, 3, 13): {"encoder": np.float32, "decoder": np.float32, "repairer": np.float32},
-    (3, 5, 20): {"encoder": np.float32, "decoder": np.float32, "repairer": np.float64},
+    (3, 2, 7): {"encoder": np.float32, "decoder": np.float32, "bundler": np.float32, "repairer": np.float32},
+    (4, 3, 13): {"encoder": np.float32, "decoder": np.float32, "bundler": np.float32, "repairer": np.float32},
+    (3, 5, 20): {"encoder": np.float32, "decoder": np.float32, "bundler": np.float32, "repairer": np.float64},
 }
 
 
@@ -171,9 +174,10 @@ def periodic_stripes(code, q):
     return params, source, reference_encode(source, params)
 
 
-def tile_edge_counts(monkeypatch, build):
-    """Build a kernel, reading the rows per tile it takes; returns the
-    kernel and the stripe counts at its tile edges."""
+def tile_edge_counts(monkeypatch, build, stages=1):
+    """Build a kernel of `stages` tiled stages, reading the rows per tile
+    each takes; returns the kernel and the stripe counts at every stage's
+    tile edges."""
     rows = []
     real = striping._tile_rows
 
@@ -184,8 +188,8 @@ def tile_edge_counts(monkeypatch, build):
     monkeypatch.setattr(striping, "_tile_rows", spy)
     kernel = build()
     monkeypatch.setattr(striping, "_tile_rows", real)
-    (r,) = rows
-    return kernel, [1, r - 1, r, r + 1, 2 * r + 3]
+    assert len(rows) == stages
+    return kernel, sorted({count for r in rows for count in (1, r - 1, r, r + 1, 2 * r + 3)})
 
 
 @pytest.mark.parametrize("q", [257, 65521])
@@ -210,8 +214,9 @@ def test_every_kernel_matches_the_reference_at_each_tile_edge(code, q, monkeypat
     others = [h for h in range(1, params.n + 1) if h != f]
     for d in params.helper_counts:
         helpers = sorted(int(h) for h in rng.choice(others, d, replace=False))
+        # the combine stage's tile and the bundler's
         rebuild, counts = tile_edge_counts(
-            monkeypatch, lambda: striping.stripe_repairer(params, f, helpers)
+            monkeypatch, lambda: striping.stripe_repairer(params, f, helpers), stages=2
         )
         for count in counts:
             period = np.arange(count) % PERIOD
@@ -271,15 +276,22 @@ def test_the_bundler_matches_the_stepwise_bundles_for_every_f_and_d(code, q, mon
         for d in params.helper_counts:
             seg, beta = session_shape(params, d)
             want = stepwise_bundles(params, coded[h - 1], h, f, d)
+            # the d nodes after f, h first, so the dict is out of node order once they wrap
+            helpers = [(f + i) % params.n + 1 for i in range(d)]
             picked.clear()
             bundle, counts = tile_edge_counts(monkeypatch, lambda: striping.stripe_bundler(params, f, d))
             assert picked == {"bundler": {BUNDLER_DTYPES[q]}}
             assert BUNDLER_DTYPES[q] is striping._check_exact(q, seg, "bundler")
             for count in counts:
                 period = np.arange(count) % PERIOD
-                got = bundle(coded[h - 1, period])
+                got = bundle({h: coded[h - 1, period]})
                 assert got.dtype == np.dtype("<u2") and got.shape == (count, beta)
                 assert np.array_equal(got, want[period]), (f, d, count)
+                # every helper's bundles side by side, in ascending node order
+                together = bundle({j: coded[j - 1, period] for j in helpers})
+                alone = [bundle({j: coded[j - 1, period]}) for j in sorted(helpers)]
+                assert together.dtype == np.dtype("<u2") and together.flags.c_contiguous
+                assert np.array_equal(together, np.concatenate(alone, axis=1)), (f, d, count)
 
 
 def test_the_bundler_refuses_what_make_repair_bundle_refuses():
@@ -292,6 +304,43 @@ def test_the_bundler_refuses_what_make_repair_bundle_refuses():
     # the helper count is judged first, as in make_repair_bundle
     with pytest.raises(ValueError, match="valid D"):
         striping.stripe_bundler(params, 0, 5)
+
+
+def test_a_repairer_is_one_bundler_then_a_combine_stage_each_in_its_own_dtype(monkeypatch):
+    params = derive_params(3, 5, 20)
+    assert params.q == 257
+    builds = []
+    real = striping.stripe_bundler
+    monkeypatch.setattr(striping, "stripe_bundler", lambda *a: (builds.append(a), real(*a))[1])
+    picked = record_dtypes(monkeypatch)
+    striping.stripe_repairer(params, 9, (1, 2, 3, 4))
+    assert builds == [(params, 9, 4)]
+    # seg = 2 terms per bundle symbol, d*beta = 240 per rebuilt one
+    assert picked == {"bundler": {np.float32}, "repairer": {np.float64}}
+
+
+def test_the_repairer_reads_its_own_helpers_payloads_only():
+    params = derive_params(3, 2, 7)
+    coded = striping.stripe_encoder(params)(np.random.default_rng(5).integers(0, 256, (9, params.file_symbols)))
+    rebuild = striping.stripe_repairer(params, 1, (2, 3, 4, 5))
+    assert np.array_equal(rebuild({j: coded[j - 1] for j in range(2, 8)}), coded[0])
+    with pytest.raises(KeyError):  # four payloads, but not those of its helpers
+        rebuild({j: coded[j - 1] for j in (3, 4, 5, 6)})
+
+
+def test_the_self_check_batch_is_made_once_per_code_and_refuses_writes(monkeypatch):
+    params = derive_params(4, 3, 13)
+    calls = []
+    real = striping.encode_all
+    monkeypatch.setattr(striping, "encode_all", lambda *a: (calls.append(a), real(*a))[1])
+    striping._self_check_batch.cache_clear()
+    striping.stripe_repairer(params, 1, range(2, 8))  # a bundler and a combine stage
+    striping.stripe_encoder(params)
+    source, payloads = striping._self_check_batch(params)
+    assert len(calls) == len(source) == 2  # one stepwise encode per stripe of one batch
+    for a in (source, payloads):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
 
 
 def test_the_bundler_refuses_past_the_bound_before_its_self_check(monkeypatch):

@@ -198,21 +198,31 @@ def test_each_command_builds_its_map_and_checks_stripe_0_once(tmp_path, monkeypa
     _, _, shards = encode_file(tmp_path, params, data)
 
     # encode_all is the stepwise oracle, run once per stripe of the self-check
-    # the decode maps' one inverse runs in the reconstructor's peel_maps
-    names = dict.fromkeys(["encode_matrix", "repair_matrix", "encode_all"], striping)
+    # batch, which is cached per code: each command starts with it cleared.
+    # _self_check runs once per kernel, and a repairer is two: its bundler
+    # and its combine stage. The decode maps' one inverse runs in the
+    # reconstructor's peel_maps.
+    names = dict.fromkeys(["encode_matrix", "repair_matrix", "encode_all", "_self_check", "stripe_bundler"], striping)
     names["invert"] = reconstructor
     counts = count_calls(monkeypatch, names)
+
+    def start():
+        counts.update(dict.fromkeys(names, 0))
+        striping._self_check_batch.cache_clear()
+
+    start()
     encode_file(tmp_path, params, data)
-    assert (counts["encode_matrix"], counts["encode_all"]) == (1, 2)
+    assert (counts["encode_matrix"], counts["encode_all"], counts["_self_check"]) == (1, 2, 1)
 
-    counts.update(dict.fromkeys(names, 0))
+    start()
     assert main(["reconstruct", *(str(shards[j]) for j in (2, 4, 7)), "-o", str(tmp_path / "o")]) == 0
-    assert (counts["encode_matrix"], counts["invert"], counts["encode_all"]) == (1, 1, 2)
+    assert (counts["encode_matrix"], counts["invert"], counts["encode_all"], counts["_self_check"]) == (1, 1, 2, 1)
 
-    counts.update(dict.fromkeys(names, 0))
+    start()
     helpers = [str(shards[h]) for h in (1, 2, 4, 5, 6, 7)]
     assert main(["repair", *helpers, "-f", "3", "--out", str(tmp_path / "r")]) == 0
     assert (counts["repair_matrix"], counts["encode_all"], counts["encode_matrix"]) == (1, 2, 0)
+    assert (counts["stripe_bundler"], counts["_self_check"]) == (1, 2)
     capsys.readouterr()
 
 

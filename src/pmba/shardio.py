@@ -13,7 +13,12 @@ payload bytes, so a file is never held in memory whole. Every write goes
 to a temp file in the target directory that is synced to disk and renamed
 into place, so a crash never leaves a truncated file behind; a missing
 target directory is created, and synced into its parent with the file, or
-removed again, if left empty, when the write fails.
+removed again, if left empty, when the write fails. Each write also asks
+the kernel to start writing its bytes back to disk at once, without
+waiting (Linux `sync_file_range`; elsewhere, or where the file refuses it,
+nothing happens), so disk I/O overlaps encoding and dirty page cache does
+not grow to a whole shard set before the commit. The `fsync` at commit is
+still what makes a file durable.
 `atomic_set` renames several such files as one set. `ShardSet` opens the
 shards of one encoding, reads only the nodes a command asks for, and
 checks a manifest's code fields at open and its CRC-32s after the last
@@ -23,6 +28,7 @@ batch.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import errno
 import itertools
 import os
@@ -105,6 +111,30 @@ def pack_header(header: ShardHeader) -> bytes:
     return _FIXED.pack(MAGIC, FORMAT_VERSION, *fixed) + struct.pack(f"<{header.n}H", *points)
 
 
+def _resolve_sync_file_range():
+    """libc's sync_file_range, or None where it has none (not Linux)."""
+    try:
+        call = ctypes.CDLL(None, use_errno=True).sync_file_range
+    except (AttributeError, OSError, TypeError):
+        return None
+    call.argtypes = (ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_uint)
+    call.restype = ctypes.c_int
+    return call
+
+
+_sync_file_range = _resolve_sync_file_range()
+_SYNC_FILE_RANGE_WRITE = 2
+
+
+def _start_write_back(fd: int, offset: int, nbytes: int) -> None:
+    """Start writing bytes [offset, offset + nbytes) of `fd` back to disk,
+    without waiting. A length of 0 would mean "to the end of the file", so
+    an empty range starts nothing; a refusal (-1: ESPIPE, EINVAL, ENOSYS) is
+    ignored, since the fsync at commit writes back whatever is left."""
+    if nbytes and _sync_file_range is not None:
+        _sync_file_range(fd, offset, nbytes, _SYNC_FILE_RANGE_WRITE)
+
+
 def _fsync_dir(directory) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
@@ -122,7 +152,8 @@ class AtomicFile(contextlib.AbstractContextManager):
     to disk and closes it; `commit` renames it into place through
     `atomic_set`; `discard` removes it and then each directory it created
     that is left empty. As a context manager it commits on a clean exit and
-    discards on an exception.
+    discards on an exception. Each `write` is flushed and its bytes' write-back
+    started at once, so that `sync` finds them mostly on disk already.
     """
 
     def __init__(self, path):
@@ -134,9 +165,13 @@ class AtomicFile(contextlib.AbstractContextManager):
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
         self._fh = os.fdopen(fd, "wb")
+        self._size = 0  # bytes written so far
 
     def write(self, data) -> None:
-        self._fh.write(data)
+        nbytes = self._fh.write(data)
+        self._fh.flush()
+        _start_write_back(self._fh.fileno(), self._size, nbytes)
+        self._size += nbytes
 
     def sync(self) -> None:
         self._fh.flush()

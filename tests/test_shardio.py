@@ -1,7 +1,9 @@
 # tests/test_shardio.py
 import dataclasses
+import os
 import re
 import shutil
+import sys
 import tempfile
 
 import numpy as np
@@ -504,6 +506,19 @@ def test_an_atomic_set_creates_missing_directories_and_syncs_each_into_its_paren
     assert [(a / "b" / "x").read_bytes(), (a / "c" / "y").read_bytes()] == [b"data"] * 2
     # each target directory, then the parent of each directory a file created
     assert synced == [a / "b", a, tmp_path, a / "c"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sync_file_range is Linux's")
+def test_write_back_uses_the_kernel_call_and_ignores_its_refusal():
+    assert shardio._sync_file_range is not None
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"data")
+        assert shardio._sync_file_range(write_end, 0, 4, shardio._SYNC_FILE_RANGE_WRITE) == -1
+        shardio._start_write_back(write_end, 0, 4)  # ESPIPE: nothing happens
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_an_atomic_file_refuses_a_directory_target_before_making_a_temp_file(

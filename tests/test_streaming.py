@@ -5,10 +5,14 @@
 # few stripes and check that batch boundaries change no output byte, that
 # encode writes the exact bytes pinned by digest, that each command builds
 # its linear map and runs its self-check once, that a failure mid-stream
-# leaves no file behind, that written files follow the umask, and that peak
-# memory does not grow with the file.
+# leaves no file behind, that each write starts its own write-back while
+# every output is still fsynced before its rename, that written files follow
+# the umask, and that peak memory does not grow with the file.
+import ctypes
+import errno
 import hashlib
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmba import reconstructor, striping
+from pmba import reconstructor, shardio, striping
 from pmba.cli import main
 from pmba.matrix import InconsistencyError, Matrix
 from pmba.params import derive_params
@@ -521,6 +525,164 @@ def test_a_discarded_file_keeps_a_created_directory_that_holds_something_else(tm
     (tmp_path / "a" / "other").write_bytes(b"")
     fh.discard()
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "other"]
+
+
+# ---------------------------------------------------------------------------
+# write-back starts with each write; fsync at commit stays the guarantee
+# ---------------------------------------------------------------------------
+
+
+def file_id(st):
+    return st.st_dev, st.st_ino
+
+
+def record_write_back(monkeypatch):
+    """Stand in for sync_file_range; returns {file id: [(offset, nbytes)]}
+    in call order. A temp file keeps its id through the rename. Each range
+    must already be in the file, not held in a buffer."""
+    ranges = {}
+
+    def recording(fd, offset, nbytes, flags):
+        st = os.fstat(fd)
+        assert flags == shardio._SYNC_FILE_RANGE_WRITE and st.st_size == offset + nbytes
+        ranges.setdefault(file_id(st), []).append((offset, nbytes))
+        return 0
+
+    monkeypatch.setattr(shardio, "_sync_file_range", recording)
+    return ranges
+
+
+def assert_written_back(ranges, path, writes):
+    """`path`'s recorded ranges are `writes` non-empty ranges, in order and
+    contiguous, that cover exactly [0, its size)."""
+    got = ranges.pop(file_id(path.stat()), [])
+    assert len(got) == writes, (path.name, got)
+    end = 0
+    for offset, nbytes in got:
+        assert offset == end and nbytes > 0, (path.name, got)
+        end += nbytes
+    assert end == path.stat().st_size, (path.name, got)
+
+
+@pytest.mark.parametrize("stripes", [3 * BATCH - 1, 0], ids=["three-batches", "empty"])
+def test_each_write_starts_the_write_back_of_exactly_its_bytes(stripes, tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params)
+    ranges = record_write_back(monkeypatch)
+    length = max(stripes * params.file_symbols - 5, 0)
+    data = np.random.default_rng(stripes).integers(0, 256, length, dtype=np.uint8).tobytes()
+    batches = 3 if length else 0
+    _, out_dir, shards = encode_file(tmp_path, params, data)
+    for shard in shards.values():  # the header, then one payload per batch
+        assert_written_back(ranges, shard, 1 + batches)
+    assert_written_back(ranges, out_dir / "in.bin.manifest", 1)
+    assert ranges == {}
+
+    out = tmp_path / "out.bin"
+    assert main(["reconstruct", *(str(shards[j]) for j in (2, 5, 7)), "-o", str(out)]) == 0
+    assert out.read_bytes() == data
+    assert_written_back(ranges, out, batches)
+    assert ranges == {}
+
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["repair", *(str(shards[h]) for h in (1, 2, 4, 6)), "-f", "3", "--out", str(rebuilt)]) == 0
+    assert rebuilt.read_bytes() == shards[3].read_bytes()
+    assert_written_back(ranges, rebuilt, 1 + batches)
+    assert ranges == {}
+    capsys.readouterr()
+
+
+def record_durability(monkeypatch):
+    """Log ("fsync", file id, is a directory) and ("replace", file id, target)
+    events in order, running the real calls."""
+    events, real_fsync, real_replace = [], os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", file_id(st), stat.S_ISDIR(st.st_mode)))
+        real_fsync(fd)
+
+    def replace(source, target):
+        events.append(("replace", file_id(os.stat(source)), Path(target)))
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+def assert_durable(events, outputs, directories):
+    """Each output is fsynced once, before its rename, and each directory once,
+    after the last rename; nothing else is fsynced or renamed."""
+    renames = [i for i, e in enumerate(events) if e[0] == "replace"]
+    assert sorted(events[i][2] for i in renames) == sorted(outputs)
+    for path in outputs:
+        syncs = [i for i, e in enumerate(events) if e[:2] == ("fsync", file_id(path.stat()))]
+        (rename,) = [i for i in renames if events[i][2] == path]
+        assert len(syncs) == 1 and not events[syncs[0]][2] and syncs[0] < rename, path
+    dirs = [(e[1], i) for i, e in enumerate(events) if e[0] == "fsync" and e[2]]
+    assert sorted(d for d, _ in dirs) == sorted(file_id(d.stat()) for d in directories)
+    assert all(i > max(renames) for _, i in dirs)
+    assert len(events) == 2 * len(outputs) + len(directories)
+
+
+def test_every_output_is_fsynced_before_its_rename_and_every_directory_after(tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params)
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(5).integers(0, 256, 10 * params.file_symbols, dtype=np.uint8).tobytes())
+    events = record_durability(monkeypatch)
+
+    out_dir = tmp_path / "new" / "sh"
+    assert main(["encode", str(src), "-o", str(out_dir), *code_flags(params)]) == 0
+    shards = {j: out_dir / f"in.bin.shard{j:02d}" for j in range(1, params.n + 1)}
+    # the n shards and the manifest; the target directory, then the parent of
+    # each directory encode created
+    assert_durable(events, [*shards.values(), out_dir / "in.bin.manifest"], [out_dir, tmp_path / "new", tmp_path])
+
+    events.clear()
+    out = tmp_path / "a" / "out.bin"
+    assert main(["reconstruct", *(str(shards[j]) for j in (1, 4, 6)), "-o", str(out)]) == 0
+    assert_durable(events, [out], [out.parent, tmp_path])
+
+    events.clear()
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["repair", *(str(shards[h]) for h in (1, 3, 4, 5, 6, 7)), "-f", "2", "--out", str(rebuilt)]) == 0
+    assert_durable(events, [rebuilt], [tmp_path])
+    capsys.readouterr()
+
+
+def absent_write_back(monkeypatch):
+    monkeypatch.setattr(shardio, "_sync_file_range", None)
+
+
+def refused_write_back(monkeypatch):
+    def refusing(fd, offset, nbytes, flags):
+        ctypes.set_errno(errno.ENOSYS)
+        return -1
+
+    monkeypatch.setattr(shardio, "_sync_file_range", refusing)
+
+
+@pytest.mark.parametrize("stand_in", [absent_write_back, refused_write_back], ids=["absent", "refused"])
+def test_outputs_do_not_depend_on_the_write_back(stand_in, tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params)
+    data = np.random.default_rng(6).integers(0, 256, 10 * params.file_symbols - 3, dtype=np.uint8).tobytes()
+    outputs = {}
+    for side in ("real", "stand-in"):
+        if side == "stand-in":
+            stand_in(monkeypatch)
+        work = tmp_path / side
+        work.mkdir()
+        _, out_dir, shards = encode_file(work, params, data)
+        assert main(["reconstruct", *(str(shards[j]) for j in (3, 4, 7)), "-o", str(work / "out.bin")]) == 0
+        assert main(["repair", *(str(shards[h]) for h in (2, 3, 4, 5)), "-f", "1", "--out", str(work / "r")]) == 0
+        outputs[side] = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+    assert outputs["stand-in"] == outputs["real"]
+    assert outputs["real"][Path("out.bin")] == data
+    assert outputs["real"][Path("r")] == outputs["real"][Path("sh/in.bin.shard01")]
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    with shardio.ShardSet(args.shards) as shards:
+    with shardio.ShardSet(args.shards, args.manifest) as shards:
         header = shards.header
         chosen = sorted(shards.readers)[: header.k]
         if args.nodes is not None:
@@ -117,7 +117,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    with shardio.ShardSet(args.shards) as shards:
+    with shardio.ShardSet(args.shards, args.manifest) as shards:
         helpers, f = sorted(shards.readers), args.failed
         if args.out:
             out_path = Path(args.out)
@@ -134,14 +134,18 @@ def cmd_repair(args) -> int:
         rebuild = striping.stripe_repairer(shards.params, f, helpers)
         out_header = dataclasses.replace(shards.header, node_index=f)
         with shardio.ShardWriter(out_path, out_header) as writer:
+            if shards.manifest is None:
+                writer.crc = None  # nothing compares it
             for batch in shards.batches(striping.batch_stripes(shards.params)):
                 writer.write(rebuild(batch))
+            if writer.crc is not None:
+                shards.check_crc(f, writer.crc, out_path)  # before the commit
     print(f"repaired node {f} from {len(helpers)} helpers ({helpers}) into {out_path}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    with shardio.ShardSet(args.shards, args.manifest) as shards:
+    with shardio.ShardSet(args.shards, args.manifest, crc=True) as shards:
         for _ in shards.batches(striping.batch_stripes(shards.params)):
             pass  # reads every payload, checking its symbols and any manifest CRC
     params, header, readers = shards.params, shards.header, shards.readers
@@ -238,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated node indices to decode from (default: lowest k)",
     )
+    p.add_argument("--manifest", default=None, help="manifest to check the nodes read against")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("repair", help="rebuild one lost shard from helper shards")
@@ -246,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = p.add_mutually_exclusive_group()
     out.add_argument("--out", default=None, help="output shard file")
     out.add_argument("--out-dir", default=None, help="directory for the derived output name")
+    p.add_argument("--manifest", default=None, help="manifest to check helpers and output against")
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("verify", help="check shard headers and payload checksums")

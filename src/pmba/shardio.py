@@ -8,21 +8,25 @@ decodable.
 
 `ShardReader` checks a file's header and payload length on open and then
 reads the payload in batches of whole stripes; `ShardWriter` writes the
-header and then appended batches. Both keep a running CRC-32 of the
-payload bytes, so a file is never held in memory whole. Every write goes
-to a temp file in the target directory that is synced to disk and renamed
-into place, so a crash never leaves a truncated file behind; a missing
-target directory is created, and synced into its parent with the file, or
-removed again, if left empty, when the write fails. Each write also asks
-the kernel to start writing its bytes back to disk at once, without
-waiting (Linux `sync_file_range`; elsewhere, or where the file refuses it,
-nothing happens), so disk I/O overlaps encoding and dirty page cache does
-not grow to a whole shard set before the commit. The `fsync` at commit is
-still what makes a file durable.
+header and then appended batches, so a file is never held in memory whole.
+Both keep a running CRC-32 of the payload bytes, one `zlib.crc32` call per
+batch, unless their `crc` is set to None before the first batch: then they
+compute none and report None. Every write goes to a temp file in the
+target directory that is synced to disk and renamed into place, so a crash
+never leaves a truncated file behind; a missing target directory is
+created, and synced into its parent with the file, or removed again, if
+left empty, when the write fails. Each write also asks the kernel to start
+writing its bytes back to disk at once, without waiting (Linux
+`sync_file_range`; elsewhere, or where the file refuses it, nothing
+happens), so disk I/O overlaps encoding and dirty page cache does not grow
+to a whole shard set before the commit. The `fsync` at commit is still
+what makes a file durable.
 `atomic_set` renames several such files as one set. `ShardSet` opens the
 shards of one encoding, reads only the nodes a command asks for, and
 checks a manifest's code fields at open and its CRC-32s after the last
-batch.
+batch. Its readers keep a CRC-32 only where something reads it: when the
+set has a manifest to compare with, or when the caller asks for them to
+print (`verify`).
 """
 
 from __future__ import annotations
@@ -252,7 +256,8 @@ class ShardWriter(AtomicFile):
     payload batches, each checked for shape and range.
 
     The header passes `shard_params` before a temp file exists. `crc` is
-    the running CRC-32 of the payload written so far. The file syncs, and
+    the running CRC-32 of the payload written so far; set to None before
+    the first batch, it stays None and none is computed. The file syncs, and
     so commits, only once the batches add up to the header's stripe count.
     """
 
@@ -270,7 +275,8 @@ class ShardWriter(AtomicFile):
         if symbols.size and int(symbols.max()) >= self.header.q:
             raise ValueError(f"payload symbol >= q = {self.header.q}")
         payload = np.ascontiguousarray(symbols, dtype="<u2")
-        self.crc = zlib.crc32(payload, self.crc)
+        if self.crc is not None:
+            self.crc = zlib.crc32(payload, self.crc)
         super().write(payload)
         self.stripes += symbols.shape[0]
 
@@ -294,7 +300,8 @@ class ShardReader(contextlib.AbstractContextManager):
 
     The payload is read in batches of whole stripes; each batch is checked
     symbol by symbol against q, and `crc` is the running CRC-32 of the
-    payload read so far, `stripes` the number of stripes read.
+    payload read so far (set to None before the first batch, it stays None
+    and none is computed), `stripes` the number of stripes read.
     """
 
     def __init__(self, path):
@@ -347,7 +354,8 @@ class ShardReader(contextlib.AbstractContextManager):
         symbols = np.frombuffer(payload, dtype="<u2").reshape(stripes, self.params.alpha)
         if symbols.size and int(symbols.max()) >= self.header.q:
             raise ShardFormatError(f"{self.path}: payload symbol >= q = {self.header.q}")
-        self.crc = zlib.crc32(payload, self.crc)
+        if self.crc is not None:
+            self.crc = zlib.crc32(payload, self.crc)
         self.stripes += stripes
         return symbols
 
@@ -419,17 +427,21 @@ class ShardSet(contextlib.AbstractContextManager):
 
     A `manifest` is read before any shard is opened and its code fields are
     compared with the first header; `batches` compares each node it read
-    with the manifest's CRC-32 after the last batch. Values are compared as
-    the text `manifest_file` writes.
+    with the manifest's CRC-32 after the last batch, and `check_crc` any
+    other node's. Values are compared as the text `manifest_file` writes.
+    The readers keep no CRC-32 (their `crc` is None) unless there is a
+    manifest or `crc` asks for them.
     """
 
-    def __init__(self, paths, manifest=None):
+    def __init__(self, paths, manifest=None, crc=False):
         self.manifest = manifest
         self._entries = entries = None if manifest is None else read_manifest(manifest)
         self.readers, first = {}, None
         with contextlib.ExitStack() as stack:
             for p in paths:
                 reader = stack.enter_context(ShardReader(p))
+                if entries is None and not crc:
+                    reader.crc = None  # nothing compares or prints it
                 if first is None and entries is not None:
                     for key, want in _manifest_code(reader.header).items():
                         if entries.get(key) != str(want):
@@ -473,17 +485,20 @@ class ShardSet(contextlib.AbstractContextManager):
         for start in range(0, self.header.stripe_count, count):
             stripes = min(count, self.header.stripe_count - start)
             yield {j: reader.read(stripes) for j, reader in readers.items()}
-        if self.manifest is None:
-            return
-        for j, reader in sorted(readers.items()):
-            key = f"shard{j:02d}.crc32"
-            if key not in self._entries:
-                raise ShardFormatError(f"{reader.path}: manifest {self.manifest} has no {key} line")
-            if self._entries[key] != f"{reader.crc:08x}":
-                raise ShardFormatError(
-                    f"{reader.path}: crc32 {reader.crc:08x} does not match manifest "
-                    f"{self._entries[key]}"
-                )
+        if self.manifest is not None:
+            for j, reader in sorted(readers.items()):
+                self.check_crc(j, reader.crc, reader.path)
+
+    def check_crc(self, j: int, crc: int, path) -> None:
+        """Refuse, naming `path`, a CRC-32 other than the manifest's for node j,
+        or a manifest with no line for it."""
+        key = f"shard{j:02d}.crc32"
+        if key not in self._entries:
+            raise ShardFormatError(f"{path}: manifest {self.manifest} has no {key} line")
+        if self._entries[key] != f"{crc:08x}":
+            raise ShardFormatError(
+                f"{path}: crc32 {crc:08x} does not match manifest {self._entries[key]}"
+            )
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()

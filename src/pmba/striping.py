@@ -1,39 +1,30 @@
 """Batch codec between raw bytes and per-node symbol arrays.
 
 File payloads are striped: every F consecutive symbols form one stripe that
-is encoded independently. Encoding, reconstruction and repair are all
-linear over the field, and each path derives its linear map in closed form
-from the construction: the encoding map places each node's Vandermonde
-row into the banded message-matrix layout, decoding applies the
-reconstructor's `peel_maps` (one k(k-1)-square inverse peels every block
-pair), and repair takes the paper's two steps: `stripe_bundler` maps the
-helpers' payloads through the repairer's `bundle_map` to the beta symbols
-each sends, and `stripe_repairer` combines the d*beta of them through
-`repair_matrix`, one `_tiled_product` serving both. Each kernel builder,
-`stripe_encoder`, `stripe_decoder`, `stripe_bundler` and `stripe_repairer`,
-builds its maps once and returns a function that applies them to one batch
-of stripes in BLAS matrix products, one tile of stripes at a time: a tile
-holds about TILE_VALUES float values, so each product and its reduction
-mod q run in cache. The products stay exact: every product of residues and
-every sum of them is an integer, and each stage picks the float dtype from
-the largest sum its inner dimensions allow, float32 below 2**22 and float64
-below 2**51, the bounds below which both the products and the reduction
-mod q are exact; past 2**51 it refuses. At the default q = 257 every stage
-of (3,2,7), (4,3,13) and (3,5,20) runs float32 but the (3,5,20) combine
-stage, which sums 144 to 240 products and runs float64.
-Encoding reads, for each block column, only the band of source blocks its
-k-1 stored columns share, and each decode step only one block column and
-the block carried over from the step before. Each kernel returns `<u2`
-symbols, the dtype shard files hold. Each builder runs its function once,
-one self-check per kernel, on a self-check batch made once per code,
-against the stepwise codec alone: the encoder must give the stepwise
-encoder's payloads, the decoder the source, the repairer node f's
-payload, and the bundler, on a helper's payload, the bundles
-`make_repair_bundle` makes of it, so no caller's data can blind the check.
-`encode_stripes`, `reconstruct_stripes` and `repair_stripes` are the same
-functions applied to one batch holding every stripe; the CLI streams files
-through them in batches of BATCH_SYMBOLS source symbols. `Cluster` runs
-the encoder and the bundler.
+is encoded independently. Each path derives its linear map in closed form
+from the construction: encoding places each node's Vandermonde row into
+the banded message-matrix layout and reads, per block column, only the
+band of source blocks it needs; decoding applies the reconstructor's
+`peel_maps`, one block column and one carried block per step; repair takes
+the paper's two steps, `stripe_bundler`'s `bundle_map` from each helper's
+payload to the beta symbols it sends, then `repair_matrix` from the d*beta
+of them to node f's payload, chained by `stripe_repairer` in one tile loop.
+Each builder (`stripe_encoder`, `stripe_decoder`, `stripe_bundler`,
+`stripe_repairer`) builds its maps once and returns a function that applies
+them to one batch in BLAS products, a tile of about TILE_VALUES float
+values at a time so that each product and its reduction mod q run in
+cache; within a tile each stage's reduced floats feed the next stage, and
+only the last writes `<u2` symbols, the dtype shard files hold. Each stage
+picks its float dtype from the largest integer sum its inner dimension
+allows: float32 below 2**22, float64 below 2**51, the bounds below which
+the products and the reduction mod q are exact; past 2**51 it refuses. At
+the default q = 257 only the (3,5,20) combine stage, 144 to 240 terms,
+runs float64. Each builder runs its function once on a self-check batch
+made once per code, against the stepwise codec alone, so no caller's data
+can blind the check. `encode_stripes`, `reconstruct_stripes` and
+`repair_stripes` apply the kernels to one batch of every stripe; the CLI
+streams files through them in batches of BATCH_SYMBOLS source symbols, and
+`Cluster` runs the encoder and the bundler.
 """
 
 from __future__ import annotations
@@ -300,28 +291,34 @@ def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
     return stripe_decoder(params, payloads)(payloads)
 
 
-def _tiled_product(matrix: np.ndarray, q: int, terms: int, kernel: str, blocks: int = 1):
-    """The product mod q by one (a, b) map, in `_check_exact`'s dtype for sums
-    of `terms` products: a function from a list of (stripes, a) arrays of
-    residues to one C-contiguous (stripes, len(list)*b) `<u2` array, array
-    i's products in column block i, reduced one float tile at a time."""
-    dtype = _check_exact(q, terms, kernel)
-    matrix = matrix.astype(dtype)
-    a, b = matrix.shape
-    # an input tile and the products of `blocks` arrays, counted twice for
-    # the temporary `_reduce` makes, so that both stay in cache
-    rows = _tile_rows(a + 2 * blocks * b)
+def _tiled_product(stages, q: int, blocks: int = 1):
+    """The product mod q by a chain of (map, terms, kernel) stages, each in
+    `_check_exact`'s dtype for sums of `terms` products: a function from a
+    list of (stripes, a) arrays of residues to one C-contiguous `<u2` array.
+    The first stage maps array i through its (a, b) map into column block i
+    of its products, each later stage the whole reduced product before it,
+    one tile of stripes at a time; only the last stage writes `<u2`."""
+    maps = [matrix.astype(_check_exact(q, terms, kernel)) for matrix, terms, kernel in stages]
+    (a, b), later = maps[0].shape, [m.shape[1] for m in maps[1:]]
+    # the widest stage's input tile and products, these counted twice for the
+    # temporary `_reduce` makes, stay in cache
+    sizes = [a, blocks * b, *later]
+    rows = _tile_rows(max(x + 2 * y for x, y in zip(sizes, sizes[1:])))
 
     def product(arrays) -> np.ndarray:
-        stripes, width = arrays[0].shape[0], len(arrays) * b
-        out = np.empty((stripes, width), dtype="<u2")
-        tile, products = np.empty((rows, a), dtype), np.empty((rows, width), dtype)
+        stripes, widths = arrays[0].shape[0], [len(arrays) * b, *later]
+        out = np.empty((stripes, widths[-1]), dtype="<u2")
+        tile = np.empty((rows, a), maps[0].dtype)
+        products = [np.empty((rows, w), stage.dtype) for w, stage in zip(widths, maps)]
         for s in range(0, stripes, rows):
             m = min(rows, stripes - s)
             for i, x in enumerate(arrays):
                 tile[:m] = x[s : s + m]
-                np.matmul(tile[:m], matrix, out=products[:m, i * b : (i + 1) * b])
-            _reduce(products[:m], q, out=out[s : s + m])
+                np.matmul(tile[:m], maps[0], out=products[0][:m, i * b : (i + 1) * b])
+            for matrix, before, after in zip(maps[1:], products, products[1:]):
+                reduced = _reduce(before[:m], q)  # in place, then in the next stage's dtype
+                np.matmul(reduced.astype(matrix.dtype, copy=False), matrix, out=after[:m])
+            _reduce(products[-1][:m], q, out=out[s : s + m])
         return out
 
     return product
@@ -335,34 +332,34 @@ def stripe_bundler(params: CodeParams, f: int, d: int):
     residues, of any integer dtype, to one (stripes, len(dict)*beta) `<u2`
     array: each helper's beta bundle symbols for node f, the symbols
     `make_repair_bundle` gives one stripe at a time, grouped by helper in
-    ascending node order as `repair_matrix`'s columns are. The map does not
-    depend on which helper sends. The builder refuses a function that does
-    not give the stepwise bundles of a helper's self-check payload.
+    ascending node order as `repair_matrix`'s columns are; its `stage` is
+    its one `_tiled_product` stage. The map does not depend on which helper
+    sends. The builder refuses a function that does not give the stepwise
+    bundles of a helper's self-check payload.
     """
     seg, _ = session_shape(params, d)  # refuses a d outside D
     check_repair_nodes(params, f, ())
     # a bundle symbol sums one segment's products
-    product = _tiled_product(bundle_map(params, f, d), params.q, seg, "bundler", blocks=d)
+    stage = (bundle_map(params, f, d), seg, "bundler")
+    product = _tiled_product([stage], params.q, blocks=d)
 
     def bundle(payloads: dict) -> np.ndarray:
         return product([payloads[h] for h in sorted(payloads)])
 
+    bundle.stage = stage
     _, payloads = _self_check_batch(params)
     h = 2 if f == 1 else 1  # any helper but f
-    point, field = params.eval_point(h), params.field
-    bundles = [
-        make_repair_bundle(NodeShard(h, point, field.elements(row)), f, d, params)
-        for row in payloads[h - 1]
-    ]
-    want = np.array([[s.value for s in b.symbols] for b in bundles], dtype="<u2")
+    shards = [NodeShard(h, params.eval_point(h), params.field.elements(row)) for row in payloads[h - 1]]
+    want = np.array([[s.value for s in make_repair_bundle(x, f, d, params).symbols] for x in shards])
     _self_check("bundler", bundle({h: payloads[h - 1]}), want, oracle="make_repair_bundle")
     return bundle
 
 
 def stripe_repairer(params: CodeParams, f: int, helpers):
     """Build the repair map for node f from the given helpers once; returns
-    a function that rebuilds one batch: `stripe_bundler` for d helpers, then
-    `repair_matrix` on their d*beta bundle symbols, each in its own dtype.
+    a function that rebuilds one batch: `stripe_bundler`'s stage for d
+    helpers, then `repair_matrix` on their d*beta bundle symbols, chained in
+    one tile loop with each stage in its own dtype.
 
     The function maps a dict of the helpers' (stripes, alpha) payloads of
     residues, of any integer dtype, to node f's (stripes, alpha) `<u2`
@@ -371,12 +368,13 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     """
     helpers = sorted(helpers)
     decoding = repair_matrix(params, f, helpers)  # refuses f and the helpers
-    # a rebuilt symbol sums all d*beta bundle symbols' products, the larger sum
-    combine = _tiled_product(decoding.T, params.q, decoding.shape[1], "repairer")
-    bundle = stripe_bundler(params, f, len(helpers))
+    # a rebuilt symbol sums all d*beta bundle symbols' products: refused first, the larger sum
+    combine = (decoding.T, decoding.shape[1], "repairer")
+    _check_exact(params.q, *combine[1:])
+    chain = _tiled_product([stripe_bundler(params, f, len(helpers)).stage, combine], params.q, len(helpers))
 
     def rebuild(payloads: dict) -> np.ndarray:
-        return combine([bundle({h: payloads[h] for h in helpers})])  # reads no other node
+        return chain([payloads[h] for h in helpers])  # reads no other node
 
     _, payloads = _self_check_batch(params)
     _self_check("repairer", rebuild({h: payloads[h - 1] for h in helpers}), payloads[f - 1])

@@ -6,8 +6,8 @@
 # around every multiple of q up to the largest sum each dtype allows, the
 # guard that picks the dtype or refuses, each kernel against an int64
 # reference at the default and the largest modulus and at every edge of
-# its stripe tiles, and the dtype and layout the kernels hand to the shard
-# writer.
+# its stripe tiles, a chain of two stages against the two composed, and
+# the dtype and layout the kernels hand to the shard writer.
 from functools import lru_cache
 
 import numpy as np
@@ -214,7 +214,8 @@ def test_every_kernel_matches_the_reference_at_each_tile_edge(code, q, monkeypat
     others = [h for h in range(1, params.n + 1) if h != f]
     for d in params.helper_counts:
         helpers = sorted(int(h) for h in rng.choice(others, d, replace=False))
-        # the combine stage's tile and the bundler's
+        # the bundler's tile and the tile of the chain that runs it, then the
+        # combine stage
         rebuild, counts = tile_edge_counts(
             monkeypatch, lambda: striping.stripe_repairer(params, f, helpers), stages=2
         )
@@ -222,6 +223,38 @@ def test_every_kernel_matches_the_reference_at_each_tile_edge(code, q, monkeypat
             period = np.arange(count) % PERIOD
             rebuilt = rebuild({h: coded[h - 1, period] for h in helpers})
             assert np.array_equal(rebuilt, coded[f - 1, period]), ("repairer", d, count)
+
+
+# a chain's first stage sums 5 terms in float32; its second sums 3*b, which
+# at b = 22 passes the 63 terms float32 takes at q = 257
+@pytest.mark.parametrize("b, second", [(3, np.float32), (22, np.float64)], ids=["f32-f32", "f32-f64"])
+def test_a_two_stage_product_is_its_two_one_stage_products_composed(b, second, monkeypatch):
+    q, a, blocks, c = 257, 5, 3, 4
+    rng = np.random.default_rng(b)
+    first = (rng.integers(0, q, (a, b)), a, "bundler")
+    then = (rng.integers(0, q, (blocks * b, c)), blocks * b, "repairer")
+    picked = record_dtypes(monkeypatch)
+
+    def build():
+        return [striping._tiled_product(stages, q, blocks) for stages in ([first], [then], [first, then])]
+
+    # each one-stage product's tile and the chain's
+    (one, two, chain), counts = tile_edge_counts(monkeypatch, build, stages=3)
+    assert picked == {"bundler": {np.float32}, "repairer": {second}}
+    reduced = []  # the dtype of each tile of products reduced
+    real = striping._reduce
+    monkeypatch.setattr(striping, "_reduce", lambda x, *args, **kw: (reduced.append(x.dtype), real(x, *args, **kw))[1])
+    for count in counts:
+        arrays = [rng.integers(0, q, (count, a)) for _ in range(blocks)]
+        arrays[0][0] = q - 1
+        reduced.clear()
+        got = chain(arrays)
+        # every tile runs both stages, each in its own dtype
+        assert reduced == [np.float32, second] * (len(reduced) // 2) and reduced, count
+        assert got.dtype == np.dtype("<u2") and got.flags.c_contiguous and got.shape == (count, c)
+        assert np.array_equal(got, two([one(arrays)])), count
+        reference = np.concatenate([x @ first[0] % q for x in arrays], axis=1) @ then[0] % q
+        assert np.array_equal(got, reference), count
 
 
 def test_the_kernels_return_u2_and_the_writer_writes_the_encoder_payload_as_is(tmp_path, monkeypatch):

@@ -482,6 +482,32 @@ def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path, opened_r
     assert [(r.stripes, r._fh.closed) for r in opened_readers] == [(0, True)]
 
 
+def test_a_shard_set_keeps_crcs_only_with_a_manifest_or_when_asked(tmp_path, opened_readers):
+    coded, paths, manifest = shard_set(tmp_path)
+    for kwargs, kept in (({}, False), ({"manifest": manifest}, True), ({"crc": True}, True)):
+        with ShardSet([paths[j] for j in (1, 2, 3)], **kwargs) as shards:
+            for _ in shards.batches(2, [1, 3]):
+                pass
+            crcs = {j: r.crc for j, r in shards.readers.items()}
+        want = {j: payload_crc(coded[j - 1]) if kept else None for j in (1, 3)}
+        assert crcs == {**want, 2: 0 if kept else None}, kwargs  # node 2 is not read
+
+
+def test_a_reader_or_writer_told_to_keep_no_crc_computes_none(tmp_path, monkeypatch):
+    path, header, symbols = sample_shard(tmp_path)
+    calls = []
+    real = shardio.zlib.crc32
+    monkeypatch.setattr(shardio.zlib, "crc32", lambda *a: (calls.append(a), real(*a))[1])
+    with shardio.ShardWriter(tmp_path / "again", header) as writer:
+        writer.crc = None
+        writer.write(symbols)
+    assert writer.crc is None and (tmp_path / "again").read_bytes() == path.read_bytes()
+    with ShardReader(path) as reader:
+        reader.crc = None
+        assert np.array_equal(reader.read(header.stripe_count), symbols)
+    assert reader.crc is None and calls == []
+
+
 def test_atomic_write_replaces_and_leaves_no_residue(tmp_path):
     target = tmp_path / "out.bin"
     target.write_bytes(b"old")

@@ -5,9 +5,12 @@
 # few stripes and check that batch boundaries change no output byte, that
 # encode writes the exact bytes pinned by digest, that each command builds
 # its linear map and runs its self-check once, that a failure mid-stream
-# leaves no file behind, that each write starts its own write-back while
-# every output is still fsynced before its rename, that written files follow
-# the umask, and that peak memory does not grow with the file.
+# leaves no file behind, that `reconstruct` and `repair --manifest` refuse
+# a flipped bit in any batch before they commit, that a CRC-32 is computed
+# once per batch and only where something reads it, that each write starts
+# its own write-back while every output is still fsynced before its
+# rename, that written files follow the umask, and that peak memory does
+# not grow with the file.
 import ctypes
 import errno
 import hashlib
@@ -525,6 +528,129 @@ def test_a_discarded_file_keeps_a_created_directory_that_holds_something_else(tm
     (tmp_path / "a" / "other").write_bytes(b"")
     fh.discard()
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "other"]
+
+
+# ---------------------------------------------------------------------------
+# --manifest on reconstruct and repair; CRC-32s only where something reads them
+# ---------------------------------------------------------------------------
+
+# 11 stripes of (3,2,7) in batches of BATCH = 3: 3, 3, 3 and 2, the last
+# stripe partial
+FLIP_LENGTH = (3 * BATCH + 1) * 12 + 5
+FLIP_STRIPES = {"first batch": 0, "last batch": 3 * BATCH, "last partial stripe": 3 * BATCH + 1}
+
+
+@pytest.fixture
+def flip_set(tmp_path, monkeypatch, capsys):
+    """A FLIP_LENGTH-byte (3,2,7) file encoded in small batches: its data,
+    shard paths and manifest."""
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params)
+    data = np.random.default_rng(11).integers(0, 256, FLIP_LENGTH, dtype=np.uint8).tobytes()
+    _, out_dir, shards = encode_file(tmp_path, params, data)
+    assert read_shard(shards[1])[0].stripe_count == 3 * BATCH + 2
+    capsys.readouterr()
+    return data, shards, out_dir / "in.bin.manifest"
+
+
+def flip_low_bit(path, stripe, alpha=4):
+    """Flip the low bit of the first symbol of `stripe` in the shard at
+    `path` that stays below q = 257 flipped."""
+    blob = bytearray(path.read_bytes())
+    start = len(blob) - read_shard(path)[0].stripe_count * alpha * 2 + stripe * alpha * 2
+    offset = next(o for o in range(start, start + 2 * alpha, 2) if blob[o : o + 2] != b"\x00\x01")
+    blob[offset] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+def test_reconstruct_and_repair_with_a_manifest_write_what_they_write_without(flip_set, tmp_path):
+    data, shards, manifest = flip_set
+    out = tmp_path / "out.bin"
+    argv = ["reconstruct", *(str(shards[j]) for j in (2, 5, 7)), "-o", str(out)]
+    assert main([*argv, "--manifest", str(manifest)]) == 0
+    assert out.read_bytes() == data
+    for helpers in ((2, 3, 4, 5), (2, 3, 4, 5, 6, 7)):
+        rebuilt = tmp_path / f"d{len(helpers)}.shard01"
+        argv = ["repair", *(str(shards[h]) for h in helpers), "-f", "1", "--out", str(rebuilt)]
+        assert main([*argv, "--manifest", str(manifest)]) == 0
+        assert rebuilt.read_bytes() == shards[1].read_bytes()
+
+
+@pytest.mark.parametrize("where", sorted(FLIP_STRIPES))
+def test_a_flipped_bit_in_a_shard_read_exits_2_naming_it_and_commits_nothing(where, flip_set, tmp_path, capsys):
+    data, shards, manifest = flip_set
+    flip_low_bit(shards[3], FLIP_STRIPES[where])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    commands = {
+        "reconstruct": ["reconstruct", *(str(shards[j]) for j in (1, 3, 6)), "-o", str(out_dir / "in.bin")],
+        "repair d=4": ["repair", *(str(shards[h]) for h in (2, 3, 4, 5)), "-f", "1", "--out", str(out_dir / "a")],
+        "repair d=6": ["repair", *(str(shards[h]) for h in (2, 3, 4, 5, 6, 7)), "-f", "1", "--out", str(out_dir / "b")],
+    }
+    for name, argv in commands.items():
+        assert main([*argv, "--manifest", str(manifest)]) == 2, name
+        assert f"{shards[3]}: crc32 " in capsys.readouterr().err, name
+        assert list(out_dir.iterdir()) == [], name
+
+    # a reconstruct that does not read the flipped shard is not affected by it
+    out = out_dir / "in.bin"
+    argv = ["reconstruct", *map(str, shards.values()), "--nodes", "1,2,4", "-o", str(out)]
+    assert main([*argv, "--manifest", str(manifest)]) == 0
+    assert out.read_bytes() == data
+
+
+@pytest.mark.parametrize("node", [2, 1])
+def test_repair_refuses_a_manifest_without_a_line_for_a_helper_or_the_rebuilt_node(node, flip_set, tmp_path, capsys):
+    _, shards, manifest = flip_set
+    edited = tmp_path / "edited.manifest"
+    lines = manifest.read_text().splitlines()
+    edited.write_text("\n".join(line for line in lines if not line.startswith(f"shard{node:02d}.crc32")) + "\n")
+    out = tmp_path / "out" / "in.bin.shard01"
+    argv = ["repair", *(str(shards[h]) for h in (2, 3, 4, 5)), "-f", "1", "--out", str(out)]
+    assert main([*argv, "--manifest", str(edited)]) == 2
+    named = shards[node] if node != 1 else out
+    assert f"{named}: manifest {edited} has no shard{node:02d}.crc32 line" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_repair_compares_the_rebuilt_shard_with_the_manifest_entry_for_it(flip_set, tmp_path, capsys):
+    _, shards, manifest = flip_set
+    text = manifest.read_text()
+    crc = f"{payload_crc(read_shard(shards[1])[1]):08x}"
+    wrong = f"{int(crc, 16) ^ 1:08x}"
+    edited = tmp_path / "edited.manifest"
+    edited.write_text(text.replace(f"shard01.crc32={crc}", f"shard01.crc32={wrong}"))
+    out = tmp_path / "out" / "in.bin.shard01"
+    argv = ["repair", *(str(shards[h]) for h in (2, 3, 4, 5)), "-f", "1", "--out", str(out)]
+    assert main([*argv, "--manifest", str(edited)]) == 2
+    assert f"{out}: crc32 {crc} does not match manifest {wrong}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_crc32_runs_once_per_batch_per_node_only_where_something_reads_it(flip_set, tmp_path, monkeypatch, capsys):
+    _, shards, manifest = flip_set
+    batches = [3, 3, 3, 2]  # stripes per batch
+    calls = []
+    real = shardio.zlib.crc32
+    monkeypatch.setattr(
+        shardio.zlib, "crc32", lambda data, *a: (calls.append(memoryview(data).nbytes), real(data, *a))[1]
+    )
+    m = ["--manifest", str(manifest)]
+    helpers = [str(shards[h]) for h in (2, 3, 4, 5, 6, 7)]
+    runs = {  # argv, and the nodes read and written whose CRC-32 is kept
+        "reconstruct": (["reconstruct", *map(str, shards.values()), "-o", str(tmp_path / "a")], 0),
+        "repair": (["repair", *helpers, "-f", "1", "--out", str(tmp_path / "b")], 0),
+        "verify": (["verify", *map(str, shards.values())], 7),
+        "verify --manifest": (["verify", *map(str, shards.values()), *m], 7),
+        "reconstruct --manifest": (["reconstruct", *map(str, shards.values()), "-o", str(tmp_path / "c"), *m], 3),
+        "repair --manifest": (["repair", *helpers, "-f", "1", "--out", str(tmp_path / "d"), *m], 6 + 1),
+    }
+    for name, (argv, nodes) in runs.items():
+        calls.clear()
+        assert main(argv) == 0, name
+        # one call per batch of each such node, each on the whole batch: 8 bytes per stripe
+        assert sorted(calls) == sorted(8 * s for s in batches * nodes), name
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -35,17 +35,17 @@ def _manifest_file_name(original_name: str) -> str:
     return f"{original_name}.manifest"
 
 
-def _refuse_overwriting_an_input(out_path, shards) -> None:
-    """Refuse an output path that already names one of the input shard files."""
-    for p in shards:
-        if os.path.exists(out_path) and os.path.samefile(out_path, p):
-            raise ValueError(f"{out_path} is the input shard {p}; choose another output")
+def _refuse_overwriting_an_input(out_path, shards, manifest) -> None:
+    """Refuse an output path that already names an input: a shard file or the manifest."""
+    for kind, p in [*(("shard", p) for p in shards), ("manifest", manifest)]:
+        if p is not None and os.path.exists(out_path) and os.path.samefile(out_path, p):
+            raise ValueError(f"{out_path} is the input {kind} {p}; choose another output")
 
 
 def _source_batches(src, length: int, params):
     """Yield the source batches of an open file of `length` bytes, read into
     one reused buffer; an empty file gives one empty batch."""
-    per_batch = striping.batch_stripes(params) * params.file_symbols
+    per_batch = shardio.batch_stripes(params) * params.file_symbols
     view = memoryview(bytearray(min(per_batch, length)))
     done = 0
     while True:
@@ -105,8 +105,8 @@ def cmd_reconstruct(args) -> int:
                 raise ValueError(
                     f"--nodes takes comma-separated node indices, got {args.nodes!r}"
                 ) from None
-        batches = shards.batches(striping.batch_stripes(shards.params), chosen)
-        _refuse_overwriting_an_input(args.out, args.shards)
+        batches = shards.batches(chosen)
+        _refuse_overwriting_an_input(args.out, args.shards, args.manifest)
         decode = striping.stripe_decoder(shards.params, chosen)
         sources = (decode(batch) for batch in batches)
         with shardio.AtomicFile(args.out) as out:
@@ -130,13 +130,13 @@ def cmd_repair(args) -> int:
                 )
             out_dir = Path(args.out_dir) if args.out_dir else Path(args.shards[0]).parent
             out_path = out_dir / f"{m.group('stem')}{f:02d}"
-        _refuse_overwriting_an_input(out_path, args.shards)
+        _refuse_overwriting_an_input(out_path, args.shards, args.manifest)
         rebuild = striping.stripe_repairer(shards.params, f, helpers)
         out_header = dataclasses.replace(shards.header, node_index=f)
         with shardio.ShardWriter(out_path, out_header) as writer:
             if shards.manifest is None:
                 writer.crc = None  # nothing compares it
-            for batch in shards.batches(striping.batch_stripes(shards.params)):
+            for batch in shards.batches():
                 writer.write(rebuild(batch))
             if writer.crc is not None:
                 shards.check_crc(f, writer.crc, out_path)  # before the commit
@@ -146,7 +146,7 @@ def cmd_repair(args) -> int:
 
 def cmd_verify(args) -> int:
     with shardio.ShardSet(args.shards, args.manifest, crc=True) as shards:
-        for _ in shards.batches(striping.batch_stripes(shards.params)):
+        for _ in shards.batches():
             pass  # reads every payload, checking its symbols and any manifest CRC
     params, header, readers = shards.params, shards.header, shards.readers
     print(

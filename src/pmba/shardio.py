@@ -22,11 +22,12 @@ happens), so disk I/O overlaps encoding and dirty page cache does not grow
 to a whole shard set before the commit. The `fsync` at commit is still
 what makes a file durable.
 `atomic_set` renames several such files as one set. `ShardSet` opens the
-shards of one encoding, reads only the nodes a command asks for, and
-checks a manifest's code fields at open and its CRC-32s after the last
-batch. Its readers keep a CRC-32 only where something reads it: when the
-set has a manifest to compare with, or when the caller asks for them to
-print (`verify`).
+shards of one encoding, reads only the nodes a command asks for, in the
+one batch size of every command that streams a file (`batch_stripes`:
+BATCH_SYMBOLS source symbols in whole stripes), and checks a manifest's
+code fields at open and its CRC-32s after the last batch. Its readers keep
+a CRC-32 only where something reads it: when the set has a manifest to
+compare with, or when the caller asks for them to print (`verify`).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .params import CodeParams, derive_params
 MAGIC = b"PMBA"
 FORMAT_VERSION = 1
 _FIXED = struct.Struct("<4sBHHHHIQQ")
+BATCH_SYMBOLS = 2**18  # source symbols per batch when a command streams a file
 
 
 class ShardFormatError(ValueError):
@@ -417,6 +419,11 @@ def read_manifest(path) -> dict:
     return entries
 
 
+def batch_stripes(params: CodeParams) -> int:
+    """Stripes per streamed batch: BATCH_SYMBOLS source symbols, at least one."""
+    return max(1, BATCH_SYMBOLS // params.file_symbols)
+
+
 class ShardSet(contextlib.AbstractContextManager):
     """Shard files of one encoding, one per node, opened in order through
     `ShardReader`; a header whose code disagrees with the first file's, or a
@@ -468,23 +475,23 @@ class ShardSet(contextlib.AbstractContextManager):
             self.close = stack.pop_all().close
         self.header, self.params = first.header, first.params
 
-    def batches(self, count: int, nodes=None):
-        """Yield {node: (stripes, alpha) payload} for `count` stripes at a
-        time, the last batch holding the rest, reading the files of `nodes`
-        (default: every node held) in step and no other. A node the set does
-        not hold is refused here, before anything is read."""
+    def batches(self, nodes=None):
+        """Yield {node: (stripes, alpha) payload} for `batch_stripes` stripes
+        at a time, the last batch holding the rest, reading the files of
+        `nodes` (default: every node held) in step and no other. A node the
+        set does not hold is refused here, before anything is read."""
         nodes = self.readers if nodes is None else nodes
         missing = sorted(set(nodes) - self.readers.keys())
         if missing:
             raise ValueError(
                 f"requested nodes {missing} are not among the given shards {sorted(self.readers)}"
             )
-        return self._read(count, {j: self.readers[j] for j in nodes})
+        return self._read({j: self.readers[j] for j in nodes})
 
-    def _read(self, count: int, readers: dict):
-        for start in range(0, self.header.stripe_count, count):
-            stripes = min(count, self.header.stripe_count - start)
-            yield {j: reader.read(stripes) for j, reader in readers.items()}
+    def _read(self, readers: dict):
+        total, count = self.header.stripe_count, batch_stripes(self.params)
+        for start in range(0, total, count):
+            yield {j: reader.read(min(count, total - start)) for j, reader in readers.items()}
         if self.manifest is not None:
             for j, reader in sorted(readers.items()):
                 self.check_crc(j, reader.crc, reader.path)

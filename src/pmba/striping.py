@@ -23,8 +23,8 @@ runs float64. Each builder runs its function once on a self-check batch
 made once per code, against the stepwise codec alone, so no caller's data
 can blind the check. `encode_stripes`, `reconstruct_stripes` and
 `repair_stripes` apply the kernels to one batch of every stripe; the CLI
-streams files through them in batches of BATCH_SYMBOLS source symbols, and
-`Cluster` runs the encoder and the bundler.
+streams files through them in the batches `shardio` sizes, and `Cluster`
+runs the encoder and the bundler.
 """
 
 from __future__ import annotations
@@ -46,13 +46,7 @@ from .repairer import (
 )
 
 
-BATCH_SYMBOLS = 2**18  # source symbols per batch when the CLI streams a file
 TILE_VALUES = 2**18  # float values a kernel's arrays hold per stripe tile, so they stay in cache
-
-
-def batch_stripes(params: CodeParams) -> int:
-    """Stripes per streamed batch: BATCH_SYMBOLS source symbols, at least one."""
-    return max(1, BATCH_SYMBOLS // params.file_symbols)
 
 
 def bytes_to_source(data, params: CodeParams) -> np.ndarray:
@@ -291,7 +285,7 @@ def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
     return stripe_decoder(params, payloads)(payloads)
 
 
-def _tiled_product(stages, q: int, blocks: int = 1):
+def _tiled_product(stages, q: int):
     """The product mod q by a chain of (map, terms, kernel) stages, each in
     `_check_exact`'s dtype for sums of `terms` products: a function from a
     list of (stripes, a) arrays of residues to one C-contiguous `<u2` array.
@@ -300,13 +294,12 @@ def _tiled_product(stages, q: int, blocks: int = 1):
     one tile of stripes at a time; only the last stage writes `<u2`."""
     maps = [matrix.astype(_check_exact(q, terms, kernel)) for matrix, terms, kernel in stages]
     (a, b), later = maps[0].shape, [m.shape[1] for m in maps[1:]]
-    # the widest stage's input tile and products, these counted twice for the
-    # temporary `_reduce` makes, stay in cache
-    sizes = [a, blocks * b, *later]
-    rows = _tile_rows(max(x + 2 * y for x, y in zip(sizes, sizes[1:])))
 
     def product(arrays) -> np.ndarray:
         stripes, widths = arrays[0].shape[0], [len(arrays) * b, *later]
+        # as many stripes as given, at most as many as keep the widest stage's input
+        # tile and products (counted twice for `_reduce`'s temporary) in cache
+        rows = max(1, min(stripes, _tile_rows(max(x + 2 * y for x, y in zip([a, *widths], widths)))))
         out = np.empty((stripes, widths[-1]), dtype="<u2")
         tile = np.empty((rows, a), maps[0].dtype)
         products = [np.empty((rows, w), stage.dtype) for w, stage in zip(widths, maps)]
@@ -341,7 +334,7 @@ def stripe_bundler(params: CodeParams, f: int, d: int):
     check_repair_nodes(params, f, ())
     # a bundle symbol sums one segment's products
     stage = (bundle_map(params, f, d), seg, "bundler")
-    product = _tiled_product([stage], params.q, blocks=d)
+    product = _tiled_product([stage], params.q)
 
     def bundle(payloads: dict) -> np.ndarray:
         return product([payloads[h] for h in sorted(payloads)])
@@ -371,7 +364,7 @@ def stripe_repairer(params: CodeParams, f: int, helpers):
     # a rebuilt symbol sums all d*beta bundle symbols' products: refused first, the larger sum
     combine = (decoding.T, decoding.shape[1], "repairer")
     _check_exact(params.q, *combine[1:])
-    chain = _tiled_product([stripe_bundler(params, f, len(helpers)).stage, combine], params.q, len(helpers))
+    chain = _tiled_product([stripe_bundler(params, f, len(helpers)).stage, combine], params.q)
 
     def rebuild(payloads: dict) -> np.ndarray:
         return chain([payloads[h] for h in helpers])  # reads no other node

@@ -297,6 +297,21 @@ def test_an_output_that_is_an_input_shard_is_refused(command, encoded, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "repair"])
+def test_an_output_that_is_the_manifest_is_refused(command, encoded, tmp_path, capsys):
+    _, _, out_dir = encoded
+    work = tmp_path / "s"
+    shutil.copytree(out_dir, work)
+    before = snapshot(work)
+    manifest = work / "data.bin.manifest"
+    inputs, extra = ((1, 2, 3), []) if command == "reconstruct" else ((1, 2, 3, 4), ["-f", "7"])
+    argv = [command, *(str(shard_path(work, j)) for j in inputs), *extra]
+    rc = main([*argv, "--out", str(manifest), "--manifest", str(manifest)])
+    assert rc == 1
+    assert f"{manifest} is the input manifest {manifest}" in capsys.readouterr().err
+    assert snapshot(work) == before  # the manifest byte-identical, and no temp file left
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "repair"])
 def test_an_output_that_is_a_directory_is_refused_before_decoding(
     command, encoded, tmp_path, monkeypatch, capsys
 ):

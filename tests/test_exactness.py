@@ -174,10 +174,9 @@ def periodic_stripes(code, q):
     return params, source, reference_encode(source, params)
 
 
-def tile_edge_counts(monkeypatch, build, stages=1):
-    """Build a kernel of `stages` tiled stages, reading the rows per tile
-    each takes; returns the kernel and the stripe counts at every stage's
-    tile edges."""
+def tile_edge_counts(monkeypatch, build, tiles=1):
+    """Run `build`, which sizes `tiles` tiles, reading the rows per tile each
+    takes; returns what it built and the stripe counts at every tile's edges."""
     rows = []
     real = striping._tile_rows
 
@@ -188,7 +187,7 @@ def tile_edge_counts(monkeypatch, build, stages=1):
     monkeypatch.setattr(striping, "_tile_rows", spy)
     kernel = build()
     monkeypatch.setattr(striping, "_tile_rows", real)
-    assert len(rows) == stages
+    assert len(rows) == tiles
     return kernel, sorted({count for r in rows for count in (1, r - 1, r, r + 1, 2 * r + 3)})
 
 
@@ -214,10 +213,10 @@ def test_every_kernel_matches_the_reference_at_each_tile_edge(code, q, monkeypat
     others = [h for h in range(1, params.n + 1) if h != f]
     for d in params.helper_counts:
         helpers = sorted(int(h) for h in rng.choice(others, d, replace=False))
-        # the bundler's tile and the tile of the chain that runs it, then the
-        # combine stage
+        # the tiles of the bundler's one-helper self-check and of the chain's
+        # self-check, which real calls of d helpers take too
         rebuild, counts = tile_edge_counts(
-            monkeypatch, lambda: striping.stripe_repairer(params, f, helpers), stages=2
+            monkeypatch, lambda: striping.stripe_repairer(params, f, helpers), tiles=2
         )
         for count in counts:
             period = np.arange(count) % PERIOD
@@ -236,10 +235,15 @@ def test_a_two_stage_product_is_its_two_one_stage_products_composed(b, second, m
     picked = record_dtypes(monkeypatch)
 
     def build():
-        return [striping._tiled_product(stages, q, blocks) for stages in ([first], [then], [first, then])]
+        # each call sizes its own tile, so one call of one stripe reads each size
+        one, two, chain = (striping._tiled_product(stages, q) for stages in ([first], [then], [first, then]))
+        probe = [np.zeros((1, a), int)] * blocks
+        two([one(probe)])
+        chain(probe)
+        return one, two, chain
 
     # each one-stage product's tile and the chain's
-    (one, two, chain), counts = tile_edge_counts(monkeypatch, build, stages=3)
+    (one, two, chain), counts = tile_edge_counts(monkeypatch, build, tiles=3)
     assert picked == {"bundler": {np.float32}, "repairer": {second}}
     reduced = []  # the dtype of each tile of products reduced
     real = striping._reduce
@@ -255,6 +259,22 @@ def test_a_two_stage_product_is_its_two_one_stage_products_composed(b, second, m
         assert np.array_equal(got, two([one(arrays)])), count
         reference = np.concatenate([x @ first[0] % q for x in arrays], axis=1) @ then[0] % q
         assert np.array_equal(got, reference), count
+
+
+def test_a_bundler_sizes_its_tile_by_the_helpers_each_call_gives(monkeypatch):
+    params, f, d = derive_params(4, 3, 13), 5, 6
+    bundle = striping.stripe_bundler(params, f, d)
+    _, beta = session_shape(params, d)
+    _, payloads = striping._self_check_batch(params)
+    helpers = [h for h in range(1, params.n + 1) if h != f][:d]
+    widths = []
+    real = striping._tile_rows
+    monkeypatch.setattr(striping, "_tile_rows", lambda width: (widths.append(width), real(width))[1])
+    one = bundle({1: payloads[0]})
+    every = bundle({h: payloads[h - 1] for h in helpers})
+    # a helper's alpha payload symbols and, counted twice, its beta bundle symbols
+    assert widths == [params.alpha + 2 * beta, params.alpha + 2 * d * beta]
+    assert np.array_equal(every[:, :beta], one)
 
 
 def test_the_kernels_return_u2_and_the_writer_writes_the_encoder_payload_as_is(tmp_path, monkeypatch):

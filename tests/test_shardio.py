@@ -328,6 +328,11 @@ def test_read_manifest_names_a_file_that_is_not_utf8(tmp_path):
 SET_STRIPES = 5
 
 
+def batches_of(monkeypatch, stripes):
+    """Shrink the batch a ShardSet of BYTE_PARAMS reads to `stripes` stripes."""
+    monkeypatch.setattr(shardio, "BATCH_SYMBOLS", stripes * BYTE_PARAMS.file_symbols)
+
+
 def shard_set(tmp_path, params=BYTE_PARAMS, original_length=None):
     """Every node's shard of one random encoding, and its manifest."""
     if original_length is None:
@@ -360,14 +365,17 @@ def opened_readers(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [1, 2, SET_STRIPES + 2])
-def test_a_shard_set_reads_every_file_in_batches_of_count(count, tmp_path, opened_readers):
+def test_a_shard_set_reads_every_file_in_batches_of_count(
+    count, tmp_path, opened_readers, monkeypatch
+):
     coded, paths, manifest = shard_set(tmp_path)
+    batches_of(monkeypatch, count)
     nodes = (2, 5, 7)
     with ShardSet([paths[j] for j in nodes], manifest) as shards:
         assert shards.header == header_for(BYTE_PARAMS, 2, SET_STRIPES * 12 - 3)
         assert shards.params == BYTE_PARAMS
         assert sorted(shards.readers) == list(nodes)
-        batches = list(shards.batches(count))  # every node held, then the manifest's CRCs
+        batches = list(shards.batches())  # every node held, then the manifest's CRCs
     sizes = [batch[2].shape[0] for batch in batches]
     assert sizes == [min(count, SET_STRIPES - start) for start in range(0, SET_STRIPES, count)]
     for j in nodes:
@@ -388,15 +396,18 @@ def test_a_mixed_shard_set_is_refused_naming_both_files(tmp_path, opened_readers
     assert len(opened_readers) == 3 and all(r._fh.closed for r in opened_readers)
 
 
-def test_a_shard_set_closes_its_files_when_opening_or_reading_fails(tmp_path, opened_readers):
+def test_a_shard_set_closes_its_files_when_opening_or_reading_fails(
+    tmp_path, opened_readers, monkeypatch
+):
     _, paths, manifest = shard_set(tmp_path)
+    batches_of(monkeypatch, 1)
     (tmp_path / "short").write_bytes(b"PMBA")
     with pytest.raises(ShardFormatError, match="too short"):
         ShardSet([paths[1], paths[2], tmp_path / "short"])
     assert len(opened_readers) == 2 and all(r._fh.closed for r in opened_readers)
     with pytest.raises(RuntimeError):
         with ShardSet([paths[1], paths[2], paths[3]], manifest) as shards:
-            next(shards.batches(1, [1, 3]))
+            next(shards.batches([1, 3]))
             raise RuntimeError("stop mid-read")
     assert len(opened_readers) == 5 and all(r._fh.closed for r in opened_readers)
     assert [r.stripes for r in opened_readers[2:]] == [1, 0, 1]
@@ -405,9 +416,10 @@ def test_a_shard_set_closes_its_files_when_opening_or_reading_fails(tmp_path, op
 
 
 def test_a_second_file_for_a_node_is_refused_and_the_same_file_is_read_once(
-    tmp_path, opened_readers
+    tmp_path, opened_readers, monkeypatch
 ):
     coded, paths, _ = shard_set(tmp_path)
+    batches_of(monkeypatch, 2)
     twin = tmp_path / "twin.shard01"
     shutil.copyfile(paths[1], twin)  # byte-identical, but another file
     with pytest.raises(ShardFormatError, match=re.escape(
@@ -421,22 +433,23 @@ def test_a_second_file_for_a_node_is_refused_and_the_same_file_is_read_once(
     again = tmp_path / "." / paths[1].name  # the same file under another spelling
     with ShardSet([paths[1], paths[2], paths[1], again]) as shards:
         assert sorted(shards.readers) == [1, 2] and shards.readers[1].path == paths[1]
-        batches = list(shards.batches(2, [1, 2]))
+        batches = list(shards.batches([1, 2]))
     assert np.array_equal(np.concatenate([b[1] for b in batches]), coded[0])
     assert [r.stripes for r in opened_readers] == [SET_STRIPES, SET_STRIPES, 0, 0]
     assert all(r._fh.closed for r in opened_readers)
 
 
-def test_a_shard_set_reads_only_the_nodes_it_is_asked_for(tmp_path, opened_readers):
+def test_a_shard_set_reads_only_the_nodes_it_is_asked_for(tmp_path, opened_readers, monkeypatch):
     coded, paths, manifest = shard_set(tmp_path)
+    batches_of(monkeypatch, 2)
     held = [paths[j] for j in (1, 2, 4, 5, 7)]
     with ShardSet(held, manifest) as shards:
         with pytest.raises(ValueError, match=re.escape(
             "requested nodes [3, 6] are not among the given shards [1, 2, 4, 5, 7]"
         )):
-            shards.batches(2, [6, 1, 3])  # refused at the call, before any read
+            shards.batches([6, 1, 3])  # refused at the call, before any read
         assert [r.stripes for r in opened_readers] == [0] * 5
-        batches = list(shards.batches(2, [7, 2, 5]))
+        batches = list(shards.batches([7, 2, 5]))
     assert all(sorted(batch) == [2, 5, 7] for batch in batches)
     for j in (2, 5, 7):
         assert np.array_equal(np.concatenate([batch[j] for batch in batches]), coded[j - 1])
@@ -445,14 +458,15 @@ def test_a_shard_set_reads_only_the_nodes_it_is_asked_for(tmp_path, opened_reade
     assert all(r._fh.closed for r in opened_readers)
 
 
-def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path, opened_readers):
+def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path, opened_readers, monkeypatch):
     coded, paths, manifest = shard_set(tmp_path)
+    batches_of(monkeypatch, 2)
 
     def read(nodes=(1, 2)):
         opened_readers.clear()
         try:
             with ShardSet([paths[1], paths[2], paths[3]], manifest) as shards:
-                for _ in shards.batches(2, nodes):
+                for _ in shards.batches(nodes):
                     pass
         finally:
             assert len(opened_readers) == 3 and all(r._fh.closed for r in opened_readers)
@@ -482,11 +496,14 @@ def test_a_shard_set_checks_the_manifest_against_what_it_read(tmp_path, opened_r
     assert [(r.stripes, r._fh.closed) for r in opened_readers] == [(0, True)]
 
 
-def test_a_shard_set_keeps_crcs_only_with_a_manifest_or_when_asked(tmp_path, opened_readers):
+def test_a_shard_set_keeps_crcs_only_with_a_manifest_or_when_asked(
+    tmp_path, opened_readers, monkeypatch
+):
     coded, paths, manifest = shard_set(tmp_path)
+    batches_of(monkeypatch, 2)
     for kwargs, kept in (({}, False), ({"manifest": manifest}, True), ({"crc": True}, True)):
         with ShardSet([paths[j] for j in (1, 2, 3)], **kwargs) as shards:
-            for _ in shards.batches(2, [1, 3]):
+            for _ in shards.batches([1, 3]):
                 pass
             crcs = {j: r.crc for j, r in shards.readers.items()}
         want = {j: payload_crc(coded[j - 1]) if kept else None for j in (1, 3)}

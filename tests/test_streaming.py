@@ -1,7 +1,7 @@
 # tests/test_streaming.py
 #
 # The CLI streams files through the codec in batches of
-# striping.BATCH_SYMBOLS source symbols. These tests shrink the batch to a
+# shardio.BATCH_SYMBOLS source symbols. These tests shrink the batch to a
 # few stripes and check that batch boundaries change no output byte, that
 # encode writes the exact bytes pinned by digest, that each command builds
 # its linear map and runs its self-check once, that a failure mid-stream
@@ -47,7 +47,7 @@ CODE_IDS = ["3-2-7", "4-3-13"]
 
 
 def small_batches(monkeypatch, params, stripes=BATCH):
-    monkeypatch.setattr(striping, "BATCH_SYMBOLS", stripes * params.file_symbols)
+    monkeypatch.setattr(shardio, "BATCH_SYMBOLS", stripes * params.file_symbols)
 
 
 def code_flags(params):

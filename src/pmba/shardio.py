@@ -449,15 +449,15 @@ class ShardSet(contextlib.AbstractContextManager):
                 reader = stack.enter_context(ShardReader(p))
                 if entries is None and not crc:
                     reader.crc = None  # nothing compares or prints it
-                if first is None and entries is not None:
-                    for key, want in _manifest_code(reader.header).items():
-                        if entries.get(key) != str(want):
+                if first is None:  # the manifest and every later header must match it
+                    first, code = reader, reader.header.code_key()
+                    for key, want in _manifest_code(first.header).items():
+                        if entries is not None and entries.get(key) != str(want):
                             raise ShardFormatError(
                                 f"{manifest}: manifest {key}={entries.get(key)} does not "
                                 f"match shard headers ({want})"
                             )
-                first = first or reader
-                if reader.header.code_key() != first.header.code_key():
+                elif reader.header.code_key() != code:
                     raise ShardFormatError(
                         f"{p}: header disagrees with {first.path}; shards are not from "
                         f"the same encoding"

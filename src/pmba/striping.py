@@ -6,25 +6,26 @@ from the construction: encoding places each node's Vandermonde row into
 the banded message-matrix layout and reads, per block column, only the
 band of source blocks it needs; decoding applies the reconstructor's
 `peel_maps`, one block column and one carried block per step; repair takes
-the paper's two steps, `stripe_bundler`'s `bundle_map` from each helper's
-payload to the beta symbols it sends, then `repair_matrix` from the d*beta
-of them to node f's payload, chained by `stripe_repairer` in one tile loop.
-Each builder (`stripe_encoder`, `stripe_decoder`, `stripe_bundler`,
-`stripe_repairer`) builds its maps once and returns a function that applies
-them to one batch in BLAS products, a tile of about TILE_VALUES float
-values at a time so that each product and its reduction mod q run in
-cache; within a tile each stage's reduced floats feed the next stage, and
-only the last writes `<u2` symbols, the dtype shard files hold. Each stage
-picks its float dtype from the largest integer sum its inner dimension
-allows: float32 below 2**22, float64 below 2**51, the bounds below which
-the products and the reduction mod q are exact; past 2**51 it refuses. At
-the default q = 257 only the (3,5,20) combine stage, 144 to 240 terms,
-runs float64. Each builder runs its function once on a self-check batch
-made once per code, against the stepwise codec alone, so no caller's data
-can blind the check. `encode_stripes`, `reconstruct_stripes` and
-`repair_stripes` apply the kernels to one batch of every stripe; the CLI
-streams files through them in the batches `shardio` sizes, and `Cluster`
-runs the encoder and the bundler.
+the paper's two steps, `bundle_map` from each helper's payload to the beta
+symbols it sends (`_bundle_stage`, which `stripe_bundler` runs alone), then
+`repair_matrix` from the d*beta of them to node f's payload, chained by
+`stripe_repairer` in one tile loop. Each builder (`stripe_encoder`,
+`stripe_decoder`, `stripe_bundler`, `stripe_repairer`) builds its maps once,
+calling no other builder, and returns a function that applies them to one
+batch in BLAS products, a tile of about TILE_VALUES float values at a time
+so that each product and its reduction mod q run in cache; within a tile
+each stage's reduced floats feed the next stage, and only the last writes
+`<u2` symbols, the dtype shard files hold. Each stage picks its float dtype
+from the largest integer sum its inner dimension allows: float32 below
+2**22, float64 below 2**51, the bounds below which the products and the
+reduction mod q are exact; past 2**51 it refuses. At the default q = 257
+only the (3,5,20) combine stage, 144 to 240 terms, runs float64. Each
+builder runs its function once on a self-check batch made once per code,
+against the stepwise codec alone, so no caller's data can blind the check.
+The CLI streams files through these functions in the batches `shardio`
+sizes, and `Cluster` runs the encoder and the bundler. No command calls
+`encode_stripes`, `reconstruct_stripes` or `repair_stripes`, which apply
+them to one batch of every stripe; only tests and `perfbench/tracing.py` do.
 """
 
 from __future__ import annotations
@@ -317,29 +318,29 @@ def _tiled_product(stages, q: int):
     return product
 
 
+def _bundle_stage(params: CodeParams, f: int, d: int):
+    """The bundle stage for node f; refuses a d outside D, then an f outside 1..n."""
+    seg, _ = session_shape(params, d)
+    check_repair_nodes(params, f, ())
+    return bundle_map(params, f, d), seg, "bundler"
+
+
 def stripe_bundler(params: CodeParams, f: int, d: int):
     """Build the helpers' side of the repair of node f from d helpers once;
     returns a function that bundles one batch.
 
     The function maps a dict of helpers' (stripes, alpha) payloads of
     residues, of any integer dtype, to one (stripes, len(dict)*beta) `<u2`
-    array: each helper's beta bundle symbols for node f, the symbols
-    `make_repair_bundle` gives one stripe at a time, grouped by helper in
-    ascending node order as `repair_matrix`'s columns are; its `stage` is
-    its one `_tiled_product` stage. The map does not depend on which helper
-    sends. The builder refuses a function that does not give the stepwise
-    bundles of a helper's self-check payload.
+    array: each helper's beta bundle symbols for node f, by one map for any
+    helper, grouped in ascending node order as `repair_matrix`'s columns
+    are. The builder refuses a function that does not give the bundles
+    `make_repair_bundle` makes of a helper's self-check payload.
     """
-    seg, _ = session_shape(params, d)  # refuses a d outside D
-    check_repair_nodes(params, f, ())
-    # a bundle symbol sums one segment's products
-    stage = (bundle_map(params, f, d), seg, "bundler")
-    product = _tiled_product([stage], params.q)
+    product = _tiled_product([_bundle_stage(params, f, d)], params.q)
 
     def bundle(payloads: dict) -> np.ndarray:
         return product([payloads[h] for h in sorted(payloads)])
 
-    bundle.stage = stage
     _, payloads = _self_check_batch(params)
     h = 2 if f == 1 else 1  # any helper but f
     shards = [NodeShard(h, params.eval_point(h), params.field.elements(row)) for row in payloads[h - 1]]
@@ -350,21 +351,20 @@ def stripe_bundler(params: CodeParams, f: int, d: int):
 
 def stripe_repairer(params: CodeParams, f: int, helpers):
     """Build the repair map for node f from the given helpers once; returns
-    a function that rebuilds one batch: `stripe_bundler`'s stage for d
-    helpers, then `repair_matrix` on their d*beta bundle symbols, chained in
-    one tile loop with each stage in its own dtype.
+    a function that rebuilds one batch: the bundle stage for d helpers, then
+    `repair_matrix` on their d*beta bundle symbols, in one tile loop.
 
     The function maps a dict of the helpers' (stripes, alpha) payloads of
     residues, of any integer dtype, to node f's (stripes, alpha) `<u2`
     payload. The builder refuses a function that does not return node f's
-    self-check payload from the helpers'.
+    self-check payload from the helpers', which checks both stages.
     """
     helpers = sorted(helpers)
     decoding = repair_matrix(params, f, helpers)  # refuses f and the helpers
     # a rebuilt symbol sums all d*beta bundle symbols' products: refused first, the larger sum
     combine = (decoding.T, decoding.shape[1], "repairer")
     _check_exact(params.q, *combine[1:])
-    chain = _tiled_product([stripe_bundler(params, f, len(helpers)).stage, combine], params.q)
+    chain = _tiled_product([_bundle_stage(params, f, len(helpers)), combine], params.q)
 
     def rebuild(payloads: dict) -> np.ndarray:
         return chain([payloads[h] for h in helpers])  # reads no other node

@@ -213,11 +213,8 @@ def test_every_kernel_matches_the_reference_at_each_tile_edge(code, q, monkeypat
     others = [h for h in range(1, params.n + 1) if h != f]
     for d in params.helper_counts:
         helpers = sorted(int(h) for h in rng.choice(others, d, replace=False))
-        # the tiles of the bundler's one-helper self-check and of the chain's
-        # self-check, which real calls of d helpers take too
-        rebuild, counts = tile_edge_counts(
-            monkeypatch, lambda: striping.stripe_repairer(params, f, helpers), tiles=2
-        )
+        # the tile of the chain's self-check, which real calls of d helpers take too
+        rebuild, counts = tile_edge_counts(monkeypatch, lambda: striping.stripe_repairer(params, f, helpers))
         for count in counts:
             period = np.arange(count) % PERIOD
             rebuilt = rebuild({h: coded[h - 1, period] for h in helpers})
@@ -359,15 +356,19 @@ def test_the_bundler_refuses_what_make_repair_bundle_refuses():
         striping.stripe_bundler(params, 0, 5)
 
 
-def test_a_repairer_is_one_bundler_then_a_combine_stage_each_in_its_own_dtype(monkeypatch):
+def test_a_repairer_is_the_bundle_stage_then_a_combine_stage_each_in_its_own_dtype(monkeypatch):
     params = derive_params(3, 5, 20)
     assert params.q == 257
-    builds = []
-    real = striping.stripe_bundler
-    monkeypatch.setattr(striping, "stripe_bundler", lambda *a: (builds.append(a), real(*a))[1])
+    calls = []
+    for name in ("_bundle_stage", "stripe_bundler", "_tiled_product"):
+        real = getattr(striping, name)
+        monkeypatch.setattr(striping, name, lambda *a, _n=name, _r=real: (calls.append((_n, a)), _r(*a))[1])
     picked = record_dtypes(monkeypatch)
     striping.stripe_repairer(params, 9, (1, 2, 3, 4))
-    assert builds == [(params, 9, 4)]
+    # no bundler is built: one bundle stage, chained with the combine stage in one product
+    (stage_call, stage_args), (product_call, (stages, q)) = calls
+    assert (stage_call, stage_args, product_call, q) == ("_bundle_stage", (params, 9, 4), "_tiled_product", 257)
+    assert [kernel for _, _, kernel in stages] == ["bundler", "repairer"]
     # seg = 2 terms per bundle symbol, d*beta = 240 per rebuilt one
     assert picked == {"bundler": {np.float32}, "repairer": {np.float64}}
 
@@ -419,3 +420,41 @@ def test_the_bundler_refuses_a_map_the_stepwise_bundle_disagrees_with(f, monkeyp
         InconsistencyError, match="batched bundler and the stepwise make_repair_bundle disagree on stripe 0"
     ):
         striping.stripe_bundler(params, f, 6)
+
+
+@pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
+def test_the_repairer_refuses_a_bundle_map_its_own_self_check_disagrees_with(code, monkeypatch):
+    params = derive_params(*code)
+    real = striping.bundle_map
+
+    def skewed(*args):
+        out = np.array(real(*args))
+        out[0, 0] += 1
+        return out
+
+    monkeypatch.setattr(striping, "bundle_map", skewed)
+    d_min, d_max = min(params.helper_counts), max(params.helper_counts)
+    for f, d in ((1, d_min), (params.n, d_max)):
+        helpers = [h for h in range(1, params.n + 1) if h != f][:d]
+        # no bundler of its own refuses first: the chain's one check covers the bundle stage
+        with pytest.raises(
+            InconsistencyError, match="batched repairer and the stepwise encoder disagree on stripe 0"
+        ):
+            striping.stripe_repairer(params, f, helpers)
+
+
+EVERY_BUILDER = {**BUILDERS, "bundler": lambda p: striping.stripe_bundler(p, 1, 4)}
+
+
+@pytest.mark.parametrize("kernel", sorted(EVERY_BUILDER))
+def test_each_builder_runs_one_self_check_and_builds_no_other_kernel(kernel, monkeypatch):
+    params = derive_params(3, 2, 7)
+    calls = []
+    for name in ("stripe_encoder", "stripe_decoder", "stripe_bundler", "stripe_repairer", "_self_check"):
+        real = getattr(striping, name)
+        monkeypatch.setattr(striping, name, lambda *a, _n=name, _r=real, **kw: (calls.append(_n), _r(*a, **kw))[1])
+    striping._self_check_batch.cache_clear()
+    for _ in range(2):  # cold caches, then warm ones
+        calls.clear()
+        EVERY_BUILDER[kernel](params)
+        assert calls == [f"stripe_{kernel}", "_self_check"]

@@ -5,12 +5,12 @@
 # few stripes and check that batch boundaries change no output byte, that
 # encode writes the exact bytes pinned by digest, that each command builds
 # its linear map and runs its self-check once, that a failure mid-stream
-# leaves no file behind, that `reconstruct` and `repair --manifest` refuse
-# a flipped bit in any batch before they commit, that a CRC-32 is computed
-# once per batch and only where something reads it, that each write starts
-# its own write-back while every output is still fsynced before its
-# rename, that written files follow the umask, and that peak memory does
-# not grow with the file.
+# leaves no file behind, that `reconstruct`, `repair` and `verify` with a
+# manifest refuse a flipped bit in any batch before they commit, that a
+# CRC-32 is computed once per batch and only where something reads it,
+# that each write starts its own write-back while every output is still
+# fsynced before its rename, that written files follow the umask, and
+# that peak memory does not grow with the file.
 import ctypes
 import errno
 import hashlib
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmba import reconstructor, shardio, striping
+from pmba import cli, reconstructor, shardio, striping
 from pmba.cli import main
 from pmba.matrix import InconsistencyError, Matrix
 from pmba.params import derive_params
@@ -206,9 +206,9 @@ def test_each_command_builds_its_map_and_checks_stripe_0_once(tmp_path, monkeypa
 
     # encode_all is the stepwise oracle, run once per stripe of the self-check
     # batch, which is cached per code: each command starts with it cleared.
-    # _self_check runs once per kernel, and a repairer is two: its bundler
-    # and its combine stage. The decode maps' one inverse runs in the
-    # reconstructor's peel_maps.
+    # _self_check runs once per kernel: a repairer chains its bundle and
+    # combine stages and checks them together, building no bundler. The
+    # decode maps' one inverse runs in the reconstructor's peel_maps.
     names = dict.fromkeys(["encode_matrix", "repair_matrix", "encode_all", "_self_check", "stripe_bundler"], striping)
     names["invert"] = reconstructor
     counts = count_calls(monkeypatch, names)
@@ -229,7 +229,7 @@ def test_each_command_builds_its_map_and_checks_stripe_0_once(tmp_path, monkeypa
     helpers = [str(shards[h]) for h in (1, 2, 4, 5, 6, 7)]
     assert main(["repair", *helpers, "-f", "3", "--out", str(tmp_path / "r")]) == 0
     assert (counts["repair_matrix"], counts["encode_all"], counts["encode_matrix"]) == (1, 2, 0)
-    assert (counts["stripe_bundler"], counts["_self_check"]) == (1, 2)
+    assert (counts["stripe_bundler"], counts["_self_check"]) == (0, 1)
     capsys.readouterr()
 
 
@@ -403,6 +403,64 @@ def test_reconstruct_from_a_truncated_shard_writes_nothing(tmp_path, monkeypatch
     rc = main(["reconstruct", *(str(shards[j]) for j in (1, 2, 3)), "-o", str(out_dir / "in.bin")])
     assert rc == 2
     assert f"{shards[2]}: payload holds" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("size", [20, 100], ids=["first-batch", "later-batch"])
+def test_an_input_that_shrinks_while_being_encoded_exits_1_and_leaves_nothing(size, tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params)  # 36 bytes per batch: 100 bytes are read as 36, 36 and 28
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(range(size)))
+    real_fstat, ident = os.fstat, file_id(src.stat())
+
+    def longer(fd):  # the input's length says 10 bytes more than reading it gives
+        found = real_fstat(fd)
+        if file_id(found) != ident:
+            return found
+        fields = list(found[:10])
+        fields[stat.ST_SIZE] += 10
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(cli.os, "fstat", longer)
+    rc = main(["encode", str(src), "-o", str(tmp_path / "new" / "sh"), *code_flags(params)])
+    monkeypatch.undo()
+    assert rc == 1
+    assert f"{src}: shrank to {size} bytes while being read" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+
+# 1024 stripes of (3,2,7) are 8 KiB of payload, as much as an open file's
+# read buffer holds, so a truncation past the first batch is seen
+SHRINK_BATCH, SHRINK_STRIPES = 1024, 3000
+
+
+@pytest.mark.parametrize("kept", [0, SHRINK_BATCH], ids=["first-batch", "later-batch"])
+def test_a_shard_that_shrinks_after_it_was_opened_exits_2_naming_it(kept, tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params, SHRINK_BATCH)
+    data = np.random.default_rng(9).integers(0, 256, SHRINK_STRIPES * params.file_symbols, dtype=np.uint8)
+    _, _, shards = encode_file(tmp_path, params, data.tobytes())
+    shard, whole = shards[2], shards[2].read_bytes()
+    cut = len(whole) - (SHRINK_STRIPES - kept) * params.alpha * 2  # keeps the header and `kept` stripes
+
+    with ShardReader(shard) as reader:
+        os.truncate(shard, cut)
+        reader.read(kept)
+        with pytest.raises(ShardFormatError) as refused:
+            reader.read(SHRINK_BATCH)
+    assert str(refused.value) == f"{shard}: payload shrank while being read"
+
+    # truncated once the set is open, as the decoder is built
+    shard.write_bytes(whole)
+    real = striping.stripe_decoder
+    monkeypatch.setattr(striping, "stripe_decoder", lambda *a: (os.truncate(shard, cut), real(*a))[1])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    capsys.readouterr()
+    rc = main(["reconstruct", *(str(shards[j]) for j in (1, 2, 3)), "-o", str(out_dir / "in.bin")])
+    assert rc == 2
+    assert f"{shard}: payload shrank while being read" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
 
 
@@ -586,6 +644,7 @@ def test_a_flipped_bit_in_a_shard_read_exits_2_naming_it_and_commits_nothing(whe
         "reconstruct": ["reconstruct", *(str(shards[j]) for j in (1, 3, 6)), "-o", str(out_dir / "in.bin")],
         "repair d=4": ["repair", *(str(shards[h]) for h in (2, 3, 4, 5)), "-f", "1", "--out", str(out_dir / "a")],
         "repair d=6": ["repair", *(str(shards[h]) for h in (2, 3, 4, 5, 6, 7)), "-f", "1", "--out", str(out_dir / "b")],
+        "verify": ["verify", *map(str, shards.values())],
     }
     for name, argv in commands.items():
         assert main([*argv, "--manifest", str(manifest)]) == 2, name

@@ -7,7 +7,8 @@ shard files whose headers match except for the node index are mutually
 decodable.
 
 `ShardReader` checks a file's header and payload length on open and then
-reads the payload in batches of whole stripes; `ShardWriter` writes the
+reads the payload in batches of whole stripes, each into the one buffer
+it holds; `ShardWriter` writes the
 header and then appended batches, so a file is never held in memory whole.
 Both keep a running CRC-32 of the payload bytes, one `zlib.crc32` call per
 batch, unless their `crc` is set to None before the first batch: then they
@@ -41,7 +42,7 @@ import stat
 import struct
 import tempfile
 import zlib
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +73,12 @@ class ShardHeader:
     eval_points: tuple
 
     def code_key(self) -> tuple:
-        """Everything that must match across mutually decodable shards."""
-        return astuple(replace(self, node_index=0))
+        """Everything that must match across mutually decodable shards: every
+        field but `node_index`."""
+        return (
+            self.q, self.n, self.k, self.delta,
+            self.stripe_count, self.original_length, self.eval_points,
+        )
 
 
 def header_for(params: CodeParams, node_index: int, original_length: int) -> ShardHeader:
@@ -300,8 +305,9 @@ def write_shard(path, header: ShardHeader, symbols: np.ndarray) -> None:
 class ShardReader(contextlib.AbstractContextManager):
     """An open shard file whose header and payload length have been checked.
 
-    The payload is read in batches of whole stripes; each batch is checked
-    symbol by symbol against q, and `crc` is the running CRC-32 of the
+    The payload is read in batches of whole stripes, each into the same
+    buffer, so a batch is valid only until the next `read`; each batch is
+    checked symbol by symbol against q, and `crc` is the running CRC-32 of the
     payload read so far (set to None before the first batch, it stays None
     and none is computed), `stripes` the number of stripes read.
     """
@@ -315,6 +321,7 @@ class ShardReader(contextlib.AbstractContextManager):
             self._fh.close()
             raise
         self.stripes = self.crc = 0
+        self._buffer = np.empty(0, dtype=np.uint8)  # the payload bytes of the last batch
 
     def _read_header(self) -> ShardHeader:
         path = self.path
@@ -345,15 +352,20 @@ class ShardReader(contextlib.AbstractContextManager):
 
     def read(self, stripes: int) -> np.ndarray:
         """The next `stripes` stripes of payload, as a read-only
-        (stripes, alpha) array of `<u2` symbols."""
+        (stripes, alpha) array of `<u2` symbols that stays valid until the
+        next `read`: every batch is read into one buffer the reader holds,
+        grown only when a batch needs more."""
         remaining = self.header.stripe_count - self.stripes
         if not 0 <= stripes <= remaining:
             raise ValueError(f"{self.path}: cannot read {stripes} stripes, {remaining} remain")
         want = stripes * self.params.alpha * 2
-        payload = self._fh.read(want)
-        if len(payload) != want:
+        if self._buffer.size < want:
+            self._buffer = np.empty(want, dtype=np.uint8)
+        payload = self._buffer[:want]
+        if self._fh.readinto(payload) != want:
             raise ShardFormatError(f"{self.path}: payload shrank while being read")
-        symbols = np.frombuffer(payload, dtype="<u2").reshape(stripes, self.params.alpha)
+        symbols = payload.view("<u2").reshape(stripes, self.params.alpha)
+        symbols.flags.writeable = False
         if symbols.size and int(symbols.max()) >= self.header.q:
             raise ShardFormatError(f"{self.path}: payload symbol >= q = {self.header.q}")
         if self.crc is not None:
@@ -477,9 +489,10 @@ class ShardSet(contextlib.AbstractContextManager):
 
     def batches(self, nodes=None):
         """Yield {node: (stripes, alpha) payload} for `batch_stripes` stripes
-        at a time, the last batch holding the rest, reading the files of
-        `nodes` (default: every node held) in step and no other. A node the
-        set does not hold is refused here, before anything is read."""
+        at a time, each valid until the next, the last holding the rest,
+        reading the files of `nodes` (default: every node held) in step and
+        no other. A node the set does not hold is refused here, before
+        anything is read."""
         nodes = self.readers if nodes is None else nodes
         missing = sorted(set(nodes) - self.readers.keys())
         if missing:

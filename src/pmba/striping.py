@@ -13,7 +13,9 @@ symbols it sends (`_bundle_stage`, which `stripe_bundler` runs alone), then
 `stripe_decoder`, `stripe_bundler`, `stripe_repairer`) builds its maps once,
 calling no other builder, and returns a function that applies them to one
 batch in BLAS products, a tile of about TILE_VALUES float values at a time
-so that each product and its reduction mod q run in cache; within a tile
+so that each product and its reduction mod q run in cache. The function
+holds its tile buffers from call to call, growing them only for a larger
+batch, so it is not reentrant; its output is a fresh array. Within a tile
 each stage's reduced floats feed the next stage, and only the last writes
 `<u2` symbols, the dtype shard files hold. Each stage picks its float dtype
 from the largest integer sum its inner dimension allows: float32 below
@@ -30,6 +32,7 @@ them to one batch of every stripe; only tests and `perfbench/tracing.py` do.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -64,8 +67,9 @@ def bytes_to_source(data, params: CodeParams) -> np.ndarray:
 
 
 def batches_to_bytes(batches, original_length: int):
-    """Yield the bytes of decoded source batches in order, trimmed to
-    original_length symbols; raises once the batches end short of it."""
+    """Yield the bytes of decoded source batches in order, each batch's as
+    one uint8 array, trimmed to original_length symbols; raises once the
+    batches end short of it."""
     remaining, held = original_length, 0
     for source in batches:
         flat = source.reshape(-1)
@@ -74,7 +78,7 @@ def batches_to_bytes(batches, original_length: int):
             raise InconsistencyError("decoded symbol exceeds byte range; data is corrupt")
         remaining -= head.size
         held += flat.size
-        yield head.astype(np.uint8).tobytes()
+        yield head.astype(np.uint8)
     if remaining:
         raise ValueError(
             f"decoded stripes hold {held} symbols, fewer than the "
@@ -135,10 +139,13 @@ def _check_exact(q: int, terms: int, kernel: str):
     return np.float64
 
 
-def _reduce(x: np.ndarray, q: int, out=None) -> np.ndarray:
+def _reduce(x: np.ndarray, q: int, out=None, temp=None) -> np.ndarray:
     """x mod q, for a float64 array of integers 0 <= x < 2**51 or a float32
     one of integers 0 <= x < 2**22, in place or into `out`, which may be of
-    any dtype holding 0..q-1.
+    any dtype holding 0..q-1. `temp`, an array of x's shape and dtype that
+    overlaps neither, takes the multiples of q that are subtracted, so a
+    kernel that holds one allocates no array here; without it one is
+    allocated.
 
     Write x = m*q + r with 0 <= r < q. Then (x + 0.5)/q = m + (r + 0.5)/q
     lies at least 0.5/q from every integer. Let u be the unit roundoff:
@@ -159,11 +166,33 @@ def _reduce(x: np.ndarray, q: int, out=None) -> np.ndarray:
     every partial sum is a non-negative integer no larger than the whole
     sum, so below 2**22 < 2**24, where float32 holds every integer.
     """
-    t = x + 0.5
+    t = np.add(x, 0.5, out=temp)
     t *= x.dtype.type(1) / x.dtype.type(q)
     np.floor(t, out=t)
     t *= q
     return np.subtract(x, t, out=x if out is None else out, casting="unsafe")
+
+
+def _held_buffers():
+    """A function `held(key, shape, dtype)` returning a C-contiguous array
+    that views the first bytes of a buffer kept under `key` from call to
+    call, made on the first call and regrown only for a larger one. Arrays
+    of one key share memory, so a key may serve several temporaries, of
+    any dtypes, only while each is done with before the next is taken. A
+    kernel that takes its tile arrays from it allocates no scratch once its
+    batches stop growing, and is not reentrant: a second call while one
+    runs would share its buffers."""
+    buffers = {}
+
+    def held(key, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buffer = buffers.get(key)
+        if buffer is None or buffer.size < size:
+            buffer = buffers[key] = np.empty(size, np.uint8)
+        return buffer[:size].view(dtype).reshape(shape)
+
+    return held
 
 
 def _tile_rows(width: int) -> int:
@@ -181,10 +210,11 @@ def encode_matrix(params: CodeParams) -> np.ndarray:
 def stripe_encoder(params: CodeParams):
     """Build the encoding map once; returns a function that encodes one batch.
 
-    The function maps a (stripes, F) batch of residues to a C-contiguous
-    `<u2` array indexed [node-1, stripe, symbol]. The builder refuses a
-    function that does not reproduce the stepwise encoder's payloads of the
-    self-check batch.
+    The function maps a (stripes, F) batch of residues to a fresh
+    C-contiguous `<u2` array indexed [node-1, stripe, symbol]. It holds its
+    tile buffers from call to call, so it is not reentrant. The builder
+    refuses a function that does not reproduce the stepwise encoder's
+    payloads of the self-check batch.
     """
     n, alpha, q, w = params.n, params.alpha, params.q, params.k - 1
     f_sym = params.file_symbols
@@ -199,25 +229,25 @@ def stripe_encoder(params: CodeParams):
     dtype = _check_exact(q, max(coefficients.shape[1] for _, coefficients in bands), "encoder")
     bands = [(band, coefficients.astype(dtype)) for band, coefficients in bands]
     rows = _tile_rows(f_sym + n * alpha)  # a source tile and its coded tile
+    held = _held_buffers()
 
     def encode(source: np.ndarray) -> np.ndarray:
         source = np.asarray(source)
         stripes = source.shape[0]
         out = np.empty((n, stripes, alpha), dtype="<u2")
-        source_t, coded = np.empty(f_sym * rows, dtype), np.empty(n * alpha * rows, dtype)
         for s in range(0, stripes, rows):
             m = min(rows, stripes - s)
-            # A tile of m stripes is a contiguous prefix of each buffer. It is
-            # symbol-major: row i holds symbol i of the tile's stripes.
-            tile = source_t[: f_sym * m].reshape(f_sym, m)
+            # A tile is symbol-major: row i holds symbol i of the tile's stripes.
+            tile = held("source", (f_sym, m), dtype)
             tile[...] = source[s : s + m].T
-            block_columns = coded[: n * alpha * m].reshape(len(bands), n * w, m)
+            block_columns = held("coded", (len(bands), n * w, m), dtype)
             for (band, coefficients), column in zip(bands, block_columns):
                 np.matmul(coefficients, tile[band], out=column)
             # The reduction writes each block column's symbols straight into
             # their places in `out`, running along the tile's contiguous rows.
             written = out[:, s : s + m].reshape(n, m, len(bands), w).transpose(2, 0, 3, 1)
-            _reduce(block_columns.reshape(written.shape), q, out=written)
+            temp = held("temp", written.shape, dtype)
+            _reduce(block_columns.reshape(written.shape), q, out=written, temp=temp)
         return out
 
     source, payloads = _self_check_batch(params)
@@ -238,9 +268,10 @@ def stripe_decoder(params: CodeParams, nodes):
     step and carry maps from A_0, here the nodes' slice of `encode_matrix`.
 
     The function maps a dict of (stripes, alpha) payloads of residues, of
-    any integer dtype and holding at least those nodes, to the (stripes, F)
-    `<u2` source. The builder refuses a function that does not return the
-    self-check source from the nodes' self-check payloads.
+    any integer dtype and holding at least those nodes, to a fresh
+    (stripes, F) `<u2` source. It holds its tile buffers from call to call,
+    so it is not reentrant. The builder refuses a function that does not
+    return the self-check source from the nodes' self-check payloads.
     """
     k, z, q, f_sym = params.k, params.z_delta, params.q, params.file_symbols
     nodes = sorted(nodes)
@@ -254,24 +285,26 @@ def stripe_decoder(params: CodeParams, nodes):
     a0 = enc[np.array(nodes) - 1, :w, :pair].reshape(pair, pair)
     steps, carry = (m.astype(dtype) for m in peel_maps(params, nodes, a0))
     rows = _tile_rows(2 * f_sym)  # the observed and the peeled tile, k*alpha = F each
+    held = _held_buffers()
 
     def decode(payloads: dict) -> np.ndarray:
         stripes = payloads[nodes[0]].shape[0]
         out = np.empty((stripes, f_sym), dtype="<u2")
-        observed, peeled = np.empty(f_sym * rows, dtype), np.empty(f_sym * rows, dtype)
         for s in range(0, stripes, rows):
             m = min(rows, stripes - s)
-            # A tile is a contiguous prefix of each buffer. Rows are symbols and
-            # columns are stripes, so every step reads and writes whole rows.
-            tile = observed[: f_sym * m].reshape(z, k, w, m)
+            # Rows are symbols and columns are stripes, so every step reads
+            # and writes whole rows.
+            tile = held("observed", (z, k, w, m), dtype)
             for i, j in enumerate(nodes):
                 tile[:, i] = payloads[j][s : s + m].T.reshape(z, w, m)
-            blocks = peeled[: f_sym * m].reshape(z, pair, m)
+            blocks = held("peeled", (z, pair, m), dtype)
+            # one step's carried products, then the temporary of its reduction
+            carried = held("carried", (pair, m), dtype)
             np.matmul(steps, tile.reshape(z, pair, m), out=blocks)
-            _reduce(blocks[0], q)
+            _reduce(blocks[0], q, temp=carried)
             for i in range(1, z):
-                blocks[i] += carry @ blocks[i - 1, half:]
-                _reduce(blocks[i], q)
+                blocks[i] += np.matmul(carry, blocks[i - 1, half:], out=carried)
+                _reduce(blocks[i], q, temp=carried)
             out[s : s + m] = blocks.reshape(f_sym, m).T
         return out
 
@@ -289,12 +322,15 @@ def reconstruct_stripes(payloads: dict, params: CodeParams) -> np.ndarray:
 def _tiled_product(stages, q: int):
     """The product mod q by a chain of (map, terms, kernel) stages, each in
     `_check_exact`'s dtype for sums of `terms` products: a function from a
-    list of (stripes, a) arrays of residues to one C-contiguous `<u2` array.
-    The first stage maps array i through its (a, b) map into column block i
-    of its products, each later stage the whole reduced product before it,
-    one tile of stripes at a time; only the last stage writes `<u2`."""
+    list of (stripes, a) arrays of residues to one fresh C-contiguous `<u2`
+    array. The first stage maps array i through its (a, b) map into column
+    block i of its products, each later stage the whole reduced product
+    before it, one tile of stripes at a time; only the last stage writes
+    `<u2`. The function holds its tile buffers from call to call, so it is
+    not reentrant."""
     maps = [matrix.astype(_check_exact(q, terms, kernel)) for matrix, terms, kernel in stages]
     (a, b), later = maps[0].shape, [m.shape[1] for m in maps[1:]]
+    held = _held_buffers()
 
     def product(arrays) -> np.ndarray:
         stripes, widths = arrays[0].shape[0], [len(arrays) * b, *later]
@@ -302,17 +338,23 @@ def _tiled_product(stages, q: int):
         # tile and products (counted twice for `_reduce`'s temporary) in cache
         rows = max(1, min(stripes, _tile_rows(max(x + 2 * y for x, y in zip([a, *widths], widths)))))
         out = np.empty((stripes, widths[-1]), dtype="<u2")
-        tile = np.empty((rows, a), maps[0].dtype)
-        products = [np.empty((rows, w), stage.dtype) for w, stage in zip(widths, maps)]
         for s in range(0, stripes, rows):
             m = min(rows, stripes - s)
+            tile = held("tile", (m, a), maps[0].dtype)
+            products = [held(i, (m, w), stage.dtype) for i, (w, stage) in enumerate(zip(widths, maps))]
             for i, x in enumerate(arrays):
-                tile[:m] = x[s : s + m]
-                np.matmul(tile[:m], maps[0], out=products[0][:m, i * b : (i + 1) * b])
+                tile[...] = x[s : s + m]
+                np.matmul(tile, maps[0], out=products[0][:, i * b : (i + 1) * b])
+            # one "temp" serves, in turn, each reduction's temporary and each cast
+            # to the next stage's dtype, so the tile's arrays stay few enough for cache
             for matrix, before, after in zip(maps[1:], products, products[1:]):
-                reduced = _reduce(before[:m], q)  # in place, then in the next stage's dtype
-                np.matmul(reduced.astype(matrix.dtype, copy=False), matrix, out=after[:m])
-            _reduce(products[-1][:m], q, out=out[s : s + m])
+                reduced = _reduce(before, q, temp=held("temp", before.shape, before.dtype))
+                if reduced.dtype != matrix.dtype:
+                    reduced = held("temp", before.shape, matrix.dtype)
+                    reduced[...] = before
+                np.matmul(reduced, matrix, out=after)
+            last = products[-1]
+            _reduce(last, q, out=out[s : s + m], temp=held("temp", last.shape, last.dtype))
         return out
 
     return product

@@ -6,8 +6,10 @@
 # around every multiple of q up to the largest sum each dtype allows, the
 # guard that picks the dtype or refuses, each kernel against an int64
 # reference at the default and the largest modulus and at every edge of
-# its stripe tiles, a chain of two stages against the two composed, and
+# its stripe tiles, a kernel whose held buffers serve batches that shrink
+# and grow again, a chain of two stages against the two composed, and
 # the dtype and layout the kernels hand to the shard writer.
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -174,9 +176,9 @@ def periodic_stripes(code, q):
     return params, source, reference_encode(source, params)
 
 
-def tile_edge_counts(monkeypatch, build, tiles=1):
-    """Run `build`, which sizes `tiles` tiles, reading the rows per tile each
-    takes; returns what it built and the stripe counts at every tile's edges."""
+def tile_rows(monkeypatch, build, tiles=1):
+    """Run `build`, which sizes `tiles` tiles; returns what it built and the
+    stripes per tile each takes."""
     rows = []
     real = striping._tile_rows
 
@@ -188,6 +190,13 @@ def tile_edge_counts(monkeypatch, build, tiles=1):
     kernel = build()
     monkeypatch.setattr(striping, "_tile_rows", real)
     assert len(rows) == tiles
+    return kernel, rows
+
+
+def tile_edge_counts(monkeypatch, build, tiles=1):
+    """Run `build`, which sizes `tiles` tiles; returns what it built and the
+    stripe counts at every tile's edges."""
+    kernel, rows = tile_rows(monkeypatch, build, tiles)
     return kernel, sorted({count for r in rows for count in (1, r - 1, r, r + 1, 2 * r + 3)})
 
 
@@ -458,3 +467,71 @@ def test_each_builder_runs_one_self_check_and_builds_no_other_kernel(kernel, mon
         calls.clear()
         EVERY_BUILDER[kernel](params)
         assert calls == [f"stripe_{kernel}", "_self_check"]
+
+
+# ---------------------------------------------------------------------------
+# held buffers: a built kernel allocates its tile arrays once
+# ---------------------------------------------------------------------------
+
+
+def some_kernels(params):
+    """One built encoder, decoder and repairer, the repairer from max d."""
+    d = max(params.helper_counts)
+    return {
+        "encoder": lambda: striping.stripe_encoder(params),
+        "decoder": lambda: striping.stripe_decoder(params, range(params.n - params.k + 1, params.n + 1)),
+        "repairer": lambda: striping.stripe_repairer(params, 1, range(2, d + 2)),
+    }
+
+
+@pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
+def test_a_built_kernel_matches_the_reference_as_its_batches_shrink_and_grow(code, monkeypatch):
+    # a smaller batch runs in a prefix of the buffers a larger one left, so
+    # each batch starts at another stripe of the period: a stale value shows
+    params, source, coded = periodic_stripes(code, 257)
+    nodes = list(range(params.n - params.k + 1, params.n + 1))
+    helpers = list(range(2, max(params.helper_counts) + 2))
+    for name, build in some_kernels(params).items():
+        kernel, (rows,) = tile_rows(monkeypatch, build)
+        for i, count in enumerate([rows, rows // 3, 1, rows]):  # full, partial, one, full
+            period = (np.arange(count) + 17 * i) % PERIOD
+            if name == "encoder":
+                got, want = kernel(source[period]), coded[:, period]
+            elif name == "decoder":
+                got, want = kernel({j: coded[j - 1, period] for j in nodes}), source[period]
+            else:
+                got, want = kernel({h: coded[h - 1, period] for h in helpers}), coded[0, period]
+            assert np.array_equal(got, want), (name, count)
+
+
+# Besides its output, a call makes array views and lists, a few KiB, and
+# numpy's one buffer of np.getbufsize() values, float64 at most, through
+# which `_reduce` casts its differences into `<u2`. A tile array holds up to
+# TILE_VALUES floats, 1 MiB in float32.
+CALL_BYTES = 2**14 + 8 * np.getbufsize()
+
+
+@pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
+def test_a_built_kernel_allocates_only_its_output_once_its_batches_stop_growing(code):
+    params, source, coded = periodic_stripes(code, 257)
+    period = np.arange(3 * striping.TILE_VALUES // params.file_symbols) % PERIOD  # many tiles
+    d = max(params.helper_counts)
+    helpers = {h: np.ascontiguousarray(coded[h - 1, period]) for h in range(2, d + 2)}
+    nodes = range(params.n - params.k + 1, params.n + 1)
+    calls = {  # each kernel and its batch
+        "encoder": (striping.stripe_encoder(params), source[period]),
+        "decoder": (striping.stripe_decoder(params, nodes), {j: coded[j - 1, period] for j in nodes}),
+        "bundler": (striping.stripe_bundler(params, 1, d), helpers),
+        "repairer": (striping.stripe_repairer(params, 1, helpers), helpers),
+    }
+    for name, (kernel, batch) in calls.items():
+        kernel(batch)  # the first batch of this size may grow the buffers
+        for call in (2, 3, 4):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = kernel(batch)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + CALL_BYTES, (name, call, peak, out.nbytes)

@@ -180,6 +180,17 @@ def test_code_key_ignores_only_the_node_index():
     assert h3.code_key() != other.code_key()
 
 
+@pytest.mark.parametrize("field", [
+    f.name for f in dataclasses.fields(ShardHeader) if f.name != "node_index"
+])
+def test_every_header_field_but_the_node_index_is_in_the_code_key(field):
+    header = header_for(BYTE_PARAMS, 3, original_length=17)
+    assert dataclasses.replace(header, node_index=6).code_key() == header.code_key()
+    value = getattr(header, field)
+    other = dataclasses.replace(header, **{field: value[::-1] if field == "eval_points" else value + 1})
+    assert other.code_key() != header.code_key()
+
+
 def test_shard_params_rebuilds_the_code():
     header = header_for(BYTE_PARAMS, 2, original_length=0)
     assert shard_params(header, "h.shard") == BYTE_PARAMS
@@ -375,7 +386,8 @@ def test_a_shard_set_reads_every_file_in_batches_of_count(
         assert shards.header == header_for(BYTE_PARAMS, 2, SET_STRIPES * 12 - 3)
         assert shards.params == BYTE_PARAMS
         assert sorted(shards.readers) == list(nodes)
-        batches = list(shards.batches())  # every node held, then the manifest's CRCs
+        # every node held, then the manifest's CRCs; a batch is valid until the next read
+        batches = [{j: x.copy() for j, x in batch.items()} for batch in shards.batches()]
     sizes = [batch[2].shape[0] for batch in batches]
     assert sizes == [min(count, SET_STRIPES - start) for start in range(0, SET_STRIPES, count)]
     for j in nodes:
@@ -433,7 +445,7 @@ def test_a_second_file_for_a_node_is_refused_and_the_same_file_is_read_once(
     again = tmp_path / "." / paths[1].name  # the same file under another spelling
     with ShardSet([paths[1], paths[2], paths[1], again]) as shards:
         assert sorted(shards.readers) == [1, 2] and shards.readers[1].path == paths[1]
-        batches = list(shards.batches([1, 2]))
+        batches = [{j: x.copy() for j, x in b.items()} for b in shards.batches([1, 2])]
     assert np.array_equal(np.concatenate([b[1] for b in batches]), coded[0])
     assert [r.stripes for r in opened_readers] == [SET_STRIPES, SET_STRIPES, 0, 0]
     assert all(r._fh.closed for r in opened_readers)
@@ -449,7 +461,7 @@ def test_a_shard_set_reads_only_the_nodes_it_is_asked_for(tmp_path, opened_reade
         )):
             shards.batches([6, 1, 3])  # refused at the call, before any read
         assert [r.stripes for r in opened_readers] == [0] * 5
-        batches = list(shards.batches([7, 2, 5]))
+        batches = [{j: x.copy() for j, x in b.items()} for b in shards.batches([7, 2, 5])]
     assert all(sorted(batch) == [2, 5, 7] for batch in batches)
     for j in (2, 5, 7):
         assert np.array_equal(np.concatenate([batch[j] for batch in batches]), coded[j - 1])

@@ -306,10 +306,32 @@ def test_reader_batches_and_crc_match_the_whole_payload(tmp_path):
     path = tmp_path / "s"
     write_shard(path, header_for(params, 2, 80), symbols)
     with ShardReader(path) as reader:
-        parts = [reader.read(3), reader.read(3), reader.read(1)]
+        parts = [reader.read(3).copy(), reader.read(3).copy(), reader.read(1).copy()]
         crc = reader.crc
     assert np.array_equal(np.concatenate(parts), read_shard(path)[1])
     assert crc == payload_crc(symbols)
+
+
+def test_a_reader_reads_every_batch_into_one_read_only_buffer(tmp_path):
+    params = derive_params(3, 2, 7)
+    symbols = np.random.default_rng(4).integers(0, params.q, (7, params.alpha))
+    path = tmp_path / "s"
+    write_shard(path, header_for(params, 2, 80), symbols)
+    with ShardReader(path) as reader:
+        first = reader.read(3)
+        assert np.array_equal(first, symbols[:3])
+        second = reader.read(3)
+        assert np.array_equal(second, symbols[3:6])
+        assert np.shares_memory(first, second)  # valid until the next read
+        last = reader.read(1)  # smaller: the same buffer, not a grown one
+        assert np.array_equal(last, symbols[6:]) and np.shares_memory(last, first)
+        for batch in (first, second, last):
+            assert not batch.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                batch[0, 0] = 0
+    _, whole = read_shard(path)
+    assert whole.flags.writeable and np.array_equal(whole, symbols)
+    assert not np.shares_memory(whole, first) and not np.shares_memory(whole, second)
 
 
 def test_reader_refuses_to_read_past_the_header_stripe_count(tmp_path):

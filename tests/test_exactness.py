@@ -474,16 +474,6 @@ def test_each_builder_runs_one_self_check_and_builds_no_other_kernel(kernel, mon
 # ---------------------------------------------------------------------------
 
 
-def some_kernels(params):
-    """One built encoder, decoder and repairer, the repairer from max d."""
-    d = max(params.helper_counts)
-    return {
-        "encoder": lambda: striping.stripe_encoder(params),
-        "decoder": lambda: striping.stripe_decoder(params, range(params.n - params.k + 1, params.n + 1)),
-        "repairer": lambda: striping.stripe_repairer(params, 1, range(2, d + 2)),
-    }
-
-
 @pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
 def test_a_built_kernel_matches_the_reference_as_its_batches_shrink_and_grow(code, monkeypatch):
     # a smaller batch runs in a prefix of the buffers a larger one left, so
@@ -491,7 +481,12 @@ def test_a_built_kernel_matches_the_reference_as_its_batches_shrink_and_grow(cod
     params, source, coded = periodic_stripes(code, 257)
     nodes = list(range(params.n - params.k + 1, params.n + 1))
     helpers = list(range(2, max(params.helper_counts) + 2))
-    for name, build in some_kernels(params).items():
+    builds = {
+        "encoder": lambda: striping.stripe_encoder(params),
+        "decoder": lambda: striping.stripe_decoder(params, nodes),
+        "repairer": lambda: striping.stripe_repairer(params, 1, helpers),
+    }
+    for name, build in builds.items():
         kernel, (rows,) = tile_rows(monkeypatch, build)
         for i, count in enumerate([rows, rows // 3, 1, rows]):  # full, partial, one, full
             period = (np.arange(count) + 17 * i) % PERIOD

@@ -2,6 +2,10 @@
 missing shards, verify integrity, inspect parameters, run cluster drills.
 
 Exit codes: 0 success, 1 usage error, 2 data or verification error.
+
+Each command imports the kernel stack (`striping`) or the drill (`cluster`)
+itself, so that a fresh `pmba verify` or `pmba params show` process never
+loads, or compiles, the codec modules it does not run.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import shardio, striping
-from .cluster import CSV_HEADER, Cluster, HelperPolicy
+from . import shardio
 from .matrix import InconsistencyError
 from .params import comparison_subpacketization, derive_params
 from .shardio import ShardFormatError
@@ -45,6 +48,8 @@ def _refuse_overwriting_an_input(out_path, shards, manifest) -> None:
 def _source_batches(src, length: int, params):
     """Yield the source batches of an open file of `length` bytes, read into
     one reused buffer; an empty file gives one empty batch."""
+    from . import striping
+
     per_batch = shardio.batch_stripes(params) * params.file_symbols
     view = memoryview(bytearray(min(per_batch, length)))
     done = 0
@@ -60,6 +65,8 @@ def _source_batches(src, length: int, params):
 
 
 def cmd_encode(args) -> int:
+    from . import striping
+
     params = derive_params(args.k, args.delta, args.n, q=args.q)
     input_path = Path(args.input)
     out_dir = Path(args.out_dir)
@@ -95,6 +102,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import striping
+
     with shardio.ShardSet(args.shards, args.manifest) as shards:
         header = shards.header
         chosen = sorted(shards.readers)[: header.k]
@@ -117,6 +126,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_repair(args) -> int:
+    from . import striping
+
     with shardio.ShardSet(args.shards, args.manifest) as shards:
         helpers, f = sorted(shards.readers), args.failed
         if args.out:
@@ -175,6 +186,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .cluster import Cluster, HelperPolicy
+
     for flag, count in (("--stripes", args.stripes), ("--rounds", args.rounds)):
         if count < 0:
             raise ValueError(f"{flag} must not be negative, got {count}")

@@ -4,7 +4,9 @@ Every map here slices rows of `encoder.coefficient_matrix`, where row j
 holds x_j^0 .. x_j^((z+1)(k-1)-1). Each helper splits its shard into
 beta(d) segments and sends one inner product per segment, against the first
 alpha entries of node f's row; `bundle_map` is that (alpha, beta) map.
-Step i of the rebuild inverts the helpers' d x d slice from column i(d-k+1).
+Step i of the rebuild solves with the helpers' d x d slice from column
+i(d-k+1), which is diag(x_h^(i(d-k+1))) times the first slice, so one
+inverse serves every step.
 Consecutive segments of the message matrix share one symmetric block, so
 from step two onward it first cancels that block (the carry), through the
 k-1 columns before the slice and Lambda_f = x_f^(k-1), column k-1 of row f,
@@ -83,9 +85,10 @@ def repair_matrix(params: CodeParams, f: int, helpers) -> np.ndarray:
 
     Column h*beta + i stands for symbol i of the bundle from the h-th
     helper in ascending order. This is the segment peel run on the d*beta
-    unit bundles at once: each of the beta steps inverts one d x d
-    generalized Vandermonde and cancels the (k-1)-block carried over from
-    the step before. The map is built once per code, f and helper set.
+    unit bundles at once: each of the beta steps solves with one d x d
+    generalized Vandermonde, the first one's inverse rescaled per helper,
+    and cancels the (k-1)-block carried over from the step before. The map
+    is built once per code, f and helper set, with one inverse.
     """
     helpers = sorted(helpers)
     check_repair_nodes(params, f, helpers)
@@ -99,6 +102,11 @@ def _repair_matrix(params: CodeParams, f: int, helpers: tuple) -> np.ndarray:
     q, w = params.q, params.k - 1
     psi = coefficient_matrix(params).data
     rows, ef_w = psi[np.array(helpers) - 1], psi[f - 1, w]  # Lambda_f = x_f^(k-1)
+    # step i's slice is diag(x_h^(i*seg)) times step 0's, so its inverse is
+    # step 0's with column h scaled by x_h^(-i*seg); `coefficient_matrix`
+    # has refused a zero point, so every x_h^seg is invertible
+    inverse = invert(Matrix(params.field, rows[:, :d])).data
+    unscale = np.array([pow(int(v), -1, q) for v in rows[:, seg]], dtype=np.int64)
     units = np.eye(d * beta, dtype=np.int64)
     decode = np.empty((params.alpha, d * beta), dtype=np.int64)
     carry = None  # (k-1) x (d*beta): the shared block recovered at the previous step
@@ -106,7 +114,8 @@ def _repair_matrix(params: CodeParams, f: int, helpers: tuple) -> np.ndarray:
         upsilon = units[i::beta]  # symbol i of every helper's bundle
         if carry is not None:
             upsilon = (upsilon - rows[:, i * seg - w : i * seg] @ carry % q * ef_w) % q
-        solved = invert(Matrix(params.field, rows[:, i * seg : i * seg + d])).data @ upsilon % q
+            inverse = inverse * unscale % q  # step i's, from step i-1's
+        solved = inverse @ upsilon % q
         piece = solved[:seg]
         piece[seg - w :] += solved[seg:] * ef_w
         if carry is not None:

@@ -146,7 +146,7 @@ def test_min_d_prefers_the_cheapest_per_helper_load():
     assert len(entry.helpers) == 4
 
 
-def test_a_min_d_repair_of_400_stripes_runs_beta_inverses(monkeypatch):
+def test_a_min_d_repair_of_400_stripes_runs_one_inverse(monkeypatch):
     params = derive_params(4, 3, 13)
     c, _ = loaded_cluster(stripes=400, params=params)
     c.fail_node(7)
@@ -155,7 +155,7 @@ def test_a_min_d_repair_of_400_stripes_runs_beta_inverses(monkeypatch):
     real = pmba.repairer.invert
     monkeypatch.setattr(pmba.repairer, "invert", lambda a: (calls.append(a.rows), real(a))[1])
     entry = c.run_repair(7, HelperPolicy.parse("min-d"), rng_seed=8)
-    assert entry.d == 6 and len(calls) == params.per_node_bandwidth[6]
+    assert entry.d == 6 and calls == [6]  # one map, built once, serves all 400 stripes
 
 
 def test_repaired_node_holds_exactly_the_lost_shards():

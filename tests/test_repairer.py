@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 import pmba.repairer as repairer_module
-from pmba.encoder import NodeShard, build_message_matrix, encode_all, encode_node
+from pmba.encoder import (
+    NodeShard,
+    build_message_matrix,
+    coefficient_matrix,
+    encode_all,
+    encode_node,
+)
 from pmba.field import PrimeField
+from pmba.matrix import Matrix, invert
 from pmba.params import CodeParams, derive_params
 from pmba.reconstructor import reconstruct
 from pmba.repairer import (
@@ -252,6 +259,75 @@ def test_repair_matrix_refuses_what_the_repairs_refuse():
         repair_matrix(p, 7, [1, 2, 3, 4, 5])
 
 
+def per_step_inverse_map(params, f, helpers):
+    """The segment peel of `repair_matrix`, inverting each step's own d x d
+    slice of the helpers' rows rather than rescaling the first one's."""
+    d = len(helpers)
+    seg, beta = session_shape(params, d)
+    q, w = params.q, params.k - 1
+    psi = coefficient_matrix(params).data
+    rows, lam = psi[np.array(helpers) - 1], psi[f - 1, w]
+    units = np.eye(d * beta, dtype=np.int64)
+    out = np.empty((params.alpha, d * beta), dtype=np.int64)
+    carry = None
+    for i in range(beta):
+        upsilon = units[i::beta]
+        if carry is not None:
+            upsilon = (upsilon - rows[:, i * seg - w : i * seg] @ carry % q * lam) % q
+        step = invert(Matrix(params.field, rows[:, i * seg : i * seg + d])).data
+        solved = step @ upsilon % q
+        piece = solved[:seg]
+        piece[seg - w :] += solved[seg:] * lam
+        if carry is not None:
+            piece[:w] += carry
+        out[i * seg : (i + 1) * seg] = piece % q
+        carry = solved[seg:]
+    return out
+
+
+def test_one_inverse_gives_the_per_step_inverse_map_at_every_repair_of_2_3_6():
+    p = derive_params(2, 3, 6)
+    count = 0
+    for f in range(1, p.n + 1):
+        others = [j for j in range(1, p.n + 1) if j != f]
+        for d in p.helper_counts:
+            for helpers in itertools.combinations(others, d):
+                got = repair_matrix(p, f, helpers)
+                assert np.array_equal(got, per_step_inverse_map(p, f, helpers)), (f, helpers)
+                count += 1
+    assert count == 6 * (10 + 10 + 5)
+
+
+def test_one_inverse_gives_the_per_step_inverse_map_on_a_sample_of_3_5_20():
+    p = derive_params(3, 5, 20)
+    rng = np.random.default_rng(53)
+    for d in p.helper_counts:
+        for _ in range(3):
+            f = int(rng.integers(1, p.n + 1))
+            others = [j for j in range(1, p.n + 1) if j != f]
+            helpers = tuple(sorted(int(h) for h in rng.choice(others, size=d, replace=False)))
+            got = repair_matrix(p, f, helpers)
+            assert np.array_equal(got, per_step_inverse_map(p, f, helpers)), (f, helpers)
+
+
+@pytest.mark.parametrize(
+    "points, reason",
+    [((0, 1, 2, 3, 4, 5, 6), "nonzero"), ((1, 1, 2, 3, 4, 5, 6), "pairwise distinct")],
+    ids=["zero", "repeated"],
+)
+def test_a_zero_or_repeated_helper_point_is_refused_by_name_before_any_inverse(
+    monkeypatch, points, reason
+):
+    # a CodeParams built directly skips derive_params' point checks, so the
+    # repair map meets these points; no step's inverse is reached
+    p = CodeParams(n=7, k=3, delta=2, q=257, eval_points=points)
+    calls = count_inverses(monkeypatch)
+    for helpers in ([1, 2, 3, 4], [1, 2, 3, 4, 5, 6]):  # beta = 2 and beta = 1
+        with pytest.raises(ValueError, match=f"points must be {reason}"):
+            repair_matrix(p, 7, helpers)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the maps are built once per code and node set
 # ---------------------------------------------------------------------------
@@ -267,7 +343,7 @@ def count_inverses(monkeypatch):
     return calls
 
 
-def test_two_repairs_from_one_helper_set_run_beta_inverses(monkeypatch):
+def test_two_repairs_from_one_helper_set_run_one_inverse(monkeypatch):
     calls = count_inverses(monkeypatch)
     rng = np.random.default_rng(47)
     f, helpers = 3, (1, 4, 6, 8, 10, 12)
@@ -276,7 +352,7 @@ def test_two_repairs_from_one_helper_set_run_beta_inverses(monkeypatch):
         shards, _ = encoded(source, THIRTEEN)
         got = repair(f, bundles_for(shards, helpers, f, 6, THIRTEEN), THIRTEEN)
         assert got == shards[f - 1]
-    assert calls == [6] * THIRTEEN.per_node_bandwidth[6]
+    assert calls == [6]  # one d x d inverse builds the map, which both repairs share
 
 
 def test_helpers_in_any_order_share_one_repair_map():

@@ -17,17 +17,20 @@ so that each product and its reduction mod q run in cache. The function
 holds its tile buffers from call to call, growing them only for a larger
 batch, so it is not reentrant; its output is a fresh array. Within a tile
 each stage's reduced floats feed the next stage, and only the last writes
-`<u2` symbols, the dtype shard files hold. Each stage picks its float dtype
-from the largest integer sum its inner dimension allows: float32 below
-2**22, float64 below 2**51, the bounds below which the products and the
-reduction mod q are exact; past 2**51 it refuses. At the default q = 257
-only the (3,5,20) combine stage, 144 to 240 terms, runs float64. Each
-builder runs its function once on a self-check batch made once per code,
-against the stepwise codec alone, so no caller's data can blind the check.
-The CLI streams files through these functions in the batches `shardio`
-sizes, and `Cluster` runs the encoder and the bundler. No command calls
-`encode_stripes`, `reconstruct_stripes` or `repair_stripes`, which apply
-them to one batch of every stripe; only tests and `perfbench/tracing.py` do.
+`<u2` symbols, the dtype shard files hold. A bundle stage of beta = 1 holds
+each helper's products in a row of the tile, a wider one in a column block:
+BLAS writes a matrix-vector product 3x faster into a row than a column.
+Each stage picks its float dtype from the largest integer sum its inner
+dimension allows: float32 below 2**22, float64 below 2**51, the bounds
+below which the products and the reduction mod q are exact; past 2**51 it
+refuses. At the default q = 257 only the (3,5,20) combine stage, 144 to
+240 terms, runs float64. Each builder runs its function once on a
+self-check batch made once per code, against the stepwise codec alone, so
+no caller's data can blind the check. The CLI streams files through these
+functions in the batches `shardio` sizes, and `Cluster` runs the encoder
+and the bundler. No command calls `encode_stripes`, `reconstruct_stripes`
+or `repair_stripes`, which apply them to one batch of every stripe; only
+tests and `perfbench/tracing.py` do.
 """
 
 from __future__ import annotations
@@ -326,10 +329,16 @@ def _tiled_product(stages, q: int):
     array. The first stage maps array i through its (a, b) map into column
     block i of its products, each later stage the whole reduced product
     before it, one tile of stripes at a time; only the last stage writes
-    `<u2`. The function holds its tile buffers from call to call, so it is
-    not reentrant."""
+    `<u2`. A one-column first stage (b = 1) holds its products row by row
+    instead, row i array i's matrix-vector product, reduced in that layout
+    and read transposed by the next stage or written transposed into `out`.
+    BLAS writes that product about 3x faster into a row than into a column,
+    but for b >= 2 writes a column block faster than it computes the
+    transposed product. The function holds its tile buffers from call to
+    call, so it is not reentrant."""
     maps = [matrix.astype(_check_exact(q, terms, kernel)) for matrix, terms, kernel in stages]
     (a, b), later = maps[0].shape, [m.shape[1] for m in maps[1:]]
+    by_row = [b == 1, *(False for _ in later)]  # whether a stage's products are held transposed
     held = _held_buffers()
 
     def product(arrays) -> np.ndarray:
@@ -342,19 +351,24 @@ def _tiled_product(stages, q: int):
             m = min(rows, stripes - s)
             tile = held("tile", (m, a), maps[0].dtype)
             products = [held(i, (m, w), stage.dtype) for i, (w, stage) in enumerate(zip(widths, maps))]
-            for i, x in enumerate(arrays):
+            if b == 1:  # row i holds array i's matrix-vector product
+                products[0] = products[0].reshape(len(arrays), m)
+                blocks, column = products[0], maps[0][:, 0]
+            else:
+                blocks, column = (products[0][:, i * b : (i + 1) * b] for i in range(len(arrays))), maps[0]
+            for x, block in zip(arrays, blocks):
                 tile[...] = x[s : s + m]
-                np.matmul(tile, maps[0], out=products[0][:, i * b : (i + 1) * b])
+                np.matmul(tile, column, out=block)
             # one "temp" serves, in turn, each reduction's temporary and each cast
             # to the next stage's dtype, so the tile's arrays stay few enough for cache
-            for matrix, before, after in zip(maps[1:], products, products[1:]):
+            for matrix, before, after, transposed in zip(maps[1:], products, products[1:], by_row):
                 reduced = _reduce(before, q, temp=held("temp", before.shape, before.dtype))
                 if reduced.dtype != matrix.dtype:
                     reduced = held("temp", before.shape, matrix.dtype)
                     reduced[...] = before
-                np.matmul(reduced, matrix, out=after)
-            last = products[-1]
-            _reduce(last, q, out=out[s : s + m], temp=held("temp", last.shape, last.dtype))
+                np.matmul(reduced.T if transposed else reduced, matrix, out=after)
+            last, written = products[-1], out[s : s + m]
+            _reduce(last, q, out=written.T if by_row[-1] else written, temp=held("temp", last.shape, last.dtype))
         return out
 
     return product

@@ -7,8 +7,9 @@
 # guard that picks the dtype or refuses, each kernel against an int64
 # reference at the default and the largest modulus and at every edge of
 # its stripe tiles, a kernel whose held buffers serve batches that shrink
-# and grow again, a chain of two stages against the two composed, and
-# the dtype and layout the kernels hand to the shard writer.
+# and grow again, a chain of two stages and its first stage alone, one
+# column per array among them, against int64 references, and the dtype
+# and layout the kernels hand to the shard writer.
 import tracemalloc
 from functools import lru_cache
 
@@ -230,11 +231,20 @@ def test_every_kernel_matches_the_reference_at_each_tile_edge(code, q, monkeypat
             assert np.array_equal(rebuilt, coded[f - 1, period]), ("repairer", d, count)
 
 
-# a chain's first stage sums 5 terms in float32; its second sums 3*b, which
-# at b = 22 passes the 63 terms float32 takes at q = 257
-@pytest.mark.parametrize("b, second", [(3, np.float32), (22, np.float64)], ids=["f32-f32", "f32-f64"])
-def test_a_two_stage_product_is_its_two_one_stage_products_composed(b, second, monkeypatch):
-    q, a, blocks, c = 257, 5, 3, 4
+# a chain's first stage sums 5 terms in float32; its second sums blocks*b,
+# which at 3*22 and 64*1 passes the 63 terms float32 takes at q = 257; at
+# b = 1 the first stage's products are held row by row
+CHAINS = {
+    "f32-f32": (3, 3, np.float32),
+    "f32-f64": (22, 3, np.float64),
+    "b1-f32-f32": (1, 3, np.float32),
+    "b1-f32-f64": (1, 64, np.float64),
+}
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_a_two_stage_product_is_its_two_one_stage_products_composed(chain, monkeypatch):
+    (b, blocks, second), q, a, c = CHAINS[chain], 257, 5, 4
     rng = np.random.default_rng(b)
     first = (rng.integers(0, q, (a, b)), a, "bundler")
     then = (rng.integers(0, q, (blocks * b, c)), blocks * b, "repairer")
@@ -262,9 +272,12 @@ def test_a_two_stage_product_is_its_two_one_stage_products_composed(b, second, m
         # every tile runs both stages, each in its own dtype
         assert reduced == [np.float32, second] * (len(reduced) // 2) and reduced, count
         assert got.dtype == np.dtype("<u2") and got.flags.c_contiguous and got.shape == (count, c)
-        assert np.array_equal(got, two([one(arrays)])), count
-        reference = np.concatenate([x @ first[0] % q for x in arrays], axis=1) @ then[0] % q
-        assert np.array_equal(got, reference), count
+        # at b = 1 the first stage alone is `Cluster`'s max-d bundle at delta <= 2
+        bundles = one(arrays)
+        assert bundles.dtype == np.dtype("<u2") and bundles.flags.c_contiguous
+        assert np.array_equal(bundles, np.concatenate([x @ first[0] % q for x in arrays], axis=1)), count
+        assert np.array_equal(got, two([bundles])), count
+        assert np.array_equal(got, bundles.astype(int) @ then[0] % q), count
 
 
 def test_a_bundler_sizes_its_tile_by_the_helpers_each_call_gives(monkeypatch):

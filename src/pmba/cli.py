@@ -16,7 +16,6 @@ import dataclasses
 import itertools
 import os
 import re
-import stat
 import sys
 from pathlib import Path
 
@@ -28,14 +27,6 @@ from .params import comparison_subpacketization, derive_params
 from .shardio import ShardFormatError
 
 _SHARD_NAME = re.compile(r"^(?P<stem>.*\.shard)(?P<index>\d+)$")
-
-
-def _shard_file_name(original_name: str, node_index: int) -> str:
-    return f"{original_name}.shard{node_index:02d}"
-
-
-def _manifest_file_name(original_name: str) -> str:
-    return f"{original_name}.manifest"
 
 
 def _refuse_overwriting_an_input(out_path, shards, manifest) -> None:
@@ -70,12 +61,9 @@ def cmd_encode(args) -> int:
     params = derive_params(args.k, args.delta, args.n, q=args.q)
     input_path = Path(args.input)
     out_dir = Path(args.out_dir)
-    names = [_shard_file_name(input_path.name, j) for j in range(1, params.n + 1)]
-    with open(input_path, "rb") as src:
-        st = os.fstat(src.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise ValueError(f"{input_path}: not a regular file, so its length is unknown")
-        length = st.st_size
+    names = [f"{input_path.name}.shard{j:02d}" for j in range(1, params.n + 1)]
+    with shardio.open_regular(input_path) as src:
+        length = os.fstat(src.fileno()).st_size
         batches = _source_batches(src, length, params)
         first = next(batches)  # refuses a q that cannot carry bytes
         params.check_decodable()
@@ -89,7 +77,7 @@ def cmd_encode(args) -> int:
                 for writer, payload in zip(files, encode(source)):
                     writer.write(payload)
             entries = [(j, name, w.crc) for j, (name, w) in enumerate(zip(names, files), start=1)]
-            manifest = out_dir / _manifest_file_name(input_path.name)
+            manifest = out_dir / f"{input_path.name}.manifest"
             files.append(shardio.manifest_file(manifest, input_path.name, headers[0], entries))
     for name in names:
         print(f"wrote {out_dir / name} ({stripes * params.alpha} symbols)")
@@ -165,7 +153,7 @@ def cmd_verify(args) -> int:
         f"stripes={header.stripe_count} length={header.original_length}"
     )
     for j in sorted(readers):
-        print(f"node {j:2d}  {readers[j].path}  crc32={readers[j].crc:08x}  ok")
+        print(f"node {j:2d}  {readers[j].path}  crc32={shards.crcs[j]:08x}  ok")
     if args.manifest:
         print(f"manifest {args.manifest}: consistent")
     print(f"verify: OK ({len(readers)} shards)")

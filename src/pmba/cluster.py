@@ -23,7 +23,7 @@ import numpy as np
 
 from .encoder import NodeShard
 from .field import residues
-from .params import CodeParams
+from .params import CodeParams, set_text
 from .reconstructor import reconstruct
 from .repairer import RepairBundle, check_helper_count, repair
 from .striping import stripe_bundler, stripe_encoder
@@ -65,10 +65,9 @@ class HelperPolicy:
             return self.fixed_d
         feasible = [d for d in helper_counts if d <= alive_count]
         if not feasible:
-            valid = "{" + ", ".join(map(str, helper_counts)) + "}"
             raise ValueError(
                 f"no supported helper count fits {alive_count} alive nodes; "
-                f"valid D = {valid}"
+                f"valid D = {set_text(helper_counts)}"
             )
         return max(feasible) if self.strategy == "max-d" else min(feasible)
 

@@ -43,6 +43,11 @@ def _points_collide(k: int, n: int, q: int) -> bool:
     return classes < n or len({pow(x, k - 1, q) for x in range(1, n + 1)}) < n
 
 
+def set_text(values) -> str:
+    """A set of numbers as text: {4, 6}."""
+    return "{" + ", ".join(map(str, values)) + "}"
+
+
 def _groups(groups) -> str:
     """Node groups as text: {4,7}, {5,6}."""
     return ", ".join("{" + ",".join(map(str, g)) + "}" for g in groups)
@@ -133,8 +138,8 @@ class CodeParams:
 
     def describe(self) -> str:
         """Aligned key/value text of every derived quantity."""
-        beta = ", ".join(f"{d}->{b}" for d, b in sorted(self.per_node_bandwidth.items()))
-        gamma = ", ".join(f"{d}->{g}" for d, g in sorted(self.total_bandwidth.items()))
+        beta = set_text(f"{d}->{b}" for d, b in sorted(self.per_node_bandwidth.items()))
+        gamma = set_text(f"{d}->{g}" for d, g in sorted(self.total_bandwidth.items()))
         lines = [
             ("nodes (n)", self.n),
             ("reconstruction threshold (k)", self.k),
@@ -143,9 +148,9 @@ class CodeParams:
             ("lcm(1..delta) (z)", self.z_delta),
             ("symbols per node (alpha)", self.alpha),
             ("symbols per stripe (F)", self.file_symbols),
-            ("helper counts (D)", "{" + ", ".join(map(str, self.helper_counts)) + "}"),
-            ("per-helper symbols (beta)", "{" + beta + "}"),
-            ("repair traffic (gamma)", "{" + gamma + "}"),
+            ("helper counts (D)", set_text(self.helper_counts)),
+            ("per-helper symbols (beta)", beta),
+            ("repair traffic (gamma)", gamma),
             ("evaluation points", ", ".join(map(str, self.eval_points))),
             ("colliding nodes", _groups(self.power_collisions()) or "none"),
         ]

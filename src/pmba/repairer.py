@@ -31,7 +31,7 @@ import numpy as np
 from .encoder import NodeShard, check_shard, coefficient_matrix
 from .field import residues
 from .matrix import Matrix, invert
-from .params import CodeParams
+from .params import CodeParams, set_text
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class RepairBundle:
 def check_helper_count(helper_counts, d: int) -> None:
     """Refuse a helper count d outside D = helper_counts, listing D."""
     if d not in helper_counts:
-        valid = "{" + ", ".join(map(str, helper_counts)) + "}"
-        raise ValueError(f"d = {d} is not a supported helper count; valid D = {valid}")
+        raise ValueError(f"d = {d} is not a supported helper count; valid D = {set_text(helper_counts)}")
 
 
 def session_shape(params: CodeParams, d: int):
@@ -69,9 +68,11 @@ def check_repair_nodes(params: CodeParams, f: int, helpers) -> None:
 @lru_cache(maxsize=32)
 def bundle_map(params: CodeParams, f: int, d: int) -> np.ndarray:
     """The read-only alpha x beta map from one helper's payload to its
-    bundle for node f: bundle symbol b is segment b against the same
-    entries of the first alpha of node f's row of `coefficient_matrix`."""
+    bundle for node f, refusing a d outside D, then an f outside 1..n:
+    bundle symbol b is segment b against the same entries of the first
+    alpha of node f's row of `coefficient_matrix`."""
     seg, beta = session_shape(params, d)
+    check_repair_nodes(params, f, ())
     alpha = params.alpha
     out = np.zeros((alpha, beta), dtype=np.int64)
     out[np.arange(alpha), np.arange(alpha) // seg] = coefficient_matrix(params).data[f - 1, :alpha]
@@ -129,12 +130,12 @@ def _repair_matrix(params: CodeParams, f: int, helpers: tuple) -> np.ndarray:
 def make_repair_bundle(
     helper_shard: NodeShard, f: int, d: int, params: CodeParams
 ) -> RepairBundle:
-    session_shape(params, d)  # refuses a d outside D before the node checks
+    bundle = bundle_map(params, f, d)  # refuses a d outside D, then f, before the helper's checks
     h = helper_shard.node_index
     check_repair_nodes(params, f, [h])
     check_shard(helper_shard, params)  # after its node check above
     payload = residues(helper_shard.symbols, params.q)
-    symbols = params.field.elements(payload @ bundle_map(params, f, d) % params.q)
+    symbols = params.field.elements(payload @ bundle % params.q)
     return RepairBundle(helper_index=h, failed_index=f, d=d, symbols=symbols)
 
 

@@ -6,13 +6,14 @@ by stripe_count * alpha symbols of two little-endian bytes each. Any k
 shard files whose headers match except for the node index are mutually
 decodable.
 
+Every file a command reads (a shard, a manifest, `encode`'s input) opens
+through `open_regular`, which refuses anything but a regular file, a FIFO
+with no writer too, before a byte is read.
 `ShardReader` checks a file's header and payload length on open and then
 reads the payload in batches of whole stripes, each into the one buffer
 it holds; `ShardWriter` writes the
 header and then appended batches, so a file is never held in memory whole.
-Both keep a running CRC-32 of the payload bytes, one `zlib.crc32` call per
-batch, unless their `crc` is set to None before the first batch: then they
-compute none and report None. Every write goes to a temp file in the
+Every write goes to a temp file in the
 target directory that is synced to disk and renamed into place, so a crash
 never leaves a truncated file behind; a missing target directory is
 created, and synced into its parent with the file, or removed again, if
@@ -26,9 +27,9 @@ what makes a file durable.
 shards of one encoding, reads only the nodes a command asks for, in the
 one batch size of every command that streams a file (`batch_stripes`:
 BATCH_SYMBOLS source symbols in whole stripes), and checks a manifest's
-code fields at open and its CRC-32s after the last batch. Its readers keep
-a CRC-32 only where something reads it: when the set has a manifest to
-compare with, or when the caller asks for them to print (`verify`).
+code fields at open and its CRC-32s after the last batch. It keeps the
+CRC-32s of its reads only where something reads them: when the set has a
+manifest to compare with, or when the caller asks for them to print (`verify`).
 """
 
 from __future__ import annotations
@@ -144,6 +145,21 @@ def _start_write_back(fd: int, offset: int, nbytes: int) -> None:
     ignored, since the fsync at commit writes back whatever is left."""
     if nbytes and _sync_file_range is not None:
         _sync_file_range(fd, offset, nbytes, _SYNC_FILE_RANGE_WRITE)
+
+
+def open_regular(path, refuse=ValueError):
+    """`path` opened for binary reading; anything but a regular file is
+    refused as `refuse`, naming it, before a byte is read. The open does
+    not block (O_NONBLOCK), so a FIFO with no writer is refused, not waited on."""
+
+    def opener(name, flags):
+        fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            os.close(fd)
+            raise refuse(f"{path}: not a regular file")
+        return fd
+
+    return open(path, "rb", opener=opener)
 
 
 def _fsync_dir(directory) -> None:
@@ -299,6 +315,7 @@ class ShardWriter(AtomicFile):
 def write_shard(path, header: ShardHeader, symbols: np.ndarray) -> None:
     """symbols: (stripe_count, alpha) array of values < q."""
     with ShardWriter(path, header) as writer:
+        writer.crc = None  # nothing reads it
         writer.write(symbols)
 
 
@@ -307,20 +324,19 @@ class ShardReader(contextlib.AbstractContextManager):
 
     The payload is read in batches of whole stripes, each into the same
     buffer, so a batch is valid only until the next `read`; each batch is
-    checked symbol by symbol against q, and `crc` is the running CRC-32 of the
-    payload read so far (set to None before the first batch, it stays None
-    and none is computed), `stripes` the number of stripes read.
+    checked symbol by symbol against q, and `stripes` is the number of
+    stripes read.
     """
 
     def __init__(self, path):
         self.path = path
-        self._fh = open(path, "rb")
+        self._fh = open_regular(path, ShardFormatError)
         try:
             self.header = self._read_header()
         except BaseException:
             self._fh.close()
             raise
-        self.stripes = self.crc = 0
+        self.stripes = 0
         self._buffer = np.empty(0, dtype=np.uint8)  # the payload bytes of the last batch
 
     def _read_header(self) -> ShardHeader:
@@ -339,10 +355,7 @@ class ShardReader(contextlib.AbstractContextManager):
             raise ShardFormatError(f"{path}: truncated evaluation-point table")
         header = ShardHeader(*fields, eval_points=struct.unpack(f"<{n}H", points))
         self.params = shard_params(header, path)
-        st = os.fstat(self._fh.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise ShardFormatError(f"{path}: not a regular file, so its length is unknown")
-        payload = st.st_size - _FIXED.size - 2 * n
+        payload = os.fstat(self._fh.fileno()).st_size - _FIXED.size - 2 * n
         expected = header.stripe_count * self.params.alpha * 2
         if payload != expected:
             raise ShardFormatError(
@@ -368,8 +381,6 @@ class ShardReader(contextlib.AbstractContextManager):
         symbols.flags.writeable = False
         if symbols.size and int(symbols.max()) >= self.header.q:
             raise ShardFormatError(f"{self.path}: payload symbol >= q = {self.header.q}")
-        if self.crc is not None:
-            self.crc = zlib.crc32(payload, self.crc)
         self.stripes += stripes
         return symbols
 
@@ -414,7 +425,8 @@ def manifest_file(path, original_name: str, header0: ShardHeader, shard_entries)
 
 def read_manifest(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open_regular(path) as fh:
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ShardFormatError(f"{path}: manifest is not UTF-8 text ({exc})") from None
     entries = {}
@@ -448,8 +460,8 @@ class ShardSet(contextlib.AbstractContextManager):
     compared with the first header; `batches` compares each node it read
     with the manifest's CRC-32 after the last batch, and `check_crc` any
     other node's. Values are compared as the text `manifest_file` writes.
-    The readers keep no CRC-32 (their `crc` is None) unless there is a
-    manifest or `crc` asks for them.
+    `crcs` maps each node to the CRC-32 of its payload read so far; without
+    a manifest or `crc` it is None, and none is computed.
     """
 
     def __init__(self, paths, manifest=None, crc=False):
@@ -459,8 +471,6 @@ class ShardSet(contextlib.AbstractContextManager):
         with contextlib.ExitStack() as stack:
             for p in paths:
                 reader = stack.enter_context(ShardReader(p))
-                if entries is None and not crc:
-                    reader.crc = None  # nothing compares or prints it
                 if first is None:  # the manifest and every later header must match it
                     first, code = reader, reader.header.code_key()
                     for key, want in _manifest_code(first.header).items():
@@ -486,6 +496,7 @@ class ShardSet(contextlib.AbstractContextManager):
                 raise ValueError("no shard files given")
             self.close = stack.pop_all().close
         self.header, self.params = first.header, first.params
+        self.crcs = None if entries is None and not crc else dict.fromkeys(self.readers, 0)
 
     def batches(self, nodes=None):
         """Yield {node: (stripes, alpha) payload} for `batch_stripes` stripes
@@ -502,12 +513,15 @@ class ShardSet(contextlib.AbstractContextManager):
         return self._read({j: self.readers[j] for j in nodes})
 
     def _read(self, readers: dict):
-        total, count = self.header.stripe_count, batch_stripes(self.params)
+        total, count, crcs = self.header.stripe_count, batch_stripes(self.params), self.crcs
         for start in range(0, total, count):
-            yield {j: reader.read(min(count, total - start)) for j, reader in readers.items()}
+            batch = {j: reader.read(min(count, total - start)) for j, reader in readers.items()}
+            if crcs is not None:
+                crcs.update((j, zlib.crc32(symbols, crcs[j])) for j, symbols in batch.items())
+            yield batch
         if self.manifest is not None:
             for j, reader in sorted(readers.items()):
-                self.check_crc(j, reader.crc, reader.path)
+                self.check_crc(j, crcs[j], reader.path)
 
     def check_crc(self, j: int, crc: int, path) -> None:
         """Refuse, naming `path`, a CRC-32 other than the manifest's for node j,

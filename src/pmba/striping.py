@@ -44,13 +44,7 @@ from .encoder import NodeShard, build_message_matrix, encode_all, node_maps
 from .matrix import InconsistencyError
 from .params import BYTE_SAFE_MIN_Q, CodeParams
 from .reconstructor import peel_maps
-from .repairer import (
-    bundle_map,
-    check_repair_nodes,
-    make_repair_bundle,
-    repair_matrix,
-    session_shape,
-)
+from .repairer import bundle_map, make_repair_bundle, repair_matrix, session_shape
 
 
 TILE_VALUES = 2**18  # float values a kernel's arrays hold per stripe tile, so they stay in cache
@@ -375,10 +369,8 @@ def _tiled_product(stages, q: int):
 
 
 def _bundle_stage(params: CodeParams, f: int, d: int):
-    """The bundle stage for node f; refuses a d outside D, then an f outside 1..n."""
-    seg, _ = session_shape(params, d)
-    check_repair_nodes(params, f, ())
-    return bundle_map(params, f, d), seg, "bundler"
+    """The bundle stage for node f; `bundle_map` refuses a d outside D, then an f outside 1..n."""
+    return bundle_map(params, f, d), session_shape(params, d)[0], "bundler"
 
 
 def stripe_bundler(params: CodeParams, f: int, d: int):

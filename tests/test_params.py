@@ -1,6 +1,7 @@
 # tests/test_params.py
 import dataclasses
 import math
+import re
 from functools import reduce
 
 import pytest
@@ -10,6 +11,7 @@ from pmba.params import (
     comparison_subpacketization,
     derive_params,
     lcm_upto,
+    set_text,
 )
 
 
@@ -235,6 +237,23 @@ def test_describe_lists_every_derived_quantity():
     assert "{4->8, 6->6}" in text
     assert "1, 2, 3, 4, 5, 6, 7" in text
     assert "colliding nodes" in text and "{4,7}, {5,6}" in text  # squares mod 11
+
+
+def test_every_message_writes_a_set_of_helper_counts_one_way():
+    from pmba.cluster import HelperPolicy
+    from pmba.repairer import check_helper_count
+
+    p = derive_params(3, 2, 7)
+    assert set_text(p.helper_counts) == "{4, 6}"
+    assert re.search(r"^helper counts \(D\) +\{4, 6\}$", p.describe(), re.M)
+    with pytest.raises(ValueError, match=re.escape(
+        "d = 5 is not a supported helper count; valid D = {4, 6}"
+    )):
+        check_helper_count(p.helper_counts, 5)
+    with pytest.raises(ValueError, match=re.escape(
+        "no supported helper count fits 3 alive nodes; valid D = {4, 6}"
+    )):
+        HelperPolicy.parse("max-d").choose_d(p.helper_counts, 3)
 
 
 def test_the_decodability_judge_names_the_colliding_groups_among_its_nodes():

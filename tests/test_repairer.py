@@ -105,6 +105,15 @@ def test_bundle_validation():
         make_repair_bundle(short, 7, 4, WORKED)
 
 
+@pytest.mark.parametrize("f", [0, WORKED.n + 1])
+def test_bundle_map_refuses_a_failed_index_outside_1_to_n_after_the_helper_count(f):
+    # f = 0 once read node 7's row (row f-1 = -1), and f = n+1 fell off the table
+    with pytest.raises(ValueError, match=f"^failed index must be in 1..7, got {f}$"):
+        bundle_map(WORKED, f, 4)
+    with pytest.raises(ValueError, match="valid D"):  # the helper count is judged first
+        bundle_map(WORKED, f, 5)
+
+
 def test_a_forged_evaluation_point_is_refused_by_bundle_and_read_alike():
     shards, _ = encoded(list(range(1, 13)))
     forged = NodeShard(2, WORKED.eval_point(5), shards[1].symbols)

@@ -517,24 +517,42 @@ def test_a_shard_set_keeps_crcs_only_with_a_manifest_or_when_asked(
         with ShardSet([paths[j] for j in (1, 2, 3)], **kwargs) as shards:
             for _ in shards.batches([1, 3]):
                 pass
-            crcs = {j: r.crc for j, r in shards.readers.items()}
-        want = {j: payload_crc(coded[j - 1]) if kept else None for j in (1, 3)}
-        assert crcs == {**want, 2: 0 if kept else None}, kwargs  # node 2 is not read
+        assert all(not hasattr(r, "crc") for r in shards.readers.values())
+        if kept:  # node 2 is not read
+            assert shards.crcs == {1: payload_crc(coded[0]), 2: 0, 3: payload_crc(coded[2])}, kwargs
+        else:
+            assert shards.crcs is None, kwargs
 
 
-def test_a_reader_or_writer_told_to_keep_no_crc_computes_none(tmp_path, monkeypatch):
-    path, header, symbols = sample_shard(tmp_path)
+def count_crc32(monkeypatch) -> list:
     calls = []
     real = shardio.zlib.crc32
     monkeypatch.setattr(shardio.zlib, "crc32", lambda *a: (calls.append(a), real(*a))[1])
+    return calls
+
+
+def test_a_writer_told_to_keep_no_crc_and_a_set_asked_for_none_compute_none(
+    tmp_path, monkeypatch
+):
+    path, header, symbols = sample_shard(tmp_path)
+    calls = count_crc32(monkeypatch)
     with shardio.ShardWriter(tmp_path / "again", header) as writer:
         writer.crc = None
         writer.write(symbols)
     assert writer.crc is None and (tmp_path / "again").read_bytes() == path.read_bytes()
-    with ShardReader(path) as reader:
-        reader.crc = None
-        assert np.array_equal(reader.read(header.stripe_count), symbols)
-    assert reader.crc is None and calls == []
+    with ShardSet([path]) as shards:
+        (batch,) = shards.batches()
+        assert np.array_equal(batch[3], symbols)
+    assert shards.crcs is None and calls == []
+
+
+def test_write_shard_and_read_shard_compute_no_crc(tmp_path, monkeypatch):
+    params = derive_params(3, 2, 7)
+    symbols = np.random.default_rng(6).integers(0, params.q, (7, params.alpha))
+    calls = count_crc32(monkeypatch)
+    write_shard(tmp_path / "s", header_for(params, 2, 80), symbols)
+    assert np.array_equal(read_shard(tmp_path / "s")[1], symbols)
+    assert calls == []
 
 
 def test_atomic_write_replaces_and_leaves_no_residue(tmp_path):

@@ -14,6 +14,7 @@
 import ctypes
 import errno
 import hashlib
+import json
 import os
 import stat
 import subprocess
@@ -32,6 +33,7 @@ from pmba.params import derive_params
 from pmba.shardio import (
     ShardFormatError,
     ShardReader,
+    ShardSet,
     ShardWriter,
     header_for,
     manifest_file,
@@ -300,16 +302,18 @@ def test_a_skewed_map_is_refused_even_when_stripe_0_is_zero(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_reader_batches_and_crc_match_the_whole_payload(tmp_path):
+def test_reader_batches_and_crc_match_the_whole_payload(tmp_path, monkeypatch):
     params = derive_params(3, 2, 7)
     symbols = np.random.default_rng(3).integers(0, params.q, (7, params.alpha))
     path = tmp_path / "s"
     write_shard(path, header_for(params, 2, 80), symbols)
     with ShardReader(path) as reader:
         parts = [reader.read(3).copy(), reader.read(3).copy(), reader.read(1).copy()]
-        crc = reader.crc
     assert np.array_equal(np.concatenate(parts), read_shard(path)[1])
-    assert crc == payload_crc(symbols)
+    small_batches(monkeypatch, params)  # the set reads the same 3, 3 and 1 stripes
+    with ShardSet([path], crc=True) as shards:
+        assert [batch[2].shape[0] for batch in shards.batches()] == [3, 3, 1]
+    assert shards.crcs == {2: payload_crc(symbols)}
 
 
 def test_a_reader_reads_every_batch_into_one_read_only_buffer(tmp_path):
@@ -375,17 +379,81 @@ def test_inputs_must_be_regular_files(tmp_path, capsys):
     assert rc == 1
     assert "/dev/null: not a regular file" in capsys.readouterr().err
     assert not (tmp_path / "sh").exists()
-    params = derive_params(3, 2, 7)
-    shard = tmp_path / "s"
-    write_shard(shard, header_for(params, 1, 20), np.zeros((2, params.alpha), dtype=np.int64))
     fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    writer = subprocess.Popen(["cp", str(shard), str(fifo)])
-    try:
-        with pytest.raises(ShardFormatError, match="fifo: not a regular file"):
-            ShardReader(fifo)
-    finally:
-        writer.wait(timeout=30)
+    os.mkfifo(fifo)  # with no writer: an open that waited for one would never return
+    proc = subprocess.run(
+        [sys.executable, "-c", OPEN_A_READER, str(fifo)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, f"ShardFormatError: {fifo}: not a regular file\n")
+
+
+# a ShardReader opened in a child process, so that an open which blocks
+# fails the test at its timeout instead of hanging the suite
+OPEN_A_READER = """
+import sys
+from pmba.shardio import ShardFormatError, ShardReader
+try:
+    ShardReader(sys.argv[1])
+except ShardFormatError as exc:
+    sys.exit(f"ShardFormatError: {exc}")
+"""
+
+# CLI commands, given as a JSON list, run in-process in one child so that
+# an open which blocks fails the test at its timeout; prints, per command,
+# its exit code, stdout, stderr and the shards whose payload it read.
+REFUSE = """
+import contextlib, io, json, sys
+from pmba import shardio
+from pmba.cli import main
+reads = []
+real = shardio.ShardReader.read
+shardio.ShardReader.read = lambda self, n: (reads.append(str(self.path)), real(self, n))[1]
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    results.append((rc, out.getvalue(), err.getvalue(), reads[:]))
+    reads.clear()
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not os.path.exists("/dev/null"), reason="needs mkfifo and /dev/null")
+@pytest.mark.parametrize("kind", ["fifo", "directory", "device"])
+def test_a_non_regular_input_is_refused_at_open_before_a_byte_is_read(kind, tmp_path):
+    params = derive_params(3, 2, 7)
+    data = np.random.default_rng(8).integers(0, 256, 3 * params.file_symbols, dtype=np.uint8).tobytes()
+    _, _, shards = encode_file(tmp_path, params, data)
+    bad = {"device": Path(os.devnull), "directory": tmp_path / "dir", "fifo": tmp_path / "fifo"}[kind]
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(bad)  # with no writer, so an open that waited would wait forever
+    work = tmp_path / "work"
+    work.mkdir()
+    s = [str(shards[j]) for j in range(1, 8)]
+    # (argv, exit code): as a shard a data error, as a manifest or source a usage error
+    runs = [
+        (["verify", str(bad)], 2),
+        (["verify", s[0], str(bad)], 2),
+        (["reconstruct", s[0], s[1], str(bad), "-o", str(work / "out")], 2),
+        (["repair", s[0], s[2], s[3], str(bad), "-f", "2", "--out", str(work / "rep")], 2),
+        (["verify", s[0], "--manifest", str(bad)], 1),
+        (["reconstruct", *s[:3], "-o", str(work / "out"), "--manifest", str(bad)], 1),
+        (["repair", s[0], *s[2:5], "-f", "2", "--out", str(work / "rep"), "--manifest", str(bad)], 1),
+        (["encode", str(bad), "-o", str(work / "enc"), *code_flags(params)], 1),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE, json.dumps([argv for argv, _ in runs])],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for (argv, want), (rc, out, err, reads) in zip(runs, json.loads(proc.stdout), strict=True):
+        assert (rc, out, err, reads) == (want, "", f"error: {bad}: not a regular file\n", []), argv
+    assert list(work.iterdir()) == []  # no output, temp file or directory
 
 
 # ---------------------------------------------------------------------------

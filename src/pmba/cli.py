@@ -72,7 +72,7 @@ def cmd_encode(args) -> int:
         encode = striping.stripe_encoder(params)
         with shardio.atomic_set() as files:  # the n shards, then the manifest
             for name, header in zip(names, headers):
-                files.append(shardio.ShardWriter(out_dir / name, header))
+                files.append(shardio.ShardWriter(out_dir / name, header, crc=True))
             for source in itertools.chain([first], batches):
                 for writer, payload in zip(files, encode(source)):
                     writer.write(payload)
@@ -132,9 +132,7 @@ def cmd_repair(args) -> int:
         _refuse_overwriting_an_input(out_path, args.shards, args.manifest)
         rebuild = striping.stripe_repairer(shards.params, f, helpers)
         out_header = dataclasses.replace(shards.header, node_index=f)
-        with shardio.ShardWriter(out_path, out_header) as writer:
-            if shards.manifest is None:
-                writer.crc = None  # nothing compares it
+        with shardio.ShardWriter(out_path, out_header, crc=shards.manifest is not None) as writer:
             for batch in shards.batches():
                 writer.write(rebuild(batch))
             if writer.crc is not None:

@@ -6,13 +6,18 @@ by stripe_count * alpha symbols of two little-endian bytes each. Any k
 shard files whose headers match except for the node index are mutually
 decodable.
 
-Every file a command reads (a shard, a manifest, `encode`'s input) opens
+One rule, `_check_regular`, judges every file a command reads or writes.
+Every file it reads (a shard, a manifest, `encode`'s input) opens
 through `open_regular`, which refuses anything but a regular file, a FIFO
-with no writer too, before a byte is read.
+with no writer too, before a byte is read. Every file it writes must be
+absent or a regular file, symlinks followed: `AtomicFile` refuses any
+other target before it makes a temp file or directory, and `atomic_set`
+again just before it moves the target aside.
 `ShardReader` checks a file's header and payload length on open and then
 reads the payload in batches of whole stripes, each into the one buffer
 it holds; `ShardWriter` writes the
-header and then appended batches, so a file is never held in memory whole.
+header and then appended batches, so a file is never held in memory whole,
+and keeps a CRC-32 of its payload only when constructed with `crc=True`.
 Every write goes to a temp file in the
 target directory that is synced to disk and renamed into place, so a crash
 never leaves a truncated file behind; a missing target directory is
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import errno
 import itertools
 import os
 import stat
@@ -147,6 +151,20 @@ def _start_write_back(fd: int, offset: int, nbytes: int) -> None:
         _sync_file_range(fd, offset, nbytes, _SYNC_FILE_RANGE_WRITE)
 
 
+def _check_regular(path, mode: int, refuse=ValueError) -> None:
+    """Refuse, as `refuse` naming `path`, a file whose `st_mode` is not a
+    regular file's: the one rule for every file a command reads or writes."""
+    if not stat.S_ISREG(mode):
+        raise refuse(f"{path}: not a regular file")
+
+
+def _check_output(path) -> None:
+    """Refuse an output target that exists, symlinks followed, and is not a
+    regular file; an absent target, or a dangling symlink, is fine."""
+    with contextlib.suppress(FileNotFoundError):
+        _check_regular(path, os.stat(path).st_mode)
+
+
 def open_regular(path, refuse=ValueError):
     """`path` opened for binary reading; anything but a regular file is
     refused as `refuse`, naming it, before a byte is read. The open does
@@ -154,9 +172,11 @@ def open_regular(path, refuse=ValueError):
 
     def opener(name, flags):
         fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
+        try:
+            _check_regular(path, os.fstat(fd).st_mode, refuse)
+        except refuse:
             os.close(fd)
-            raise refuse(f"{path}: not a regular file")
+            raise
         return fd
 
     return open(path, "rb", opener=opener)
@@ -173,8 +193,10 @@ def _fsync_dir(directory) -> None:
 class AtomicFile(contextlib.AbstractContextManager):
     """A binary file that replaces `path` only once it is complete.
 
-    Data go to a temp file in the target directory, which is created, with
-    any missing parents, if it does not exist. `sync` gives the temp file
+    A `path` that exists and is not a regular file, symlinks followed, is
+    refused before anything is made. Data go to a temp file in the target
+    directory, which is created, with any missing parents, if it does not
+    exist. `sync` gives the temp file
     the mode open() would give a new file under the current umask, syncs it
     to disk and closes it; `commit` renames it into place through
     `atomic_set`; `discard` removes it and then each directory it created
@@ -185,12 +207,15 @@ class AtomicFile(contextlib.AbstractContextManager):
 
     def __init__(self, path):
         self.path = Path(path)
-        if self.path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        _check_output(self.path)
         # the directories this file creates, deepest first
         self._created = list(itertools.takewhile(lambda d: not d.exists(), self.path.parents))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
+        except OSError:
+            _remove_empty_dirs([self])
+            raise
         self._fh = os.fdopen(fd, "wb")
         self._size = 0  # bytes written so far
 
@@ -238,13 +263,15 @@ def _remove_empty_dirs(files) -> None:
 def atomic_set():
     """Yield a list to fill with AtomicFiles that replace their paths as one set.
 
-    On a clean exit every file is synced, then in list order each existing
-    target is moved aside and the file renamed into place; each target
-    directory, and the parent of each directory a file created, is synced
-    once, and only then are the set-aside files removed. On any failure
-    every temp file is discarded, every file already renamed is removed and
-    every set-aside file is put back, so the older set is left as it was;
-    then each directory a file created is removed, deepest first, if empty.
+    On a clean exit every file is synced, then in list order each target
+    is judged again by `_check_output`, moved aside if it exists and the
+    file renamed into place; each target directory, and the parent of each
+    directory a file created, is synced once, and only then are the
+    set-aside files removed. On any failure, a target that is no longer
+    absent or a regular file too, every temp file is discarded, every file
+    already renamed is removed and every set-aside file is put back, so the
+    older set is left as it was; then each directory a file created is
+    removed, deepest first, if empty.
     """
     files, renamed, asides = [], [], []
     try:
@@ -252,7 +279,8 @@ def atomic_set():
         for f in files:
             f.sync()
         for f in files:
-            if os.path.lexists(f.path) and not os.path.isdir(f.path):
+            _check_output(f.path)
+            if os.path.lexists(f.path):
                 aside = f"{f._tmp}.old"
                 os.replace(f.path, aside)
                 asides.append((aside, f.path))
@@ -276,18 +304,21 @@ def atomic_set():
 
 class ShardWriter(AtomicFile):
     """A shard file written as its header, then appended (stripes, alpha)
-    payload batches, each checked for shape and range.
+    payload batches, each checked for shape, integer dtype and range before
+    a byte of it is written, so a file `read_shard` would refuse is never
+    committed.
 
-    The header passes `shard_params` before a temp file exists. `crc` is
-    the running CRC-32 of the payload written so far; set to None before
-    the first batch, it stays None and none is computed. The file syncs, and
-    so commits, only once the batches add up to the header's stripe count.
+    The header passes `shard_params` before a temp file exists. With
+    `crc=True`, `crc` is the running CRC-32 of the payload written so far;
+    otherwise it is None and none is computed. The file syncs, and so
+    commits, only once the batches add up to the header's stripe count.
     """
 
-    def __init__(self, path, header: ShardHeader):
+    def __init__(self, path, header: ShardHeader, crc=False):
         self.header = header
         self.params = shard_params(header, path)
-        self.stripes = self.crc = 0
+        self.stripes = 0
+        self.crc = 0 if crc else None
         super().__init__(path)
         super().write(pack_header(header))
 
@@ -295,8 +326,12 @@ class ShardWriter(AtomicFile):
         expected = (self.header.stripe_count - self.stripes, self.params.alpha)
         if symbols.ndim != 2 or symbols.shape[0] > expected[0] or symbols.shape[1] != expected[1]:
             raise ValueError(f"payload shape {symbols.shape} does not match {expected}")
+        if symbols.dtype.kind not in "iu":
+            raise ValueError(f"payload dtype {symbols.dtype} is not an integer dtype")
         if symbols.size and int(symbols.max()) >= self.header.q:
             raise ValueError(f"payload symbol >= q = {self.header.q}")
+        if symbols.size and symbols.dtype.kind == "i" and int(symbols.min()) < 0:
+            raise ValueError("payload symbol < 0")
         payload = np.ascontiguousarray(symbols, dtype="<u2")
         if self.crc is not None:
             self.crc = zlib.crc32(payload, self.crc)
@@ -313,9 +348,8 @@ class ShardWriter(AtomicFile):
 
 
 def write_shard(path, header: ShardHeader, symbols: np.ndarray) -> None:
-    """symbols: (stripe_count, alpha) array of values < q."""
+    """symbols: (stripe_count, alpha) integer array of values 0..q-1."""
     with ShardWriter(path, header) as writer:
-        writer.crc = None  # nothing reads it
         writer.write(symbols)
 
 
@@ -411,15 +445,23 @@ def _manifest_code(h: ShardHeader) -> dict:
 def manifest_file(path, original_name: str, header0: ShardHeader, shard_entries) -> AtomicFile:
     """The manifest, written into an AtomicFile left for the caller to commit.
 
-    shard_entries: iterable of (node_index, file_name, crc32).
+    shard_entries: iterable of (node_index, file_name, crc32). A file name
+    that holds a line break, anything `str.splitlines` splits at, is
+    refused before the file is made, since `read_manifest` could not read it back.
     """
     lines = [f"file={original_name}"]
     lines += [f"{key}={value}" for key, value in _manifest_code(header0).items()]
+    names = [original_name]
     for node_index, file_name, crc in shard_entries:
         lines.append(f"shard{node_index:02d}.file={file_name}")
         lines.append(f"shard{node_index:02d}.crc32={crc:08x}")
+        names.append(file_name)
+    for name in names:
+        if name.splitlines() != [name]:
+            raise ValueError(f"file name {name!r} holds a line break, which a manifest cannot hold")
+    text = ("\n".join(lines) + "\n").encode()  # refuses a name that is not UTF-8
     fh = AtomicFile(path)
-    fh.write(("\n".join(lines) + "\n").encode())
+    fh.write(text)
     return fh
 
 

@@ -4,6 +4,7 @@
 # and the bytes that land on disk. Exit codes: 0 ok, 1 usage, 2 bad data.
 import dataclasses
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +122,28 @@ def test_encode_refuses_composite_q(tmp_path, capsys):
     )
     assert rc == 1
     assert "q must be prime" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs file names of any bytes but / and NUL")
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        # read_manifest splits lines with str.splitlines, so each would break the manifest
+        *((name, f"file name {name!r} holds a line break") for name in
+          ["a\x0cq=11", "a\nb", "a\rb", "a\x1eb", "a\u2028b", "a\x85"]),
+        # the byte 0xff, which UTF-8 text cannot hold
+        ("\udcff.bin", "'utf-8' codec can't encode character '\\udcff'"),
+    ],
+)
+def test_encode_refuses_an_input_name_its_manifest_could_not_hold(name, message, tmp_path, capsys):
+    src = tmp_path / name
+    src.write_bytes(bytes(100))
+    rc = main(["encode", str(src), "-o", str(tmp_path / "new" / "s"), *CODE_FLAGS])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [src]  # no shard, temp file or created directory
 
 
 def test_encode_missing_input_file(tmp_path, capsys):
@@ -323,7 +346,7 @@ def test_an_output_that_is_a_directory_is_refused_before_decoding(
     inputs, extra = ((1, 2, 3), []) if command == "reconstruct" else ((1, 2, 3, 4), ["-f", "7"])
     rc = main([command, *(str(shard_path(out_dir, j)) for j in inputs), *extra, "--out", str(target)])
     assert rc == 1
-    assert f"Is a directory: '{target}'" in capsys.readouterr().err
+    assert f"error: {target}: not a regular file" in capsys.readouterr().err
     assert reads == []  # refused before any payload was read
     assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
@@ -774,7 +797,7 @@ def test_simulate_writes_csv_files(tmp_path, capsys):
     "extra, message",
     [
         (["--policy", "fixed:5"], "d = 5 is not a supported helper count; valid D = {4, 6}"),
-        (["--csv", "."], "[Errno 21] Is a directory: '.'"),
+        (["--csv", "."], ".: not a regular file"),
     ],
     ids=["policy", "csv"],
 )

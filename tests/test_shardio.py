@@ -1,8 +1,10 @@
 # tests/test_shardio.py
 import dataclasses
+import errno
 import os
 import re
 import shutil
+import stat
 import sys
 import tempfile
 
@@ -165,6 +167,24 @@ def test_writer_guards_shape_and_range(tmp_path):
     bad[1, 2] = params.q
     with pytest.raises(ValueError, match="payload symbol >= q"):
         write_shard(tmp_path / "x", header, bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[-1, 0, 0, 0]], dtype=np.int64), "payload symbol < 0"),
+        (np.array([[-1, 0, 0, 0]], dtype=np.int8), "payload symbol < 0"),
+        (np.array([[1.7, 0, 0, 0]]), "payload dtype float64 is not an integer dtype"),
+        (np.array([[1.0, 0, 0, 0]]), "payload dtype float64 is not an integer dtype"),
+        (np.array([[True, False, False, False]]), "payload dtype bool is not an integer dtype"),
+    ],
+    ids=["negative-int64", "negative-int8", "fraction", "integral-float", "bool"],
+)
+def test_writer_refuses_a_payload_its_reader_would_refuse_or_misread(bad, message, tmp_path):
+    # as <u2, -1 would be stored as 65535 and 1.7 as 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_shard(tmp_path / "x", header_for(BYTE_PARAMS, 1, 12), bad)
+    assert list(tmp_path.iterdir()) == []  # no shard and no temp file
 
 
 def test_header_q_must_fit_two_bytes():
@@ -536,8 +556,7 @@ def test_a_writer_told_to_keep_no_crc_and_a_set_asked_for_none_compute_none(
 ):
     path, header, symbols = sample_shard(tmp_path)
     calls = count_crc32(monkeypatch)
-    with shardio.ShardWriter(tmp_path / "again", header) as writer:
-        writer.crc = None
+    with shardio.ShardWriter(tmp_path / "again", header, crc=False) as writer:
         writer.write(symbols)
     assert writer.crc is None and (tmp_path / "again").read_bytes() == path.read_bytes()
     with ShardSet([path]) as shards:
@@ -605,9 +624,39 @@ def test_an_atomic_file_refuses_a_directory_target_before_making_a_temp_file(
         lambda: AtomicFile(target),
         lambda: write_shard(target, header, np.zeros((1, BYTE_PARAMS.alpha), dtype=np.int64)),
     ):
-        with pytest.raises(IsADirectoryError, match=re.escape(f"Is a directory: '{target}'")):
+        with pytest.raises(ValueError, match=re.escape(f"{target}: not a regular file")):
             write()
     assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [stat.S_IFCHR, stat.S_IFBLK, stat.S_IFIFO, stat.S_IFSOCK, stat.S_IFDIR, stat.S_IFLNK],
+    ids=["char-device", "block-device", "fifo", "socket", "directory", "symlink"],
+)
+def test_every_file_but_a_regular_one_is_refused_by_the_one_rule(kind, tmp_path, monkeypatch):
+    shardio._check_regular("p", stat.S_IFREG | 0o644)
+    with pytest.raises(ValueError, match="^p: not a regular file$"):
+        shardio._check_regular("p", kind | 0o666)
+    # an output that stats as one, such as a device node, is refused before a temp file
+    # exists; the stat is faked, since replacing a real device would change the machine
+    target, real = tmp_path / "out", os.stat
+    fake = os.stat_result((kind | 0o666, 0, 0, 1, 0, 0, 0, 0, 0, 0))
+    monkeypatch.setattr(os, "stat", lambda p, *a, **kw: fake if p == target else real(p, *a, **kw))
+    monkeypatch.setattr(tempfile, "mkstemp", lambda **kw: pytest.fail("temp file made"))
+    with pytest.raises(ValueError, match=re.escape(f"{target}: not a regular file")):
+        AtomicFile(target)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_atomic_file_whose_temp_file_cannot_be_made_leaves_no_directory(tmp_path, monkeypatch):
+    def refuse(**kw):
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), kw["dir"])
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    with pytest.raises(OSError, match="File name too long"):
+        AtomicFile(tmp_path / "a" / "b" / "x")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,19 @@
 # few stripes and check that batch boundaries change no output byte, that
 # encode writes the exact bytes pinned by digest, that each command builds
 # its linear map and runs its self-check once, that a failure mid-stream
-# leaves no file behind, that `reconstruct`, `repair` and `verify` with a
-# manifest refuse a flipped bit in any batch before they commit, that a
-# CRC-32 is computed once per batch and only where something reads it,
-# that each write starts its own write-back while every output is still
-# fsynced before its rename, that written files follow the umask, and
-# that peak memory does not grow with the file.
+# leaves no file behind, that an input or output other than a regular
+# file is refused at open and left as it was, that `reconstruct`,
+# `repair` and `verify` with a manifest refuse a flipped bit in any batch
+# before they commit, that a CRC-32 is computed once per batch and only
+# where something reads it, that each write starts its own write-back
+# while every output is still fsynced before its rename, that written
+# files follow the umask, and that peak memory does not grow with the file.
 import ctypes
 import errno
 import hashlib
 import json
 import os
+import socket
 import stat
 import subprocess
 import sys
@@ -365,7 +367,7 @@ def test_writer_commits_only_a_whole_payload(tmp_path):
             writer.write(symbols[:3])
             writer.write(symbols[:2])
     assert list(tmp_path.iterdir()) == []
-    with ShardWriter(tmp_path / "s", header) as writer:
+    with ShardWriter(tmp_path / "s", header, crc=True) as writer:
         writer.write(symbols[:1])
         writer.write(symbols[1:])
     assert writer.crc == payload_crc(symbols)
@@ -381,11 +383,24 @@ def test_inputs_must_be_regular_files(tmp_path, capsys):
     assert not (tmp_path / "sh").exists()
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)  # with no writer: an open that waited for one would never return
-    proc = subprocess.run(
-        [sys.executable, "-c", OPEN_A_READER, str(fifo)],
+    proc = run_in_child(OPEN_A_READER, str(fifo))
+    assert (proc.returncode, proc.stderr) == (1, f"ShardFormatError: {fifo}: not a regular file\n")
+
+
+def run_in_child(script, *args):
+    """`python -c script args` with pmba importable, so that an open which
+    blocks fails the test at the timeout instead of hanging the suite."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stderr) == (1, f"ShardFormatError: {fifo}: not a regular file\n")
+
+
+def main_in_child(argvs) -> list:
+    """Per argv, (exit code, stdout, stderr, shards read) of `main` in one child."""
+    proc = run_in_child(REFUSE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 # a ShardReader opened in a child process, so that an open which blocks
@@ -445,15 +460,105 @@ def test_a_non_regular_input_is_refused_at_open_before_a_byte_is_read(kind, tmp_
         (["repair", s[0], *s[2:5], "-f", "2", "--out", str(work / "rep"), "--manifest", str(bad)], 1),
         (["encode", str(bad), "-o", str(work / "enc"), *code_flags(params)], 1),
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", REFUSE, json.dumps([argv for argv, _ in runs])],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for (argv, want), (rc, out, err, reads) in zip(runs, json.loads(proc.stdout), strict=True):
+    for (argv, want), (rc, out, err, reads) in zip(runs, main_in_child([argv for argv, _ in runs]), strict=True):
         assert (rc, out, err, reads) == (want, "", f"error: {bad}: not a regular file\n", []), argv
     assert list(work.iterdir()) == []  # no output, temp file or directory
+
+
+def make_non_regular(kind, path: Path) -> None:
+    if kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "socket":  # bound by a relative name: AF_UNIX caps a path at 107 bytes
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(str(path))
+    elif kind == "symlink to a fifo":
+        os.mkfifo(path.with_name(f"{path.name}.fifo"))
+        os.symlink(f"{path.name}.fifo", path)
+    else:
+        path.mkdir()
+
+
+def file_types(root) -> dict:
+    """Every path under `root`, directories' contents too, with its file type;
+    symlinks are not followed."""
+    paths = [os.path.join(d, name) for d, dirs, files in os.walk(root) for name in dirs + files]
+    return {p: stat.S_IFMT(os.lstat(p).st_mode) for p in paths}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not hasattr(socket, "AF_UNIX"), reason="needs mkfifo and AF_UNIX")
+@pytest.mark.parametrize("kind", ["fifo", "socket", "symlink to a fifo", "directory"])
+def test_a_non_regular_output_is_refused_at_open_and_left_as_it_was(kind, tmp_path, monkeypatch):
+    params = derive_params(3, 2, 7)
+    data = np.random.default_rng(9).integers(0, 256, 3 * params.file_symbols, dtype=np.uint8).tobytes()
+    src, _, shards = encode_file(tmp_path, params, data)
+    monkeypatch.chdir(tmp_path)  # the child runs here too, and every output is named relative to it
+    for d in ("out", "enc1", "enc2"):
+        os.mkdir(d)
+    s = [str(shards[j]) for j in range(1, 5)]
+    runs = [  # (argv, the output it is refused for)
+        (["reconstruct", *s[:3], "-o", "out/t"], "out/t"),
+        (["repair", *s, "-f", "5", "--out", "out/t"], "out/t"),
+        (["simulate", *code_flags(params), "--csv", "out/t"], "out/t"),
+        (["encode", str(src), "-o", "enc1", *code_flags(params)], "enc1/in.bin.shard03"),
+        (["encode", str(src), "-o", "enc2", *code_flags(params)], "enc2/in.bin.manifest"),
+    ]
+    for bad in dict.fromkeys(bad for _, bad in runs):
+        make_non_regular(kind, Path(bad))
+    before = file_types(tmp_path)
+    assert {before[f"{tmp_path}/{bad}"] for _, bad in runs} == {
+        "fifo": {stat.S_IFIFO}, "socket": {stat.S_IFSOCK}, "symlink to a fifo": {stat.S_IFLNK}, "directory": {stat.S_IFDIR},
+    }[kind]
+    for (argv, bad), (rc, out, err, reads) in zip(runs, main_in_child([argv for argv, _ in runs]), strict=True):
+        assert (rc, out, err, reads) == (1, "", f"error: {bad}: not a regular file\n", []), argv
+    # every target as it was, a symlink's FIFO too, and no temp file, shard or ledger left
+    assert file_types(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "repair", "simulate"])
+def test_a_symlink_to_a_regular_file_is_replaced_and_the_file_it_named_kept(command, tmp_path):
+    params = derive_params(3, 2, 7)
+    data = np.random.default_rng(10).integers(0, 256, 3 * params.file_symbols, dtype=np.uint8).tobytes()
+    _, _, shards = encode_file(tmp_path, params, data)
+    kept, link = tmp_path / "kept", tmp_path / "link"
+    kept.write_bytes(b"old")
+    link.symlink_to(kept)
+    s = [str(shards[j]) for j in range(1, 5)]
+    argv = {
+        "reconstruct": ["reconstruct", *s[:3], "-o", str(link)],
+        "repair": ["repair", *s, "-f", "5", "--out", str(link)],
+        "simulate": ["simulate", *code_flags(params), "--csv", str(link)],
+    }[command]
+    ((rc, _, err, _),) = main_in_child([argv])
+    assert (rc, err) == (0, "")
+    assert not link.is_symlink() and link.stat().st_size > 0
+    if command != "simulate":
+        assert link.read_bytes() == (data if command == "reconstruct" else shards[5].read_bytes())
+    assert kept.read_bytes() == b"old"
+
+
+# an atomic set whose second target becomes a FIFO after its file was opened
+FIFO_BEFORE_COMMIT = """
+import os, sys
+from pmba.shardio import AtomicFile, atomic_set
+try:
+    with atomic_set() as files:
+        files += [AtomicFile(p) for p in sys.argv[1:]]
+        for f in files:
+            f.write(b"new")
+        os.mkfifo(sys.argv[2])
+except ValueError as exc:
+    sys.exit(f"ValueError: {exc}")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+def test_a_target_that_becomes_a_fifo_before_the_commit_rolls_the_set_back(tmp_path):
+    old, late = tmp_path / "old", tmp_path / "late"
+    old.write_bytes(b"old")  # replaced first, then put back
+    proc = run_in_child(FIFO_BEFORE_COMMIT, str(old), str(late))
+    assert (proc.returncode, proc.stderr) == (1, f"ValueError: {late}: not a regular file\n")
+    assert old.read_bytes() == b"old" and stat.S_ISFIFO(os.lstat(late).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["late", "old"]  # no temp or set-aside file
 
 
 # ---------------------------------------------------------------------------

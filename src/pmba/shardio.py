@@ -35,12 +35,16 @@ BATCH_SYMBOLS source symbols in whole stripes), and checks a manifest's
 code fields at open and its CRC-32s after the last batch. It keeps the
 CRC-32s of its reads only where something reads them: when the set has a
 manifest to compare with, or when the caller asks for them to print (`verify`).
+Every CRC-32 is `crc32`, bound once at import: libdeflate's where the
+host has libdeflate.so.0, else `zlib.crc32`. Both give the same values, so
+no option selects one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import itertools
 import os
 import stat
@@ -142,6 +146,31 @@ _sync_file_range = _resolve_sync_file_range()
 _SYNC_FILE_RANGE_WRITE = 2
 
 
+def _resolve_crc32():
+    """libdeflate's CRC-32, or `zlib.crc32` itself where libdeflate.so.0 does
+    not load, lacks the function or gives a wrong check value. Both compute
+    the same CRC-32, zlib's; libdeflate folds with carry-less multiplies
+    (PCLMULQDQ) where the CPU has them, several times faster than zlib."""
+    try:
+        call = ctypes.CDLL("libdeflate.so.0").libdeflate_crc32
+    except (AttributeError, OSError):
+        return zlib.crc32
+    call.argtypes = (ctypes.c_uint32, ctypes.c_void_p, ctypes.c_size_t)
+    call.restype = ctypes.c_uint32
+
+    def crc32(data, crc=0):
+        """The CRC-32 of the bytes of `data` continued from `crc`, as
+        `zlib.crc32(data, crc)` gives it. A buffer that is not C-contiguous
+        is refused (ValueError or BufferError), not copied."""
+        view = np.frombuffer(data, dtype=np.uint8)
+        return call(crc, view.ctypes.data, view.size)
+
+    return crc32 if crc32(b"123456789") == 0xCBF43926 else zlib.crc32
+
+
+crc32 = _resolve_crc32()
+
+
 def _start_write_back(fd: int, offset: int, nbytes: int) -> None:
     """Start writing bytes [offset, offset + nbytes) of `fd` back to disk,
     without waiting. A length of 0 would mean "to the end of the file", so
@@ -182,6 +211,26 @@ def open_regular(path, refuse=ValueError):
     return open(path, "rb", opener=opener)
 
 
+_NAME_MAX = 255  # bytes in one file name, on every common Linux file system
+_TEMP_EXTRA = len("..XXXXXXXX.old")  # what a temp file and its set-aside add
+
+
+def _temp_prefix(path: Path) -> str:
+    """mkstemp's prefix for the temp file of `path`: `.<name>.`, the name cut
+    back to a UTF-8 character boundary where needed so that the temp file
+    (8 random characters more) and its `.old` stay within _NAME_MAX bytes.
+    A name longer than _NAME_MAX bytes itself is refused, naming `path`."""
+    name = os.fsencode(path.name)
+    if len(name) > _NAME_MAX:
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(path))
+    cut = _NAME_MAX - _TEMP_EXTRA
+    if len(name) > cut:
+        while cut and name[cut] & 0xC0 == 0x80:  # a UTF-8 continuation byte
+            cut -= 1
+        name = name[:cut]
+    return f".{os.fsdecode(name)}."
+
+
 def _fsync_dir(directory) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
@@ -193,8 +242,9 @@ def _fsync_dir(directory) -> None:
 class AtomicFile(contextlib.AbstractContextManager):
     """A binary file that replaces `path` only once it is complete.
 
-    A `path` that exists and is not a regular file, symlinks followed, is
-    refused before anything is made. Data go to a temp file in the target
+    A `path` that exists and is not a regular file, symlinks followed, or
+    whose name exceeds _NAME_MAX bytes, is refused before anything is made.
+    Data go to a temp file, named after `path` cut short, in the target
     directory, which is created, with any missing parents, if it does not
     exist. `sync` gives the temp file
     the mode open() would give a new file under the current umask, syncs it
@@ -208,11 +258,12 @@ class AtomicFile(contextlib.AbstractContextManager):
     def __init__(self, path):
         self.path = Path(path)
         _check_output(self.path)
+        prefix = _temp_prefix(self.path)
         # the directories this file creates, deepest first
         self._created = list(itertools.takewhile(lambda d: not d.exists(), self.path.parents))
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, prefix=f".{self.path.name}.")
+            fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, prefix=prefix)
         except OSError:
             _remove_empty_dirs([self])
             raise
@@ -310,7 +361,8 @@ class ShardWriter(AtomicFile):
 
     The header passes `shard_params` before a temp file exists. With
     `crc=True`, `crc` is the running CRC-32 of the payload written so far;
-    otherwise it is None and none is computed. The file syncs, and so
+    otherwise it is None and none is computed. Each batch's CRC-32 is one
+    `crc32` call, libdeflate's or zlib's, which agree. The file syncs, and so
     commits, only once the batches add up to the header's stripe count.
     """
 
@@ -334,7 +386,7 @@ class ShardWriter(AtomicFile):
             raise ValueError("payload symbol < 0")
         payload = np.ascontiguousarray(symbols, dtype="<u2")
         if self.crc is not None:
-            self.crc = zlib.crc32(payload, self.crc)
+            self.crc = crc32(payload, self.crc)
         super().write(payload)
         self.stripes += symbols.shape[0]
 
@@ -434,7 +486,7 @@ def read_shard(path):
 
 
 def payload_crc(symbols: np.ndarray) -> int:
-    return zlib.crc32(symbols.astype("<u2").tobytes()) & 0xFFFFFFFF
+    return crc32(np.ascontiguousarray(symbols, dtype="<u2"))
 
 
 def _manifest_code(h: ShardHeader) -> dict:
@@ -446,8 +498,9 @@ def manifest_file(path, original_name: str, header0: ShardHeader, shard_entries)
     """The manifest, written into an AtomicFile left for the caller to commit.
 
     shard_entries: iterable of (node_index, file_name, crc32). A file name
-    that holds a line break, anything `str.splitlines` splits at, is
-    refused before the file is made, since `read_manifest` could not read it back.
+    that holds a line break, anything `str.splitlines` splits at, or that is
+    not UTF-8 (a file system name carrying undecodable bytes as surrogates),
+    is refused before the file is made, since `read_manifest` could not read it back.
     """
     lines = [f"file={original_name}"]
     lines += [f"{key}={value}" for key, value in _manifest_code(header0).items()]
@@ -459,7 +512,11 @@ def manifest_file(path, original_name: str, header0: ShardHeader, shard_entries)
     for name in names:
         if name.splitlines() != [name]:
             raise ValueError(f"file name {name!r} holds a line break, which a manifest cannot hold")
-    text = ("\n".join(lines) + "\n").encode()  # refuses a name that is not UTF-8
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"file name {name!r} is not UTF-8, which a manifest cannot hold") from None
+    text = ("\n".join(lines) + "\n").encode()
     fh = AtomicFile(path)
     fh.write(text)
     return fh
@@ -502,8 +559,9 @@ class ShardSet(contextlib.AbstractContextManager):
     compared with the first header; `batches` compares each node it read
     with the manifest's CRC-32 after the last batch, and `check_crc` any
     other node's. Values are compared as the text `manifest_file` writes.
-    `crcs` maps each node to the CRC-32 of its payload read so far; without
-    a manifest or `crc` it is None, and none is computed.
+    `crcs` maps each node to the CRC-32 of its payload read so far, one
+    `crc32` call (libdeflate's or zlib's, which agree) per node and batch;
+    without a manifest or `crc` it is None, and none is computed.
     """
 
     def __init__(self, paths, manifest=None, crc=False):
@@ -559,7 +617,7 @@ class ShardSet(contextlib.AbstractContextManager):
         for start in range(0, total, count):
             batch = {j: reader.read(min(count, total - start)) for j, reader in readers.items()}
             if crcs is not None:
-                crcs.update((j, zlib.crc32(symbols, crcs[j])) for j, symbols in batch.items())
+                crcs.update((j, crc32(symbols, crcs[j])) for j, symbols in batch.items())
             yield batch
         if self.manifest is not None:
             for j, reader in sorted(readers.items()):

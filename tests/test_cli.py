@@ -3,6 +3,7 @@
 # Every test drives main(argv) in-process and checks exit codes, streams
 # and the bytes that land on disk. Exit codes: 0 ok, 1 usage, 2 bad data.
 import dataclasses
+import os
 import shutil
 import sys
 
@@ -132,7 +133,7 @@ def test_encode_refuses_composite_q(tmp_path, capsys):
         *((name, f"file name {name!r} holds a line break") for name in
           ["a\x0cq=11", "a\nb", "a\rb", "a\x1eb", "a\u2028b", "a\x85"]),
         # the byte 0xff, which UTF-8 text cannot hold
-        ("\udcff.bin", "'utf-8' codec can't encode character '\\udcff'"),
+        ("x\udcffy.bin", "file name 'x\\udcffy.bin' is not UTF-8, which a manifest cannot hold"),
     ],
 )
 def test_encode_refuses_an_input_name_its_manifest_could_not_hold(name, message, tmp_path, capsys):
@@ -142,6 +143,54 @@ def test_encode_refuses_an_input_name_its_manifest_could_not_hold(name, message,
     assert rc == 1
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [src]  # no shard, temp file or created directory
+
+
+def need_255_byte_names(path):
+    if sys.platform != "linux" or os.pathconf(path, "PC_NAME_MAX") != 255:
+        pytest.skip("needs a Linux file system whose names hold 255 bytes")
+
+
+def test_outputs_named_up_to_255_bytes_are_written_new_and_replacing(tmp_path, capsys):
+    need_255_byte_names(tmp_path)
+    data = bytes(np.random.default_rng(48).integers(0, 256, size=1000, dtype=np.uint8))
+    src = tmp_path / ("a" * 240)  # shard names of 248 bytes, the manifest's 249
+    src.write_bytes(data)
+    out_dir = tmp_path / "s"
+    for _ in range(2):  # new, then replacing the set
+        assert main(["encode", str(src), "-o", str(out_dir), *CODE_FLAGS]) == 0
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert [len(name) for name in names] == [249] + [248] * 7  # no temp file left
+    shards = [str(out_dir / name) for name in names[1:]]
+    assert main(["verify", *shards, "--manifest", str(out_dir / names[0])]) == 0
+    lost = out_dir / names[1]
+    for length in (248, 255):
+        out, repaired = tmp_path / ("o" * length), tmp_path / ("r" * length)
+        for _ in range(2):  # new, then replacing
+            assert main(["reconstruct", *shards[:3], "-o", str(out)]) == 0
+            assert out.read_bytes() == data
+            assert main(["repair", *shards[1:5], "-f", "1", "--out", str(repaired)]) == 0
+            assert repaired.read_bytes() == lost.read_bytes()
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+    capsys.readouterr()
+
+
+def test_an_output_name_over_255_bytes_exits_1_naming_it(encoded, tmp_path, capsys):
+    need_255_byte_names(tmp_path)
+    data, _, out_dir = encoded
+    shards = [str(shard_path(out_dir, j)) for j in (1, 2, 3)]
+    for out in (tmp_path / ("o" * 256), tmp_path / "new" / ("o" * 256)):
+        capsys.readouterr()
+        assert main(["reconstruct", *shards, "-o", str(out)]) == 1
+        assert f"error: [Errno 36] File name too long: '{out}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+    src = tmp_path / ("a" * 247)  # shard names of 255 bytes, the manifest's 256
+    src.write_bytes(data)
+    manifest = tmp_path / "new" / f"{src.name}.manifest"
+    assert main(["encode", str(src), "-o", str(manifest.parent), *CODE_FLAGS]) == 1
+    captured = capsys.readouterr()
+    assert f"error: [Errno 36] File name too long: '{manifest}'" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [src]  # no shard, temp file or created directory
 

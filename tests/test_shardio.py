@@ -1,4 +1,5 @@
 # tests/test_shardio.py
+import ctypes
 import dataclasses
 import errno
 import os
@@ -7,6 +8,8 @@ import shutil
 import stat
 import sys
 import tempfile
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -546,8 +549,8 @@ def test_a_shard_set_keeps_crcs_only_with_a_manifest_or_when_asked(
 
 def count_crc32(monkeypatch) -> list:
     calls = []
-    real = shardio.zlib.crc32
-    monkeypatch.setattr(shardio.zlib, "crc32", lambda *a: (calls.append(a), real(*a))[1])
+    real = shardio.crc32
+    monkeypatch.setattr(shardio, "crc32", lambda *a: (calls.append(a), real(*a))[1])
     return calls
 
 
@@ -572,6 +575,92 @@ def test_write_shard_and_read_shard_compute_no_crc(tmp_path, monkeypatch):
     write_shard(tmp_path / "s", header_for(params, 2, 80), symbols)
     assert np.array_equal(read_shard(tmp_path / "s")[1], symbols)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the one CRC-32: libdeflate's where the host has it, else zlib's
+# ---------------------------------------------------------------------------
+
+
+def libdeflate_loads() -> bool:
+    try:
+        ctypes.CDLL("libdeflate.so.0").libdeflate_crc32
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+def test_the_crc32_seam_is_libdeflate_where_the_host_has_it():
+    if not libdeflate_loads():
+        pytest.skip("libdeflate.so.0 is not installed")
+    assert shardio.crc32 is not zlib.crc32
+    assert shardio.crc32(b"123456789") == 0xCBF43926
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 2, 3, 7, 1001])
+@pytest.mark.parametrize("start", [0, 0xDEADBEEF])
+def test_crc32_equals_zlib_on_short_payloads(nbytes, start):
+    data = np.random.default_rng(nbytes).integers(0, 256, nbytes, dtype=np.uint8).tobytes()
+    assert shardio.crc32(data, start) == zlib.crc32(data, start)
+    if not start:
+        assert shardio.crc32(data) == zlib.crc32(data)
+
+
+def test_crc32_equals_zlib_on_a_full_batch_as_read_back(tmp_path):
+    params = derive_params(3, 2, 7)
+    stripes = shardio.batch_stripes(params)
+    symbols = np.random.default_rng(8).integers(0, params.q, (2 * stripes, params.alpha))
+    path = tmp_path / "s"
+    write_shard(path, header_for(params, 1, 2 * stripes * params.file_symbols), symbols)
+    running = zlib.crc32(b"one batch before")
+    with ShardReader(path) as reader:
+        batch = reader.read(stripes)  # read-only <u2, as ShardSet checksums it
+        assert not batch.flags.writeable and batch.dtype == np.dtype("<u2")
+        for data in (batch, batch.tobytes()):
+            assert shardio.crc32(data) == zlib.crc32(data)
+            assert shardio.crc32(data, running) == zlib.crc32(data, running)
+    assert payload_crc(symbols) == zlib.crc32(symbols.astype("<u2").tobytes())
+
+
+def test_crc32_refuses_a_non_contiguous_buffer_instead_of_copying_it():
+    symbols = np.arange(64, dtype="<u2").reshape(8, 8)
+    for data in (symbols[:, ::2], symbols.T, memoryview(symbols)[::2]):
+        with pytest.raises((ValueError, BufferError), match="contiguous"):
+            shardio.crc32(data)
+
+
+def no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize(
+    "stand_in",
+    [
+        pytest.param(no_library, id="no library"),
+        pytest.param(lambda name: SimpleNamespace(), id="no symbol"),
+        pytest.param(lambda name: SimpleNamespace(libdeflate_crc32=lambda *args: 0), id="wrong check value"),
+    ],
+)
+def test_the_crc32_seam_falls_back_to_zlib(stand_in, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", stand_in)
+    assert shardio._resolve_crc32() is zlib.crc32
+
+
+@pytest.mark.parametrize("char", ["a", "\u00e9", "\u20ac", "\U0001f600"])  # 1 to 4 bytes
+def test_a_temp_file_keeps_a_255_byte_name_within_255_bytes_on_a_character_boundary(char, tmp_path):
+    if sys.platform != "linux" or os.pathconf(tmp_path, "PC_NAME_MAX") != 255:
+        pytest.skip("needs a Linux file system whose names hold 255 bytes")
+    width = len(char.encode())
+    name = char * (255 // width) + "b" * (255 % width)
+    target = tmp_path / name
+    assert len(os.fsencode(name)) == 255
+    prefix = shardio._temp_prefix(target)
+    assert name.startswith(prefix[1:-1]) and len(prefix.encode()) + len("XXXXXXXX.old") <= 255
+    for contents in (b"new", b"replacing"):
+        with AtomicFile(target) as fh:
+            fh.write(contents)
+        assert target.read_bytes() == contents
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_atomic_write_replaces_and_leaves_no_residue(tmp_path):

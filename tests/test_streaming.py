@@ -21,6 +21,7 @@ import socket
 import stat
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -885,9 +886,9 @@ def test_crc32_runs_once_per_batch_per_node_only_where_something_reads_it(flip_s
     _, shards, manifest = flip_set
     batches = [3, 3, 3, 2]  # stripes per batch
     calls = []
-    real = shardio.zlib.crc32
+    real = shardio.crc32
     monkeypatch.setattr(
-        shardio.zlib, "crc32", lambda data, *a: (calls.append(memoryview(data).nbytes), real(data, *a))[1]
+        shardio, "crc32", lambda data, *a: (calls.append(memoryview(data).nbytes), real(data, *a))[1]
     )
     m = ["--manifest", str(manifest)]
     helpers = [str(shards[h]) for h in (2, 3, 4, 5, 6, 7)]
@@ -905,6 +906,57 @@ def test_crc32_runs_once_per_batch_per_node_only_where_something_reads_it(flip_s
         # one call per batch of each such node, each on the whole batch: 8 bytes per stripe
         assert sorted(calls) == sorted(8 * s for s in batches * nodes), name
     capsys.readouterr()
+
+
+def hide_libdeflate(monkeypatch):
+    """Bind `shardio.crc32` as on a host without libdeflate.so.0."""
+    real = ctypes.CDLL
+
+    def cdll(name, *args, **kwargs):
+        if name == "libdeflate.so.0":
+            raise OSError(f"{name}: cannot open shared object file")
+        return real(name, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ctypes, "CDLL", cdll)
+        crc32 = shardio._resolve_crc32()
+    assert crc32 is zlib.crc32
+    monkeypatch.setattr(shardio, "crc32", crc32)
+
+
+def test_every_command_prints_exits_and_writes_the_same_without_libdeflate(tmp_path, monkeypatch, capsys):
+    params = derive_params(3, 2, 7)
+    small_batches(monkeypatch, params)
+    data = np.random.default_rng(12).integers(0, 256, FLIP_LENGTH, dtype=np.uint8).tobytes()
+    seen = []
+    for hidden in (False, True):
+        if hidden:
+            hide_libdeflate(monkeypatch)
+        root = tmp_path / ("zlib" if hidden else "default")
+        root.mkdir()
+        (root / "in.bin").write_bytes(data)
+        shards = [str(root / "sh" / f"in.bin.shard{j:02d}") for j in range(1, 8)]
+        m = ["--manifest", str(root / "sh" / "in.bin.manifest")]
+        bad = root / "bad.shard03"
+
+        def run(argv, root=root):
+            rc = main(argv)
+            return (rc, *(text.replace(str(root), "<root>") for text in capsys.readouterr()))
+
+        outcomes = [run(["encode", str(root / "in.bin"), "-o", str(root / "sh"), *code_flags(params)])]
+        bad.write_bytes(Path(shards[2]).read_bytes())
+        flip_low_bit(bad, 5)
+        outcomes += map(run, [
+            ["verify", *shards],
+            ["verify", *shards, *m],
+            ["reconstruct", *shards[1:4], "-o", str(root / "out.bin"), *m],
+            ["repair", *shards[1:], "-f", "1", "--out", str(root / "r.shard01"), *m],
+            ["verify", *shards[:2], str(bad), *shards[3:], *m],
+        ])
+        files = {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+        seen.append((outcomes, files))
+    assert [rc for rc, *_ in seen[0][0]] == [0, 0, 0, 0, 0, 2]
+    assert seen[0] == seen[1]
 
 
 # ---------------------------------------------------------------------------
